@@ -33,34 +33,37 @@ def golden_otsu_threshold(hist: np.ndarray, npix: int) -> int:
     """Between-class-variance maximization, float32 step-for-step.
 
     Mirrors the C actor exactly (same accumulation order, same float32
-    rounding) so the reference threshold equals the hardware one.
+    rounding) so the reference threshold equals the hardware one.  The
+    C loop's running sums are sequential float32 ``cumsum`` scans
+    (``add.accumulate`` rounds after every step, unlike the pairwise
+    ``sum``), its per-bin arithmetic is elementwise float32, and its
+    ``between > max_var`` update keeps the first strict maximum above
+    zero — ``argmax`` with a ``> 0`` guard.  Bins with an empty
+    background are skipped, and the scan stops at the first empty
+    foreground.
     """
     f32 = np.float32
-    hist = np.asarray(hist)
-    total = f32(npix)
-    s = f32(0.0)
-    for i in range(256):
-        s = f32(s + f32(f32(i) * f32(hist[i])))
-    sum_b = f32(0.0)
-    w_b = f32(0.0)
-    max_var = f32(0.0)
-    threshold = 0
-    for t in range(256):
-        w_b = f32(w_b + f32(hist[t]))
-        if w_b == 0.0:
-            continue
-        w_f = f32(total - w_b)
-        if w_f == 0.0:
-            break
-        sum_b = f32(sum_b + f32(f32(t) * f32(hist[t])))
-        m_b = f32(sum_b / w_b)
-        m_f = f32(f32(s - sum_b) / w_f)
-        diff = f32(m_b - m_f)
-        between = f32(f32(f32(w_b * w_f) * diff) * diff)
-        if between > max_var:
-            max_var = between
-            threshold = t
-    return threshold
+    h = np.asarray(hist)[:256].astype(f32)
+    prod = np.arange(256, dtype=f32) * h
+    s = np.cumsum(prod, dtype=f32)[-1]
+    w_b = np.cumsum(h, dtype=f32)
+    live = w_b != 0
+    w_f = f32(npix) - w_b
+    stop = np.flatnonzero(live & (w_f == 0))
+    n = int(stop[0]) if stop.size else 256
+    if n == 0:
+        return 0
+    live, w_b, w_f = live[:n], w_b[:n], w_f[:n]
+    # A skipped bin adds nothing to sum_b: adding +0.0 is exact.
+    sum_b = np.cumsum(np.where(live, prod[:n], f32(0)), dtype=f32)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        m_b = sum_b / w_b
+        m_f = (s - sum_b) / w_f
+        diff = m_b - m_f
+        between = w_b * w_f * diff * diff
+    # A skipped bin scores 0 or NaN (its w_b is 0), never above 0.  With
+    # no bin above 0, argmax gives 0: the loop's initial threshold.
+    return int(np.argmax(np.where(between > 0, between, f32(0))))
 
 
 def golden_binarize(gray: np.ndarray, threshold: int) -> np.ndarray:

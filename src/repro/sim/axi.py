@@ -110,6 +110,10 @@ class _PendingPut:
     def exhausted(self) -> bool:
         return self.pos >= len(self.items)
 
+    @property
+    def remaining(self) -> int:
+        return len(self.items) - self.pos
+
 
 class _PendingGet:
     """A blocked consumer: triggers once *need* tokens were fed to it.
@@ -200,6 +204,17 @@ class StreamChannel:
             self._putters.popleft()
             head.event.trigger(None)
 
+    def _admit_run(self, k: int) -> list:
+        """Take the head blocked producer's next *k* tokens (k <= remaining)."""
+        head = self._putters[0]
+        run = head.items[head.pos:head.pos + k]
+        head.pos += k
+        self.total_put += k
+        if head.exhausted:
+            self._putters.popleft()
+            head.event.trigger(None)
+        return run
+
     def put(self, item) -> Event:
         """Event that triggers once *item* entered the FIFO."""
         evt = Event(self.env)
@@ -287,24 +302,33 @@ class StreamChannel:
         return evt
 
     def get_burst(self, count: int) -> Event:
-        """Event triggering with an ordered list of *count* tokens."""
+        """Event triggering with an ordered list of *count* tokens.
+
+        Same tokens, counters, ``high_water`` and producer-trigger order
+        as *count* word gets issued back-to-back in one cycle, moved a
+        run at a time: while a producer waits, each token taken admits
+        the producer's next one, so *k* gets rotate *k* of its tokens
+        through the FIFO at constant occupancy.
+        """
         if count < 1:
             raise SimError(f"stream {self.name!r}: burst get of {count} tokens")
         evt = Event(self.env)
+        items = self._items
+        putters = self._putters
         taken: list = []
-        while len(taken) < count and self._items:
-            taken.append(self._items.popleft())
-            self.total_got += 1
-            if self._putters:
-                self._admit_one()
-        while len(taken) < count and self._putters:
-            head = self._putters[0]
-            taken.append(head.take())
-            self.total_put += 1
-            self.total_got += 1
-            if head.exhausted:
-                self._putters.popleft()
-                head.event.trigger(None)
+        while len(taken) < count and items:
+            if putters:
+                k = min(count - len(taken), putters[0].remaining)
+                self.high_water = max(self.high_water, len(items))
+                items.extend(self._admit_run(k))
+            else:
+                k = min(count - len(taken), len(items))
+            taken.extend(items.popleft() for _ in range(k))
+            self.total_got += k
+        while len(taken) < count and putters:
+            k = min(count - len(taken), putters[0].remaining)
+            taken.extend(self._admit_run(k))
+            self.total_got += k
         if len(taken) == count:
             evt.trigger(taken)
         else:

@@ -1,7 +1,7 @@
 """Burst fast path: an analytic phase solver with cycle-identical results.
 
 The word-level simulator charges one kernel event per 32-bit word — a
-heap push/pop, an :class:`~repro.sim.kernel.Event` allocation and a
+queue push/pop, an :class:`~repro.sim.kernel.Event` allocation and a
 generator resume for every FIFO handshake and every HP-port beat.  A
 VGA frame through the Otsu pipeline is millions of such events, all of
 which compute timestamps a closed-form recurrence predicts exactly.

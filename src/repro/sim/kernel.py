@@ -10,6 +10,13 @@ The design is a deliberately small subset of SimPy — enough for FIFOs,
 DMA engines and CPU/accelerator processes — with deterministic FIFO
 ordering of same-cycle events so simulations are reproducible.
 
+Entries run in ``(time, push order)`` order, kept by two queues: a heap
+of future entries and a FIFO of zero-delay ones.  A heap entry due at
+``now`` was pushed before the clock reached ``now``, hence before any
+zero-delay entry of this cycle, so the heap's due entries drain first
+and the FIFO after them.  An entry is a ``(fn, arg)`` pair run as
+``fn(arg)``, so scheduling a callback allocates no closure.
+
 Robustness machinery on top of the basic queue:
 
 * :meth:`Environment.deadline` — a cancellable watchdog timer.  A
@@ -31,6 +38,7 @@ Robustness machinery on top of the basic queue:
 from __future__ import annotations
 
 import heapq
+from collections import deque
 from typing import Callable, Generator
 
 from repro.util.errors import (
@@ -42,13 +50,18 @@ from repro.util.errors import (
 
 
 class Event:
-    """A one-shot occurrence processes can wait on."""
+    """A one-shot occurrence processes can wait on.
 
-    __slots__ = ("env", "triggered", "value", "_callbacks")
+    :attr:`failed` is set only on a :class:`Process` whose failure is
+    re-thrown inside the processes waiting on it.
+    """
+
+    __slots__ = ("env", "triggered", "failed", "value", "_callbacks")
 
     def __init__(self, env: "Environment") -> None:
         self.env = env
         self.triggered = False
+        self.failed = False
         self.value: object = None
         self._callbacks: list[Callable[[Event], None]] = []
 
@@ -63,13 +76,19 @@ class Event:
             raise SimError("event triggered twice")
         self.triggered = True
         self.value = value
-        callbacks, self._callbacks = self._callbacks, []
-        for cb in callbacks:
-            self.env._immediate(lambda cb=cb: cb(self))
+        callbacks = self._callbacks
+        if callbacks:
+            # Environment._push(0, cb, self) per callback, inlined.
+            self._callbacks = []
+            env = self.env
+            append = env._ready.append
+            for cb in callbacks:
+                append((cb, self, False))
+            env._foreground += len(callbacks)
 
     def add_callback(self, cb: Callable[["Event"], None]) -> None:
         if self.triggered:
-            self.env._immediate(lambda: cb(self))
+            self.env._push(0, cb, self)
         else:
             self._callbacks.append(cb)
 
@@ -82,18 +101,18 @@ class Timer(Event):
     advancing the clock, so an unused watchdog is timing-invisible.
     """
 
-    __slots__ = ("cancelled",)
+    __slots__ = ("cancelled", "_payload")
 
     def __init__(self, env: "Environment", delay: int, value: object = None) -> None:
         super().__init__(env)
         self.cancelled = False
+        self._payload = value
+        env._push(int(delay), Timer._fire, self)
 
-        def fire() -> None:
-            if not self.cancelled:
-                self.trigger(value)
-
-        fire._timer = self  # run() skips cancelled timer entries
-        env._push(int(delay), fire)
+    def _fire(self) -> None:
+        # Queued as ``(Timer._fire, timer)``; run() drops the entry
+        # instead when the timer was cancelled.
+        self.trigger(self._payload)
 
     def cancel(self) -> None:
         """Disarm the deadline (idempotent; a no-op once triggered)."""
@@ -119,9 +138,7 @@ class Process(Event):
       wrapped in :class:`SimProcessError` (process name + cycle).
     """
 
-    __slots__ = (
-        "generator", "name", "error", "failed", "_abandoned", "_capture_errors",
-    )
+    __slots__ = ("generator", "name", "error", "_abandoned", "_capture_errors")
 
     def __init__(
         self,
@@ -135,11 +152,10 @@ class Process(Event):
         self.generator = generator
         self.name = name
         self.error: BaseException | None = None
-        self.failed = False
         self._abandoned = False
         self._capture_errors = capture_errors
         env._processes[id(self)] = self
-        env._immediate(self._step)
+        env._push(0, self._step, None)
 
     def _finish(self, value: object) -> None:
         self.env._processes.pop(id(self), None)
@@ -149,10 +165,12 @@ class Process(Event):
         if self._abandoned:
             return
         try:
-            if _evt is not None and getattr(_evt, "failed", False):
+            if _evt is None:
+                value = self.generator.send(None)
+            elif _evt.failed:
                 value = self.generator.throw(_evt.error)
             else:
-                value = self.generator.send(_evt.value if _evt is not None else None)
+                value = self.generator.send(_evt.value)
         except StopIteration as stop:
             self._finish(stop.value)
             return
@@ -193,7 +211,10 @@ class Environment:
 
     def __init__(self) -> None:
         self.now = 0
-        self._queue: list[tuple[int, int, Callable[[], None], bool]] = []
+        #: Future entries ``(time, seq, fn, arg, background)``.
+        self._heap: list[tuple[int, int, Callable, object, bool]] = []
+        #: Zero-delay entries ``(fn, arg, background)`` of the current cycle.
+        self._ready: deque[tuple[Callable, object, bool]] = deque()
         self._seq = 0
         self._foreground = 0
         #: Total events executed across all run() calls — the cost metric
@@ -208,16 +229,21 @@ class Environment:
         self.detect_deadlock = False
 
     # -- scheduling -------------------------------------------------------
-    def _push(self, delay: int, fn: Callable[[], None], *, background: bool = False) -> None:
-        if delay < 0:
-            raise SimError("cannot schedule into the past")
-        self._seq += 1
-        heapq.heappush(self._queue, (self.now + delay, self._seq, fn, background))
+    def _push(
+        self, delay: int, fn: Callable, arg: object, background: bool = False
+    ) -> None:
+        """Queue ``fn(arg)`` to run *delay* cycles from now."""
+        if delay:
+            if delay < 0:
+                raise SimError("cannot schedule into the past")
+            self._seq += 1
+            heapq.heappush(
+                self._heap, (self.now + delay, self._seq, fn, arg, background)
+            )
+        else:
+            self._ready.append((fn, arg, background))
         if not background:
             self._foreground += 1
-
-    def _immediate(self, fn: Callable) -> None:
-        self._push(0, fn)
 
     def schedule_background(self, delay: int, fn: Callable[[], None]) -> None:
         """Schedule *fn* without keeping the simulation alive for it.
@@ -226,12 +252,12 @@ class Environment:
         pending when its time arrives — fault injections scheduled past
         the natural end of a run simply never happen.
         """
-        self._push(int(delay), fn, background=True)
+        self._push(int(delay), _call, fn, background=True)
 
     def timeout(self, delay: int, value: object = None) -> Event:
         """An event that triggers *delay* cycles from now."""
         evt = Event(self)
-        self._push(int(delay), lambda: evt.trigger(value))
+        self._push(int(delay), evt.trigger, value)
         return evt
 
     def deadline(self, delay: int, value: object = None) -> Timer:
@@ -269,7 +295,7 @@ class Environment:
         done = Event(self)
         remaining = len(events)
         if remaining == 0:
-            self._immediate(lambda: done.trigger([]))
+            self._push(0, done.trigger, [])
             return done
         values: list[object] = [None] * remaining
 
@@ -313,27 +339,40 @@ class Environment:
         :attr:`detect_deadlock` set, draining the queue while processes
         remain blocked raises a structured :class:`SimDeadlockError`.
         """
+        heap = self._heap
+        ready = self._ready
+        heappop = heapq.heappop
+        timer_fire = Timer._fire
+        now = self.now
         count = 0
-        while self._queue:
-            if self._foreground == 0:
-                break  # only background injections / cancelled timers left
-            time, _, fn, background = self._queue[0]
-            timer = getattr(fn, "_timer", None)
-            if timer is not None and timer.cancelled:
-                heapq.heappop(self._queue)
-                continue
-            if until is not None and time > until:
-                self.now = until
-                return self.now
-            heapq.heappop(self._queue)
-            if not background:
-                self._foreground -= 1
-            self.now = time
-            fn()
-            count += 1
-            self.events_processed += 1
-            if count > max_events:
-                raise SimError(f"simulation exceeded {max_events} events (livelock?)")
+        try:
+            # Zero once only background entries / cancelled timers are left.
+            while self._foreground:
+                if ready and (not heap or heap[0][0] > now):
+                    if until is not None and now > until:
+                        self.now = until
+                        return until
+                    fn, arg, background = ready.popleft()
+                    if fn is timer_fire and arg.cancelled:
+                        continue
+                else:
+                    # Due heap entries (time == now) precede the FIFO;
+                    # otherwise the FIFO is empty and the clock advances.
+                    if until is not None and heap[0][0] > until:
+                        self.now = until
+                        return until
+                    time, _, fn, arg, background = heappop(heap)
+                    if fn is timer_fire and arg.cancelled:
+                        continue
+                    self.now = now = time
+                if not background:
+                    self._foreground -= 1
+                fn(arg)
+                count += 1
+                if count > max_events:
+                    raise SimError(f"simulation exceeded {max_events} events (livelock?)")
+        finally:
+            self.events_processed += count
         if self.detect_deadlock and self._processes:
             raise self._deadlock_error()
         return self.now
@@ -355,3 +394,8 @@ class Environment:
             blocked=blocked,
             fifo_occupancy=fifos,
         )
+
+
+def _call(fn: Callable[[], None]) -> None:
+    """Queue adapter for argument-less callbacks (background entries)."""
+    fn()

@@ -125,6 +125,127 @@ class TestKernel:
         with pytest.raises(SimError, match="past"):
             env.timeout(-1)
 
+    # Same-cycle order: entries run by (time, push order).  The kernel
+    # keeps future entries on a heap and zero-delay ones in a FIFO, so
+    # these tests pin the order that split must preserve.
+
+    def test_due_heap_entry_precedes_same_cycle_zero_delay(self):
+        env = Environment()
+        log = []
+        evt = env.timeout(5)
+        # Pushed at cycle 5 by the trigger, so after the background
+        # entry pushed at cycle 0 for cycle 5.
+        evt.add_callback(lambda e: log.append(("callback", env.now)))
+        env.schedule_background(5, lambda: log.append(("heap", env.now)))
+        env.run()
+        assert log == [("heap", 5), ("callback", 5)]
+
+    def test_zero_delay_entries_keep_push_order(self):
+        env = Environment()
+        log = []
+
+        def note(tag):
+            return lambda evt: log.append((tag, evt.value))
+
+        def proc():
+            log.append(("proc", env.now))
+            return
+            yield
+
+        env.timeout(0, "t").add_callback(note("timeout"))
+        env.deadline(0, "d").add_callback(note("deadline"))
+        cancelled = env.deadline(0, "c")
+        cancelled.add_callback(note("cancelled"))
+        cancelled.cancel()
+        env.schedule_background(0, lambda: log.append(("background", env.now)))
+        env.process(proc())
+        assert env.run() == 0
+        # Triggers run in push order and queue their callbacks behind
+        # the entries already waiting in the cycle.
+        assert log == [
+            ("background", 0), ("proc", 0), ("timeout", "t"), ("deadline", "d"),
+        ]
+        assert not cancelled.triggered
+        # One event per callback run; the cancelled entry is not one.
+        assert env.events_processed == 6
+
+    def test_zero_delay_chain_interleaves_with_due_entries(self):
+        env = Environment()
+        log = []
+
+        def proc(name, delay):
+            yield env.timeout(delay)
+            log.append((name, env.now))
+            yield env.timeout(0)
+            log.append((name + "'", env.now))
+
+        env.process(proc("a", 3))
+        env.process(proc("b", 3))
+        env.process(proc("c", 4))
+        env.run()
+        assert log == [("a", 3), ("b", 3), ("a'", 3), ("b'", 3), ("c", 4), ("c'", 4)]
+
+    def test_cancelled_deadline_does_not_advance_clock(self):
+        env = Environment()
+        log = []
+
+        def proc():
+            guard = env.deadline(50)
+            yield env.timeout(10)
+            guard.cancel()
+            log.append(env.now)
+
+        env.process(proc())
+        assert env.run() == 10
+        assert log == [10]
+        # A cancelled zero-delay deadline is equally invisible.
+        env.deadline(0).cancel()
+        assert env.run() == 10
+        assert env.events_processed == 3
+
+    def test_cancelled_deadline_ahead_of_live_work(self):
+        env = Environment()
+        seen = []
+        env.deadline(5).cancel()
+        env.timeout(8).add_callback(lambda e: seen.append(env.now))
+        assert env.run(until=6) == 6
+        assert seen == []
+        assert env.run() == 8
+        assert seen == [8]
+
+    def test_run_until_drains_the_until_cycle(self):
+        env = Environment()
+        log = []
+
+        def proc():
+            log.append(("start", env.now))
+            yield env.timeout(3)
+            log.append(("at3", env.now))
+            yield env.timeout(0)
+            log.append(("at3'", env.now))
+            yield env.timeout(1)
+            log.append(("at4", env.now))
+
+        env.process(proc())
+        # until == now: the pending zero-delay start still runs.
+        assert env.run(until=0) == 0
+        assert log == [("start", 0)]
+        # Every entry of the until cycle runs, zero-delay ones included;
+        # nothing of the next cycle does.
+        assert env.run(until=3) == 3
+        assert log[1:] == [("at3", 3), ("at3'", 3)]
+        assert env.run() == 4
+        assert log[-1] == ("at4", 4)
+
+    def test_background_entries_do_not_hold_the_run_open(self):
+        env = Environment()
+        fired = []
+        env.schedule_background(0, lambda: fired.append(0))
+        env.schedule_background(20, lambda: fired.append(20))
+        env.timeout(10)
+        assert env.run() == 10
+        assert fired == [0]
+
 
 class TestStreamChannel:
     def run_producer_consumer(self, capacity, n, prod_delay=0, cons_delay=0):

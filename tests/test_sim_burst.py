@@ -8,8 +8,13 @@ identical, while the burst run spends strictly fewer kernel events
 whenever it actually fast-pathed a phase.
 """
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.htg import HTG, Actor, Partition, Phase, StreamChannel as HtgChannel, Task
 from repro.sim import Environment, StreamChannel, hw_serialized, simulate_application, solve_phase
@@ -294,6 +299,50 @@ class TestBurstChannelPrimitives:
         env.run()
         assert out == [0, [1, 2, 3], 4, 5]
         assert ch.conserved()
+
+    @given(
+        capacity=st.integers(1, 6),
+        bursts=st.lists(st.integers(1, 12), min_size=1, max_size=6),
+        data=st.data(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_get_burst_matches_word_gets(self, capacity, bursts, data):
+        """A burst get against a FIFO with blocked producers leaves the
+        same tokens, counters, occupancy and producer wake-up order as
+        the same number of word gets issued back-to-back."""
+
+        def setup():
+            env = Environment()
+            ch = StreamChannel(env, "s", capacity=capacity)
+            woken = []
+            token = 0
+            for i, size in enumerate(bursts):
+                evt = ch.put_burst(list(range(token, token + size)))
+                evt.add_callback(lambda e, i=i: woken.append(i))
+                token += size
+            # Below the occupancy, as commit_burst's pinned estimate can
+            # be, so the gets' own high_water updates show.
+            ch.high_water = 0
+            return env, ch, woken
+
+        count = data.draw(st.integers(1, sum(bursts)))
+        env_b, burst_ch, woken_b = setup()
+        env_w, word_ch, woken_w = setup()
+        got = burst_ch.get_burst(count)
+        words = [word_ch.get() for _ in range(count)]
+        assert got.value == [evt.value for evt in words]
+        for ch in (burst_ch, word_ch):
+            assert ch.conserved()
+        assert (burst_ch.total_put, burst_ch.total_got, burst_ch.high_water) == (
+            word_ch.total_put, word_ch.total_got, word_ch.high_water
+        )
+        assert list(burst_ch._items) == list(word_ch._items)
+        assert [p.items[p.pos:] for p in burst_ch._putters] == [
+            p.items[p.pos:] for p in word_ch._putters
+        ]
+        env_b.run()
+        env_w.run()
+        assert woken_b == woken_w
 
     def test_empty_burst_rejected(self):
         from repro.util.errors import SimError
@@ -762,6 +811,34 @@ class TestTable1FallbackRates:
             assert np.array_equal(
                 rep.of("binImage"), np.asarray(app.golden["binary"])
             )
+
+
+class TestWordPathBaseline:
+    """The word path at 64x64 runs exactly the kernel events and lands on
+    exactly the report digests pinned in the simbench baseline, so a
+    cheaper event kernel cannot skip or add work unnoticed."""
+
+    BASELINE = Path(__file__).resolve().parents[1] / "benchmarks" / "BASELINE_simbench.json"
+
+    @pytest.mark.parametrize("arch", [1, 2, 3, 4])
+    def test_events_and_digest_pinned(self, arch):
+        from repro.apps.otsu import build_otsu_app
+        from repro.flow import run_flow
+
+        baseline = json.loads(self.BASELINE.read_text())
+        assert baseline["size"] == "64x64"
+        pinned = baseline["rows"][str(arch)]
+        app = build_otsu_app(arch, width=64, height=64)
+        flow = run_flow(
+            app.dsl_graph(), app.c_sources, extra_directives=app.extra_directives
+        )
+        rep = simulate_application(
+            app.htg, app.partition, app.behaviors, {},
+            system=flow.system, burst_mode=False,
+        )
+        assert rep.cycles == pinned["cycles"]
+        assert rep.kernel_events == pinned["events_word"]
+        assert rep.digest() == pinned["digest"]
 
 
 class TestPhaseSpanAttributes:
