@@ -7,9 +7,9 @@ reused), synthesis dominates every build, and the grand total lands in
 the paper's ~42-minute ballpark.
 
 The build-engine bench then rebuilds the four architectures through the
-parallel, content-addressed engine — cold then warm — and checks the
-engine's headline numbers: every core hits the cache on the warm pass
-and the warm wall-clock lands strictly below the cold serial total.
+content-addressed cache — cold then warm — and checks the engine's
+headline numbers: every core hits the cache on the warm pass and the
+warm modeled total lands strictly below the uncached total.
 """
 
 from conftest import save_artifact
@@ -41,18 +41,14 @@ def test_fig9(benchmark, otsu_builds):
 
 
 def test_fig9_build_engine(benchmark, otsu_builds, tmp_path_factory):
-    """Parallel + content-addressed cache vs the serial Fig. 9 build."""
+    """Content-addressed cache vs the uncached Fig. 9 build."""
     from repro.report import build_all_architectures
 
     cache_dir = str(tmp_path_factory.mktemp("buildcache"))
 
     def cold_then_warm():
-        cold = build_all_architectures(
-            width=48, height=48, jobs=4, cache_dir=cache_dir
-        )
-        warm = build_all_architectures(
-            width=48, height=48, jobs=4, cache_dir=cache_dir
-        )
+        cold = build_all_architectures(width=48, height=48, cache_dir=cache_dir)
+        warm = build_all_architectures(width=48, height=48, cache_dir=cache_dir)
         return cold, warm
 
     cold, warm = benchmark.pedantic(cold_then_warm, rounds=1, iterations=1)
@@ -61,10 +57,10 @@ def test_fig9_build_engine(benchmark, otsu_builds, tmp_path_factory):
     warm_fig9 = regenerate_fig9(warm)
     text = "\n".join(
         [
-            "build engine, cold (jobs=4):",
+            "build engine, cold cache:",
             cold_fig9.render(),
             "",
-            "build engine, warm cache (jobs=4):",
+            "build engine, warm cache:",
             warm_fig9.render(),
         ]
     )
@@ -88,9 +84,6 @@ def test_fig9_build_engine(benchmark, otsu_builds, tmp_path_factory):
     assert warm_fig9.cache_hits == 4
     assert sum(c["misses"] for c in warm_fig9.cache.values()) == 0
 
-    # Warm wall-clock strictly below the cold serial total; cold parallel
-    # no slower than cold serial (the Otsu graph is a chain, so its waves
-    # barely overlap — epsilon covers the rounded breakdown rows).
-    assert warm_fig9.total_wall_minutes < serial_fig9.total_minutes
-    assert cold_fig9.total_wall_minutes <= serial_fig9.total_minutes + 0.01
+    # A warm cache pays no HLS, so its modeled total is strictly lower.
+    assert warm_fig9.total_minutes < serial_fig9.total_minutes
     assert "build cache:" in warm_fig9.render()

@@ -134,7 +134,7 @@ def bench_flow_cold(repeats=3):
     function inside an otherwise-cold core build" case.
     """
     graph, sources = random_task_graph(stream_depth=32, seed=9, **LARGE)
-    config = FlowConfig(jobs=1, cache_dir=None, check_tcl=False)
+    config = FlowConfig(cache_dir=None, check_tcl=False)
 
     def run():
         return run_flow(graph, sources, config=config)
@@ -195,7 +195,7 @@ def differential():
     rows = []
     identical = True
     for label, graph, sources, extra in designs:
-        config = FlowConfig(jobs=1, cache_dir=None, check_tcl=False)
+        config = FlowConfig(cache_dir=None, check_tcl=False)
         kwargs = {"extra_directives": extra} if extra else {}
 
         os.environ["REPRO_HLS_FN_CACHE"] = "0"

@@ -23,12 +23,12 @@ def save_artifact(name: str, text: str) -> Path:
 def otsu_builds():
     """All four Table-I architectures, built once per session (Arch4
     first with core reuse, exactly as the paper did).  Pinned to the
-    serial uncached engine: the Fig. 9 benches assert cold-build times."""
+    uncached engine: the Fig. 9 benches assert cold-build times."""
     from repro.flow import FlowConfig
     from repro.report import build_all_architectures
 
     return build_all_architectures(
-        width=48, height=48, config=FlowConfig(jobs=1, cache_dir=None)
+        width=48, height=48, config=FlowConfig(cache_dir=None)
     )
 
 

@@ -125,10 +125,7 @@ def _cmd_build(args: argparse.Namespace) -> int:
     journal_path = Path(f"{args.out}.journal")
     if not args.resume and journal_path.exists():
         journal_path.unlink()  # an explicit fresh build ignores old state
-    kwargs = {"backend": backend, "cache_dir": cache_dir}
-    if args.jobs is not None:
-        kwargs["jobs"] = args.jobs
-    config = FlowConfig(**kwargs)
+    config = FlowConfig(backend=backend, cache_dir=cache_dir)
     observe = args.trace or args.metrics
     if observe:
         from repro.obs import capture
@@ -1343,9 +1340,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--resume", action="store_true",
         help="continue an interrupted build from <out>.journal, "
         "re-executing only the uncommitted tail",
-    )
-    p_build.add_argument(
-        "--jobs", type=int, default=None, help="HLS worker pool size"
     )
     p_build.add_argument(
         "--cache-dir", default=None,

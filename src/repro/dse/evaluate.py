@@ -13,12 +13,11 @@ Every flow config a DSE evaluation uses comes from one factory,
 the whole-core build cache is off (a whole-core hit would bypass the
 per-function memo entirely and hide regressions the campaign is meant
 to measure), ``fn_cache_dir`` routes every worker at the one shared
-persistent :class:`~repro.hls.fncache.FunctionCache` store, and
-``jobs=1`` keeps per-candidate synthesis serial (the campaign
-parallelizes across candidates, not inside them).  Constructing ad-hoc
-``FlowConfig()`` instances here was the PR 10 bug: the env-default
-``cache_dir``/``jobs`` fields meant parallel workers could each spawn a
-private cold store.
+persistent :class:`~repro.hls.fncache.FunctionCache` store (the
+campaign parallelizes across candidates, not inside them).
+Constructing ad-hoc ``FlowConfig()`` instances here was the PR 10 bug:
+the env-default ``cache_dir`` field meant parallel workers could each
+spawn a private cold store.
 """
 
 from __future__ import annotations
@@ -43,13 +42,12 @@ def dse_flow_config(
 ) -> FlowConfig:
     """The one flow config every DSE evaluation routes through.
 
-    ``jobs`` and ``cache_dir`` are pinned (not env-defaulted): candidate
-    evaluations must be identical no matter which worker process — or
-    CI environment — runs them.
+    ``cache_dir`` is pinned (not env-defaulted): candidate evaluations
+    must be identical no matter which worker process — or CI
+    environment — runs them.
     """
     return FlowConfig(
         check_tcl=check_tcl,
-        jobs=1,
         cache_dir=None,
         fn_cache_dir=str(fn_cache_dir) if fn_cache_dir is not None else None,
         integration=IntegrationConfig(one_dma_per_stream=one_dma_per_stream),

@@ -13,9 +13,8 @@ atomically, behind a ``MANIFEST.json`` + ``DONE`` protocol that
 
 The build engine lives in :mod:`buildcache` (persistent
 content-addressed artifact cache, cross-process locked, with corruption
-quarantine) and :mod:`parallel` (topological-wave worker pool for
-per-core HLS) — enabled via ``FlowConfig(jobs=N, cache_dir=...)`` and
-proven artifact-equivalent to the serial path by
+quarantine) — enabled via ``FlowConfig(cache_dir=...)`` and proven
+artifact-equivalent, cold and warm, to an uncached build by
 ``tests/test_flow_parallel.py``.
 
 The crash-consistency layer lives in :mod:`journal` (write-ahead run
@@ -46,7 +45,6 @@ from repro.flow.orchestrator import (
     resume_flow,
     run_flow,
 )
-from repro.flow.parallel import topological_waves
 from repro.flow.timing import CoreTrace, FlowTiming, TimingModel
 from repro.flow.workspace import (
     WorkspaceStatus,
@@ -84,7 +82,6 @@ __all__ = [
     "run_flow",
     "sdsoc_flow",
     "stable_digest",
-    "topological_waves",
     "verify_workspace",
     "workspace_files",
 ]

@@ -22,8 +22,8 @@ miss — the core is then rebuilt, never served from the bad bytes.
 Writes go through a temp-file + :func:`os.replace` so a crashed build
 leaves no partial entry.
 
-The cache is safe to share between serial and parallel flows *and
-between concurrent processes*: an entry is written only after its
+The cache is safe to share between concurrent flows *and between
+concurrent processes*: an entry is written only after its
 synthesis completed successfully, and every mutating operation (store,
 LRU eviction, quarantine, scrub) holds a cross-process ``flock`` on
 ``<dir>/lock`` (bounded wait — :class:`~repro.util.errors.CacheLockTimeout`

@@ -21,13 +21,11 @@ cached core is taken only when its source, directives and backend match
 the node being built (see :mod:`repro.flow.buildcache`), so two cores
 that merely share a function name never alias.
 
-With ``FlowConfig(jobs=N)`` the per-core syntheses of step 4 are
-deferred and fanned out across a worker pool in topological waves at
-``tg end_edges`` (see :mod:`repro.flow.parallel`); with ``cache_dir``
-set, artifacts persist in a content-addressed on-disk cache across
-processes.  Both paths produce byte-identical artifacts to the serial
-default — proven by the differential suite in
-``tests/test_flow_parallel.py``.
+Step 4 is the only place a core is synthesized, in declaration order.
+With ``cache_dir`` set, artifacts persist in a content-addressed
+on-disk cache across processes; cold and warm cached runs produce
+byte-identical artifacts to an uncached run — proven by the
+differential suite in ``tests/test_flow_parallel.py``.
 """
 
 from __future__ import annotations
@@ -55,25 +53,11 @@ from repro.tcl.script import TclScript
 from repro.flow.buildcache import ENGINE_VERSION, BuildCache, cache_key
 from repro.flow.crashpoints import crashpoint
 from repro.flow.journal import RunJournal, stable_digest
-from repro.flow.parallel import (
-    SynthesisJob,
-    modeled_wall_s,
-    run_parallel_synthesis,
-    topological_waves,
-)
 from repro.flow.timing import CoreTrace, FlowTiming, TimingModel
 from repro.obs.events import BUS as _BUS
 from repro.obs.metrics import REGISTRY as _METRICS
-from repro.util.errors import FlowError
+from repro.util.errors import FlowError, ReproError
 from repro.util.text import count_lines
-
-
-def _env_jobs() -> int:
-    """Worker-count default, overridable via ``REPRO_FLOW_JOBS`` (CI leg)."""
-    try:
-        return max(1, int(os.environ.get("REPRO_FLOW_JOBS", "1")))
-    except ValueError:
-        return 1
 
 
 def _env_cache_dir() -> str | None:
@@ -91,8 +75,10 @@ class FlowConfig:
     #: Validate the generated tcl by re-executing it and comparing
     #: bitstream digests (slower but machine-checks the scripts).
     check_tcl: bool = True
-    #: Worker count for per-core HLS synthesis; 1 keeps the serial path.
-    jobs: int = field(default_factory=_env_jobs)
+    #: Kept only so existing ``FlowConfig(jobs=1)`` call sites still
+    #: construct; cores are always synthesized one at a time and any
+    #: other value is rejected.
+    jobs: int = 1
     #: Directory of the persistent content-addressed artifact cache;
     #: ``None`` disables it.
     cache_dir: str | None = field(default_factory=_env_cache_dir)
@@ -104,10 +90,14 @@ class FlowConfig:
     #: evaluations while every candidate still compiles its own cores,
     #: so directives-only candidates hit the frontend memo.
     fn_cache_dir: str | None = None
-    #: Per-core synthesis timeout on the parallel path (``None`` = unbounded).
-    core_timeout_s: float | None = None
-    #: Extra synthesis attempts before a failing core fails the flow.
-    core_retries: int = 0
+
+    def __post_init__(self) -> None:
+        if self.jobs != 1:
+            raise FlowError(
+                f"FlowConfig(jobs={self.jobs!r}): the per-core HLS worker pool "
+                "was removed; cores are synthesized one at a time, so jobs "
+                "must be 1"
+            )
 
 
 @dataclass
@@ -165,12 +155,11 @@ class FlowHooks(ActionHooks):
         self.build_cache = build_cache
         self.journal = journal
         self.cores: dict[str, CoreBuild] = {}
-        self.timing = FlowTiming(jobs=self.config.jobs)
+        self.timing = FlowTiming()
         if journal is not None:
             self.timing.resumed = journal.resumed
             self.timing.crash_recoveries = journal.crash_recoveries
         self._project: HlsProject | None = None
-        self._pending: list[SynthesisJob] = []
         self.result: FlowResult | None = None
 
     # -- nodes section: HLS ------------------------------------------------
@@ -233,11 +222,15 @@ class FlowHooks(ActionHooks):
         if self.journal is not None:
             self.journal.step_start(step, key)
         crashpoint(f"{step}:start", core=node.name)
-        if self.config.jobs > 1:
-            self._pending.append(SynthesisJob(node.name, project, key))
-            return
         with _BUS.span("flow.step", step, core=node.name):
-            result = project.csynth()
+            try:
+                result = project.csynth()
+            except ReproError:
+                raise  # HlsError, FlowInterrupted, LeaseLost keep their class
+            except Exception as exc:
+                raise FlowError(
+                    f"HLS synthesis of core {node.name!r} failed: {exc}"
+                ) from exc
         self._finish_core(node.name, result, project, key)
 
     def _journal_commit(self, step: str, digest: str) -> None:
@@ -280,9 +273,6 @@ class FlowHooks(ActionHooks):
         result: SynthesisResult,
         project: HlsProject,
         key: str,
-        *,
-        wave: int = 0,
-        attempts: int = 1,
     ) -> None:
         seconds = self.config.timing_model.hls_core_s(result)
         self.timing.hls_s += seconds
@@ -300,14 +290,7 @@ class FlowHooks(ActionHooks):
         )
         self.cores[name] = build
         self.timing.trace.append(
-            CoreTrace(
-                name,
-                seconds,
-                source="synth",
-                wave=wave,
-                attempts=attempts,
-                fn_cache_hits=result.fn_cache_hits,
-            )
+            CoreTrace(name, seconds, source="synth", fn_cache_hits=result.fn_cache_hits)
         )
         if self.build_cache is not None:
             self.build_cache.put(key, build)
@@ -318,50 +301,10 @@ class FlowHooks(ActionHooks):
             _METRICS.counter("flow.steps", "flow steps executed").inc()
         crashpoint(f"hls:{name}:commit", core=name)
 
-    def _flush_pending(self, graph: TgGraph) -> None:
-        """Run the deferred syntheses in topological waves over a pool."""
-        jobs, self._pending = self._pending, []
-        outcomes = run_parallel_synthesis(
-            jobs,
-            graph,
-            workers=self.config.jobs,
-            timeout_s=self.config.core_timeout_s,
-            retries=self.config.core_retries,
-        )
-        for job in jobs:  # declaration order — deterministic artifacts
-            out = outcomes[job.name]
-            self._finish_core(
-                job.name,
-                out.result,
-                job.project,
-                job.key,
-                wave=out.wave,
-                attempts=out.attempts,
-            )
-        # Deferred cores landed after any cache hits; restore the serial
-        # flow's ordering (graph declaration order) everywhere it shows.
-        order = [n.name for n in graph.nodes if n.name in self.cores]
-        self.cores = {name: self.cores[name] for name in order}
-        self.timing.hls_cores = {name: self.timing.hls_cores[name] for name in order}
-        by_name = {t.name: t for t in self.timing.trace}
-        self.timing.trace = [by_name[name] for name in order]
-
     # -- edges section: integration -----------------------------------------------
     def on_edges_end(self, graph: TgGraph) -> None:
         # Step 8: execute the project tcl up to the bitstream, then the
         # software layer.
-        if self._pending:
-            self._flush_pending(graph)
-        if self.config.jobs > 1:
-            synthesized = {
-                t.name: t.seconds for t in self.timing.trace if t.source == "synth"
-            }
-            waves = topological_waves(graph, [n.name for n in graph.nodes])
-            self.timing.hls_wall_s = modeled_wall_s(
-                synthesized, waves, self.config.jobs
-            )
-        else:
-            self.timing.hls_wall_s = self.timing.hls_s
         validate_graph(graph)
         results = {name: build.result for name, build in self.cores.items()}
 
@@ -449,8 +392,8 @@ def flow_run_digest(
     """Digest of everything one flow run depends on — the journal header.
 
     Covers the DSL text, every C source, the extra directives, the
-    backend and engine versions *and* the execution config (jobs,
-    cache_dir): a journal written under one configuration is never
+    backend and engine versions *and* the execution config (cache_dir,
+    fn_cache_dir): a journal written under one configuration is never
     resumed under another — a changed config forces a clean rebuild
     instead of stitching incompatible runs together.
     """
@@ -466,7 +409,6 @@ def flow_run_digest(
             "backend": config.backend.version,
             "integration": repr(config.integration),
             "check_tcl": config.check_tcl,
-            "jobs": config.jobs,
             "cache_dir": str(config.cache_dir),
             "fn_cache_dir": str(config.fn_cache_dir),
         }

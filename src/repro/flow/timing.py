@@ -27,16 +27,12 @@ class CoreTrace:
 
     *source* is ``synth`` (HLS ran), ``memo`` (reused from the caller's
     name-keyed ``core_cache`` after a content match) or ``cache`` (hit in
-    the persistent content-addressed build cache).  *wave* is the
-    topological wave the core was scheduled in (0 on the serial path),
-    *attempts* how many synthesis attempts it took (retries included).
+    the persistent content-addressed build cache).
     """
 
     name: str
     seconds: float
     source: str = "synth"
-    wave: int = 0
-    attempts: int = 1
     #: Per-function memo lookups (front-end / result stage) that served
     #: this core's synthesis — non-zero only when source == "synth".
     fn_cache_hits: int = 0
@@ -46,11 +42,9 @@ class CoreTrace:
 class FlowTiming:
     """Modeled seconds per phase for one architecture build.
 
-    ``hls_s`` is cpu-time (the sum every core's synthesis cost);
-    ``hls_wall_s`` is the modeled wall-clock of the schedule that
-    actually ran — equal to ``hls_s`` on the serial path, the wave
-    makespan on the parallel path.  The other phases are single-threaded
-    either way, so the flow's wall-clock is ``total_wall_s``.
+    ``hls_s`` is the sum of every synthesized core's modeled cost; cores
+    are built one after another, so ``total_s`` is the modeled build
+    time.  These are Fig. 9 model figures, never a measured clock.
     """
 
     scala_s: float = 0.0
@@ -59,10 +53,6 @@ class FlowTiming:
     synth_s: float = 0.0
     #: Per-core HLS breakdown (reused cores appear with 0.0).
     hls_cores: dict[str, float] = field(default_factory=dict)
-    #: Modeled wall-clock of the HLS phase under the executed schedule.
-    hls_wall_s: float = 0.0
-    #: Worker count the flow ran with (1 = serial path).
-    jobs: int = 1
     #: Content-addressed build-cache hits / misses (0/0 without a cache).
     cache_hits: int = 0
     cache_misses: int = 0
@@ -85,16 +75,6 @@ class FlowTiming:
     def total_s(self) -> float:
         return self.scala_s + self.hls_s + self.project_s + self.synth_s
 
-    @property
-    def total_wall_s(self) -> float:
-        """Modeled wall-clock: HLS overlaps across workers, the rest is serial."""
-        return self.scala_s + self.hls_wall_s + self.project_s + self.synth_s
-
-    @property
-    def speedup(self) -> float:
-        """Cpu-time over wall-clock — 1.0 on the serial path."""
-        return self.total_s / self.total_wall_s if self.total_wall_s else 1.0
-
     def as_row(self) -> dict[str, float]:
         return {
             "SCALA": round(self.scala_s, 1),
@@ -105,12 +85,9 @@ class FlowTiming:
         }
 
     def report(self) -> dict:
-        """Full build-engine record: phases, per-core trace, cache, wall."""
+        """Full build-engine record: phases, per-core trace, cache, resume."""
         return {
             **self.as_row(),
-            "WALL": round(self.total_wall_s, 1),
-            "jobs": self.jobs,
-            "speedup": round(self.speedup, 2),
             "cache": {"hits": self.cache_hits, "misses": self.cache_misses},
             "fn_cache": {"hits": self.fn_cache_hits, "misses": self.fn_cache_misses},
             "resume": {
@@ -123,8 +100,6 @@ class FlowTiming:
                     "name": t.name,
                     "seconds": round(t.seconds, 1),
                     "source": t.source,
-                    "wave": t.wave,
-                    "attempts": t.attempts,
                     "fn_cache_hits": t.fn_cache_hits,
                 }
                 for t in self.trace

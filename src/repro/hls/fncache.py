@@ -158,10 +158,10 @@ class FunctionCache:
         #: Portion of ``stats`` already folded into the on-disk counters.
         self._flushed: dict[str, int] = {"hits": 0, "misses": 0, "stores": 0}
         self._memory: OrderedDict[str, object] = OrderedDict()
-        # The parallel HLS pool shares one instance across its worker
-        # threads; the cross-process FileLock in BuildCache is depth-
-        # reentrant (not thread-exclusive), so intra-process exclusion
-        # needs its own lock.
+        # The build service's ``svc-exec`` worker threads run flows
+        # concurrently and share one instance; the cross-process FileLock
+        # in BuildCache is depth-reentrant (not thread-exclusive), so
+        # intra-process exclusion needs its own lock.
         self._lock = threading.Lock()
         self._store = None
         if cache_dir is not None:

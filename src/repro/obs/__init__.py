@@ -1,13 +1,13 @@
 """Unified observability layer: event bus, exporters, metrics registry.
 
-Four subsystems (parallel build engine, fault injection, crash-safe
+Four subsystems (cached build engine, fault injection, crash-safe
 journal, burst simulator) used to report timing through ad-hoc
 dataclasses; this package gives them one spine:
 
 * :mod:`events` — a process-wide structured event bus with monotonic
   sequence numbers, typed categories, bounded ring-buffer retention and
-  thread-safe emission (the parallel HLS workers emit from their pool
-  threads);
+  thread-safe emission (the build service's worker threads emit from
+  concurrent flows);
 * :mod:`chrome` — an exporter merging flow wall-clock spans and
   simulator cycle-domain spans into Chrome ``trace_event`` JSON,
   viewable in ``chrome://tracing`` / Perfetto;

@@ -14,8 +14,9 @@ is a no-op on the hot paths.  When enabled, events carry:
   trace-event convention), ``"i"`` for instants;
 * a wall-clock timestamp (``perf_counter_ns``) and, for simulator
   events, the simulated **cycle**;
-* the emitting **worker** (thread name by default — the parallel HLS
-  pool emits from its worker threads, serialized by the bus lock).
+* the emitting **worker** (thread name by default — the build
+  service's worker threads emit concurrently, serialized by the bus
+  lock).
 
 Retention is a bounded ring buffer: the bus keeps the most recent
 *capacity* events and counts what it dropped, so a long campaign can

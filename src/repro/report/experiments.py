@@ -46,18 +46,17 @@ def build_all_architectures(
     width: int = 64,
     height: int = 64,
     config: FlowConfig | None = None,
-    jobs: int | None = None,
     cache_dir: str | None = None,
 ) -> dict[int, ArchBuild]:
     """Run the flow for Arch1-4, Arch4 first with core reuse (Section VI-B).
 
-    *jobs*/*cache_dir* are conveniences that build a :class:`FlowConfig`
-    when *config* is not given; one :class:`BuildCache` instance is
-    shared across the four builds so later architectures hit the
-    artifacts the earlier ones stored.
+    *cache_dir* is a convenience that builds a :class:`FlowConfig` when
+    *config* is not given; one :class:`BuildCache` instance is shared
+    across the four builds so later architectures hit the artifacts the
+    earlier ones stored.
     """
-    if config is None and (jobs is not None or cache_dir is not None):
-        config = FlowConfig(jobs=jobs or 1, cache_dir=cache_dir)
+    if config is None and cache_dir is not None:
+        config = FlowConfig(cache_dir=cache_dir)
     build_cache = (
         BuildCache(config.cache_dir)
         if config is not None and config.cache_dir is not None
@@ -204,25 +203,16 @@ def regenerate_fig7(*, width: int = 256, height: int = 256, seed: int = 2016) ->
 class Fig9Result:
     #: arch -> phase -> modeled seconds.
     breakdown: dict[int, dict[str, float]]
-    #: arch -> per-core build records (name, seconds, source, wave).
+    #: arch -> per-core build records (name, seconds, source).
     cores: dict[int, list[dict]] = field(default_factory=dict)
     #: arch -> {"hits": n, "misses": n} from the content-addressed cache.
     cache: dict[int, dict[str, int]] = field(default_factory=dict)
-    #: arch -> modeled wall-clock seconds (== cpu-time on the serial path).
-    wall: dict[int, float] = field(default_factory=dict)
     #: arch -> {"resumed": bool, "steps_skipped": n, "crash_recoveries": n}.
     resume: dict[int, dict] = field(default_factory=dict)
 
     @property
     def total_minutes(self) -> float:
         return sum(sum(row.values()) for row in self.breakdown.values()) / 60.0
-
-    @property
-    def total_wall_minutes(self) -> float:
-        """Wall-clock minutes under the executed schedule (cpu if unknown)."""
-        if not self.wall:
-            return self.total_minutes
-        return sum(self.wall.values()) / 60.0
 
     @property
     def cache_hits(self) -> int:
@@ -254,18 +244,14 @@ class Fig9Result:
         ]
         for arch in sorted(self.cores):
             per_core = ", ".join(
-                f"{c['name']}={c['seconds']:.1f}s[{c['source']}/w{c['wave']}]"
+                f"{c['name']}={c['seconds']:.1f}s[{c['source']}]"
                 for c in self.cores[arch]
             )
             lines.append(f"  Arch{arch} cores: {per_core}")
         if self.cache:
             hits = self.cache_hits
             misses = sum(c.get("misses", 0) for c in self.cache.values())
-            lines.append(
-                f"build cache: {hits} hits / {misses} misses; "
-                f"wall-clock {self.total_wall_minutes:.1f} min "
-                f"vs cpu-time {self.total_minutes:.1f} min"
-            )
+            lines.append(f"build cache: {hits} hits / {misses} misses")
         resumed = {a: r for a, r in self.resume.items() if r.get("resumed")}
         if resumed:
             # A resumed run's phase seconds only cover the re-executed
@@ -283,7 +269,6 @@ def regenerate_fig9(builds: dict[int, ArchBuild]) -> Fig9Result:
     breakdown = {}
     cores: dict[int, list[dict]] = {}
     cache: dict[int, dict[str, int]] = {}
-    wall: dict[int, float] = {}
     resume: dict[int, dict] = {}
     for arch, build in builds.items():
         report = build.flow.timing.report()
@@ -291,9 +276,8 @@ def regenerate_fig9(builds: dict[int, ArchBuild]) -> Fig9Result:
         breakdown[arch] = row
         cores[arch] = report["cores"]
         cache[arch] = report["cache"]
-        wall[arch] = build.flow.timing.total_wall_s
         resume[arch] = report.get("resume", {})
-    return Fig9Result(breakdown, cores=cores, cache=cache, wall=wall, resume=resume)
+    return Fig9Result(breakdown, cores=cores, cache=cache, resume=resume)
 
 
 # --- Fig. 10 -------------------------------------------------------------------

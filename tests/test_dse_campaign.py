@@ -102,7 +102,6 @@ class TestFlowConfigRouting:
         # Env defaults must not leak into DSE evaluations: a CI job that
         # exports a shared whole-core cache would let candidates bypass
         # the per-function memo entirely.
-        monkeypatch.setenv("REPRO_FLOW_JOBS", "7")
         monkeypatch.setenv("REPRO_FLOW_CACHE_DIR", str(tmp_path / "whole"))
         cfg = dse_flow_config(fn_cache_dir=str(tmp_path / "fn"))
         assert cfg.jobs == 1

@@ -1,33 +1,29 @@
-"""Differential proof: the parallel, content-addressed build engine is
-artifact-equivalent to the serial flow.
+"""Differential proof: the content-addressed build cache is
+artifact-equivalent to an uncached build.
 
 The headline claim of the build engine is *equivalence*: for any task
-graph, ``FlowConfig(jobs=N, cache_dir=...)`` — cold or warm — must
-produce byte-identical tcl scripts, address maps, bitstream digests,
-per-core artifacts and software sources to the serial default.  The
-corpus is the four Table I architectures plus random graphs from the
-generator behind ``test_end_to_end_random.py``.
+graph, ``FlowConfig(cache_dir=...)`` — cold or warm — must produce
+byte-identical tcl scripts, address maps, bitstream digests, per-core
+artifacts and software sources to the uncached default.  The corpus is
+the four Table I architectures plus random graphs from the generator
+behind ``test_end_to_end_random.py``.
 
-Also here: wave-scheduling unit tests and the fault-injection suite
-(synthesis errors, timeouts, bounded retry, no partial cache entries).
+Also here: the fault-injection suite (a failing synthesis names its
+core and leaves no cache entry or journal commit behind).
 """
-
-import time
 
 import pytest
 
 from repro.apps.generator import random_task_graph
 from repro.apps.kernels import build_fig4_flow_inputs
 from repro.apps.otsu import build_otsu_app
-from repro.dsl.ast import SOC, LinkEdge, NodeDecl, PortDecl, PortKind, TgGraph
-from repro.flow import BuildCache, FlowConfig, run_flow, topological_waves
-from repro.flow.parallel import modeled_wall_s
+from repro.flow import BuildCache, FlowConfig, RunJournal, run_flow
 from repro.hls.project import HlsProject
 from repro.util.errors import FlowError
 
-#: Explicit serial reference — immune to REPRO_FLOW_JOBS/_CACHE_DIR env.
-SERIAL = FlowConfig(jobs=1, cache_dir=None)
-SERIAL_UNCHECKED = FlowConfig(jobs=1, cache_dir=None, check_tcl=False)
+#: Explicit uncached reference — immune to the REPRO_FLOW_CACHE_DIR env.
+SERIAL = FlowConfig(cache_dir=None)
+SERIAL_UNCHECKED = FlowConfig(cache_dir=None, check_tcl=False)
 
 
 def fingerprint(flow) -> dict:
@@ -56,16 +52,16 @@ def fingerprint(flow) -> dict:
 
 
 class TestTable1Differential:
-    """Serial vs parallel(+cache), cold and warm, over Arch1-4."""
+    """Uncached vs cached, cold and warm, over Arch1-4."""
 
     @pytest.mark.parametrize("arch", [1, 2, 3, 4])
     def test_arch_serial_parallel_cold_warm(self, arch, tmp_path):
         app = build_otsu_app(arch, width=16, height=16)
         kwargs = dict(extra_directives=app.extra_directives)
         serial = run_flow(app.dsl_graph(), app.c_sources, config=SERIAL, **kwargs)
-        par = FlowConfig(jobs=4, cache_dir=str(tmp_path), core_timeout_s=120.0)
-        cold = run_flow(app.dsl_graph(), app.c_sources, config=par, **kwargs)
-        warm = run_flow(app.dsl_graph(), app.c_sources, config=par, **kwargs)
+        cached = FlowConfig(cache_dir=str(tmp_path))
+        cold = run_flow(app.dsl_graph(), app.c_sources, config=cached, **kwargs)
+        warm = run_flow(app.dsl_graph(), app.c_sources, config=cached, **kwargs)
 
         reference = fingerprint(serial)
         assert fingerprint(cold) == reference
@@ -75,8 +71,8 @@ class TestTable1Differential:
         assert cold.timing.cache_hits == 0 and cold.timing.cache_misses == n
         assert warm.timing.cache_hits == n and warm.timing.cache_misses == 0
         assert all(b.reused for b in warm.cores.values())
-        # Warm cache pays no HLS: modeled wall-clock strictly below cold serial.
-        assert warm.timing.total_wall_s < serial.timing.total_s
+        # Warm cache pays no HLS: modeled build time strictly below cold.
+        assert warm.timing.total_s < serial.timing.total_s
 
     def test_all_archs_share_one_cache(self, tmp_path):
         """A single cache over all four archs reuses cores across archs
@@ -89,7 +85,7 @@ class TestTable1Differential:
                 app.dsl_graph(),
                 app.c_sources,
                 extra_directives=app.extra_directives,
-                config=FlowConfig(jobs=2, cache_dir=None),
+                config=FlowConfig(cache_dir=None),
                 build_cache=cache,
             )
             hits += flow.timing.cache_hits
@@ -118,83 +114,30 @@ class TestRandomGraphDifferential:
     def test_serial_parallel_cold_warm(self, seed, tmp_path):
         graph, sources = _random_inputs(seed)
         serial = run_flow(graph, sources, config=SERIAL_UNCHECKED)
-        par = FlowConfig(
-            jobs=4, cache_dir=str(tmp_path), check_tcl=False, core_timeout_s=120.0
-        )
-        cold = run_flow(graph, sources, config=par)
-        warm = run_flow(graph, sources, config=par)
+        cached = FlowConfig(cache_dir=str(tmp_path), check_tcl=False)
+        cold = run_flow(graph, sources, config=cached)
+        warm = run_flow(graph, sources, config=cached)
 
         reference = fingerprint(serial)
         assert fingerprint(cold) == reference
         assert fingerprint(warm) == reference
         assert warm.timing.cache_hits == len(serial.cores)
-        assert warm.timing.total_wall_s < serial.timing.total_s
+        assert warm.timing.total_s < serial.timing.total_s
 
     def test_dsl_text_roundtrip_parallel(self, tmp_path):
-        """Text and graph entry points agree on the parallel path too."""
+        """Text and graph entry points agree on the cached path too."""
         from repro.dsl import emit_dsl
 
         graph, sources = _random_inputs(7)
-        par = FlowConfig(jobs=4, cache_dir=str(tmp_path), check_tcl=False)
-        via_graph = run_flow(graph, sources, config=par)
-        via_text = run_flow(emit_dsl(graph), sources, config=par)
+        cached = FlowConfig(cache_dir=str(tmp_path), check_tcl=False)
+        via_graph = run_flow(graph, sources, config=cached)
+        via_text = run_flow(emit_dsl(graph), sources, config=cached)
         assert fingerprint(via_text) == fingerprint(via_graph)
 
 
-class TestWaveScheduling:
-    def test_chain_gives_one_wave_per_stage(self):
-        graph, _ = random_task_graph(
-            lite_nodes=0, stream_chains=1, chain_length=3, stream_depth=8, seed=1
-        )
-        waves = topological_waves(graph)
-        assert waves == [["stage0_0"], ["stage0_1"], ["stage0_2"]]
-
-    def test_independent_nodes_share_wave_zero(self):
-        graph, _ = random_task_graph(
-            lite_nodes=3, stream_chains=2, chain_length=1, stream_depth=8, seed=0
-        )
-        waves = topological_waves(graph)
-        assert waves[0] == ["calc0", "calc1", "calc2", "stage0_0", "stage1_0"]
-
-    def test_cycle_detected(self):
-        graph = TgGraph("cyc")
-        for name in ("A", "B"):
-            graph.nodes.append(
-                NodeDecl(
-                    name,
-                    (PortDecl("in", PortKind.STREAM), PortDecl("out", PortKind.STREAM)),
-                )
-            )
-        graph.edges.append(LinkEdge(("A", "out"), ("B", "in")))
-        graph.edges.append(LinkEdge(("B", "out"), ("A", "in")))
-        with pytest.raises(FlowError, match="cycle"):
-            topological_waves(graph)
-
-    def test_modeled_wall_clock(self):
-        per_core = {"a": 4.0, "b": 3.0, "c": 2.0, "d": 1.0}
-        waves = [["a", "b", "c", "d"]]
-        assert modeled_wall_s(per_core, waves, workers=1) == 10.0
-        # 2 workers, list scheduling: a->w0, b->w1, c->w1(3+2), d->w0(4+1).
-        assert modeled_wall_s(per_core, waves, workers=2) == 5.0
-        assert modeled_wall_s(per_core, waves, workers=4) == 4.0
-        # Barriers between waves add up.
-        assert modeled_wall_s(per_core, [["a", "b"], ["c", "d"]], workers=2) == 6.0
-
-    def test_parallel_wall_below_serial_cpu(self, tmp_path):
-        graph, sources = random_task_graph(
-            lite_nodes=4, stream_chains=0, chain_length=1, stream_depth=8, seed=3
-        )
-        flow = run_flow(
-            graph, sources, config=FlowConfig(jobs=4, check_tcl=False, cache_dir=None)
-        )
-        assert flow.timing.hls_wall_s < flow.timing.hls_s
-        assert flow.timing.total_wall_s < flow.timing.total_s
-        assert flow.timing.speedup > 1.0
-
-
 class TestFaultInjection:
-    """A failing or hanging core fails the flow cleanly: FlowError names
-    the core, no partial cache entry is written, siblings do not hang."""
+    """A failing core fails the flow cleanly: FlowError names the core,
+    and neither a cache entry nor a journal commit is written for it."""
 
     @pytest.fixture
     def inputs(self):
@@ -218,17 +161,21 @@ class TestFaultInjection:
             raise RuntimeError("scheduler exploded")
 
         self._patch_csynth(monkeypatch, {"GAUSS": boom})
-        cache = BuildCache(tmp_path)
-        with pytest.raises(FlowError, match="'GAUSS'"):
-            run_flow(
-                graph,
-                sources,
-                extra_directives=directives,
-                config=FlowConfig(jobs=4, cache_dir=None),
-                build_cache=cache,
-            )
-        # No partial entry for the failing core: every stored artifact
-        # round-trips and none carries the failing core's top symbol.
+        cache = BuildCache(tmp_path / "cache")
+        with RunJournal(tmp_path / "journal") as journal:
+            with pytest.raises(FlowError, match="'GAUSS'") as info:
+                run_flow(
+                    graph,
+                    sources,
+                    extra_directives=directives,
+                    config=FlowConfig(cache_dir=None),
+                    build_cache=cache,
+                    journal=journal,
+                )
+            committed = journal.committed_steps
+        assert isinstance(info.value.__cause__, RuntimeError)
+        # No partial entry for the failing core: its content key is absent
+        # from the cache and its HLS step was never committed.
         failing_key = (
             HlsProject("GAUSS")
             .add_files(sources["GAUSS"])
@@ -236,63 +183,7 @@ class TestFaultInjection:
             .content_key(FlowConfig().backend.version)
         )
         assert failing_key not in cache
-
-    def test_timeout_fails_flow_with_name(self, inputs, monkeypatch, tmp_path):
-        graph, sources, directives = inputs
-
-        def slow(project):
-            time.sleep(1.0)
-
-        self._patch_csynth(monkeypatch, {"EDGE": slow})
-        cache = BuildCache(tmp_path)
-        started = time.monotonic()
-        with pytest.raises(FlowError, match="'EDGE'.*timeout"):
-            run_flow(
-                graph,
-                sources,
-                extra_directives=directives,
-                config=FlowConfig(jobs=4, cache_dir=None, core_timeout_s=0.2),
-                build_cache=cache,
-            )
-        # The flow failed promptly — siblings were not serialized behind
-        # the sleeping worker, and the wait was bounded by the timeout.
-        assert time.monotonic() - started < 5.0
-
-    def test_flaky_core_recovers_with_retry(self, inputs, monkeypatch, tmp_path):
-        graph, sources, directives = inputs
-        serial = run_flow(graph, sources, extra_directives=directives, config=SERIAL)
-        calls = {"n": 0}
-
-        def flaky_once(project):
-            calls["n"] += 1
-            if calls["n"] == 1:
-                raise RuntimeError("transient license failure")
-
-        self._patch_csynth(monkeypatch, {"MUL": flaky_once})
-        flow = run_flow(
-            graph,
-            sources,
-            extra_directives=directives,
-            config=FlowConfig(jobs=4, cache_dir=str(tmp_path), core_retries=1),
-        )
-        assert flow.bitstream.digest == serial.bitstream.digest
-        (mul_trace,) = [t for t in flow.timing.trace if t.name == "MUL"]
-        assert mul_trace.attempts == 2
-
-    def test_retries_exhausted_still_fails(self, inputs, monkeypatch):
-        graph, sources, directives = inputs
-
-        def always(project):
-            raise RuntimeError("permanent failure")
-
-        self._patch_csynth(monkeypatch, {"ADD": always})
-        with pytest.raises(FlowError, match="'ADD'.*2 attempt"):
-            run_flow(
-                graph,
-                sources,
-                extra_directives=directives,
-                config=FlowConfig(jobs=2, cache_dir=None, core_retries=1),
-            )
+        assert "hls:GAUSS" not in committed
 
     def test_failure_deterministic_first_in_declaration_order(
         self, inputs, monkeypatch
@@ -303,7 +194,7 @@ class TestFaultInjection:
             raise RuntimeError("boom")
 
         # Both MUL and GAUSS fail; MUL is declared first, so the error
-        # must name MUL regardless of worker interleaving.
+        # must name MUL on every run.
         self._patch_csynth(monkeypatch, {"MUL": boom, "GAUSS": boom})
         for _ in range(3):
             with pytest.raises(FlowError, match="'MUL'"):
@@ -311,33 +202,46 @@ class TestFaultInjection:
                     graph,
                     sources,
                     extra_directives=directives,
-                    config=FlowConfig(jobs=4, cache_dir=None),
+                    config=FlowConfig(cache_dir=None),
                 )
+
+    def test_repro_errors_pass_through_unwrapped(self, inputs, monkeypatch):
+        from repro.util.errors import HlsError
+
+        graph, sources, directives = inputs
+
+        def reject(project):
+            raise HlsError("unsupported construct")
+
+        self._patch_csynth(monkeypatch, {"GAUSS": reject})
+        with pytest.raises(HlsError, match="unsupported construct"):
+            run_flow(
+                graph,
+                sources,
+                extra_directives=directives,
+                config=FlowConfig(cache_dir=None),
+            )
 
 
 class TestEngineConfig:
     def test_env_defaults(self, monkeypatch, tmp_path):
-        monkeypatch.setenv("REPRO_FLOW_JOBS", "3")
         monkeypatch.setenv("REPRO_FLOW_CACHE_DIR", str(tmp_path))
         config = FlowConfig()
-        assert config.jobs == 3
         assert config.cache_dir == str(tmp_path)
 
-    def test_env_garbage_falls_back_to_serial(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FLOW_JOBS", "many")
-        monkeypatch.delenv("REPRO_FLOW_CACHE_DIR", raising=False)
-        config = FlowConfig()
-        assert config.jobs == 1 and config.cache_dir is None
+    def test_worker_pool_rejected(self):
+        with pytest.raises(FlowError, match="jobs"):
+            FlowConfig(jobs=2)
 
     def test_corrupted_cache_entry_rebuilt_in_flow(self, tmp_path):
         """End-to-end: a corrupted entry is rebuilt, artifacts unharmed."""
         graph, sources, directives = build_fig4_flow_inputs(64)
-        par = FlowConfig(jobs=2, cache_dir=str(tmp_path), check_tcl=False)
-        first = run_flow(graph, sources, extra_directives=directives, config=par)
+        cached = FlowConfig(cache_dir=str(tmp_path), check_tcl=False)
+        first = run_flow(graph, sources, extra_directives=directives, config=cached)
         for entry in (tmp_path / "objects").rglob("*"):
             if entry.is_file():
                 entry.write_bytes(entry.read_bytes()[:40])  # truncate all
-        again = run_flow(graph, sources, extra_directives=directives, config=par)
+        again = run_flow(graph, sources, extra_directives=directives, config=cached)
         assert again.bitstream.digest == first.bitstream.digest
         assert again.timing.cache_hits == 0  # nothing served from bad bytes
         assert not any(b.reused for b in again.cores.values())

@@ -293,7 +293,7 @@ class TestFlowDifferential:
         graph, sources = random_task_graph(
             stream_depth=16, seed=5, lite_nodes=1, stream_chains=1, chain_length=2
         )
-        config = FlowConfig(jobs=1, cache_dir=None, check_tcl=False)
+        config = FlowConfig(cache_dir=None, check_tcl=False)
 
         monkeypatch.setenv("REPRO_HLS_FN_CACHE", "0")
         off = run_flow(graph, sources, config=config)
@@ -317,7 +317,7 @@ class TestFlowDifferential:
             stream_depth=16, seed=5, lite_nodes=1, stream_chains=1, chain_length=2
         )
         config = FlowConfig(
-            jobs=1, cache_dir=str(tmp_path / "cache"), check_tcl=False
+            cache_dir=str(tmp_path / "cache"), check_tcl=False
         )
         result = run_flow(graph, sources, config=config)
         out = materialize(result, tmp_path / "out")

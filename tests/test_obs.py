@@ -327,6 +327,8 @@ class TestCliObservability:
                 "build", str(project / "d.tg"),
                 "--sources", str(project / "src"),
                 "--out", str(project / "ws"),
+                # Own cache: a shared one could serve NEG and skip its HLS step.
+                "--cache-dir", str(project / "cache"),
                 "--trace", str(project / "t.json"),
                 "--metrics", str(project / "m.json"),
             ]

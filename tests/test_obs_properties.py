@@ -12,15 +12,16 @@ built design must:
 
 The flow's own emission is covered too: a full random build under
 capture must satisfy the journal-pairing and cache-accounting
-invariants, serial and parallel alike.
+invariants, alone and with flows running concurrently on threads.
 """
 
 import json
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from repro.apps.generator import random_task_graph
-from repro.flow import FlowConfig, autosimulate, run_flow
+from repro.flow import BuildCache, FlowConfig, autosimulate, run_flow
 from repro.obs import capture, sim_totals, sim_totals_digest
 from tests.obs_invariants import assert_well_formed
 
@@ -92,17 +93,28 @@ def test_random_build_stream_is_well_formed(seed, tmp_path):
 
 
 def test_parallel_build_emits_from_worker_threads(tmp_path):
-    """jobs>1 emission is thread-safe and still well-formed per worker."""
-    graph, sources = random_task_graph(
-        lite_nodes=2, stream_chains=2, chain_length=2, stream_depth=16, seed=7
-    )
-    with capture() as (bus, registry):
-        run_flow(
-            graph, sources,
-            config=FlowConfig(
-                check_tcl=False, jobs=3, cache_dir=str(tmp_path / "cache")
-            ),
+    """Concurrent flows on pool threads (the build service's execution
+    shape) emit thread-safely and stay well-formed per worker."""
+    designs = [
+        random_task_graph(
+            lite_nodes=2, stream_chains=2, chain_length=2, stream_depth=16, seed=seed
         )
+        for seed in (7, 11)
+    ]
+
+    def build(i):
+        # Like a service job: a per-job build cache passed in, while the
+        # process-wide function memo stays unrouted.
+        graph, sources = designs[i]
+        return run_flow(
+            graph, sources,
+            config=FlowConfig(check_tcl=False, cache_dir=None),
+            build_cache=BuildCache(tmp_path / f"cache{i}"),
+        )
+
+    with capture() as (bus, registry):
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            list(pool.map(build, range(len(designs))))
     events = bus.events()
     assert_well_formed(events, registry.snapshot())
     workers = {e.worker for e in events if e.category == "flow.step" and e.phase == "B"}

@@ -155,6 +155,9 @@ class TestCliCrashResumeTrace:
         env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
         env.pop("REPRO_FLOW_CRASH_AT", None)
         env.pop("REPRO_FLOW_CRASH_MODE", None)
+        # A shared cache from the environment would serve the cores and
+        # skip the crash-point; each build keeps its own <out>.cache.
+        env.pop("REPRO_FLOW_CACHE_DIR", None)
         if crash_at:
             env["REPRO_FLOW_CRASH_AT"] = crash_at
             env["REPRO_FLOW_CRASH_MODE"] = "exit"

@@ -120,22 +120,22 @@ class TestKillResumeEquivalence:
 
 
 class TestConfigChangeInvalidatesJournal:
-    def test_jobs_change_forces_clean_rebuild(self, inputs, reference, tmp_path):
+    def test_check_tcl_change_forces_clean_rebuild(self, inputs, reference, tmp_path):
         graph, sources, directives = inputs
-        serial = FlowConfig(cache_dir=str(tmp_path / "cache"))
+        checked = FlowConfig(cache_dir=str(tmp_path / "cache"))
         journal = RunJournal(tmp_path / "journal")
         with pytest.raises(FlowInterrupted):
             with armed(CrashPlan("hls:GAUSS:commit")):
                 run_flow(
                     graph, sources, extra_directives=directives,
-                    config=serial, journal=journal,
+                    config=checked, journal=journal,
                 )
-        # Same cache, same journal file — but a different worker count is
-        # a different run digest, so the journal is discarded, not replayed.
-        parallel = FlowConfig(jobs=2, cache_dir=str(tmp_path / "cache"))
+        # Same cache, same journal file — but a different check_tcl setting
+        # is a different run digest, so the journal is discarded, not replayed.
+        unchecked = FlowConfig(cache_dir=str(tmp_path / "cache"), check_tcl=False)
         resumed = resume_flow(
             graph, sources, extra_directives=directives,
-            config=parallel, journal=journal,
+            config=unchecked, journal=journal,
         )
         materialize(resumed, tmp_path / "out", journal=journal)
         journal.close()
@@ -259,6 +259,9 @@ class TestRealKillViaCli:
         env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
         env.pop("REPRO_FLOW_CRASH_AT", None)
         env.pop("REPRO_FLOW_CRASH_MODE", None)
+        # A shared cache from the environment would serve the cores and
+        # skip the crash-point; each build keeps its own <out>.cache.
+        env.pop("REPRO_FLOW_CACHE_DIR", None)
         if crash_at:
             env["REPRO_FLOW_CRASH_AT"] = crash_at
             env["REPRO_FLOW_CRASH_MODE"] = "exit"
