@@ -6,22 +6,21 @@ type token so the parser sees one spelling.  ``//`` and ``/* */``
 comments are skipped; ``#`` preprocessor lines are rejected with a
 pointer to use ``const int`` globals instead.
 
-The scanner is a single precompiled alternation (:data:`_TOKEN_RE`)
-walked with slice-based matching rather than the previous
-character-at-a-time loop: one regex step per token instead of several
-Python-level branches and string copies per *character*.  Lexing sits
-on the front-end hot path — it runs even on fully-cached compilations,
-because the per-function cache keys on the token stream
-(:func:`token_fingerprint`) so that comment and whitespace edits never
-invalidate post-lex stages.
+The scanner is a single precompiled alternation (:data:`_TOKEN_RE`):
+one regex step per token, tokens built as plain tuples, and the
+``unsigned`` fusion done in the same scan.  The per-function cache keys
+its front end on the token stream (:func:`token_fingerprint`) so that
+comment and whitespace edits never invalidate post-lex stages; on a
+cold compile the token list that produced the fingerprint is handed
+straight to the parser, so each source is lexed once.
 """
 
 from __future__ import annotations
 
 import hashlib
 import re
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from repro.util.errors import CSyntaxError, SourceLocation
 
@@ -114,8 +113,11 @@ class CTokKind(Enum):
     EOF = "eof"
 
 
-@dataclass(frozen=True)
-class CToken:
+#: kind -> its fingerprint spelling (``Enum.value`` is a property lookup).
+_KIND_TAG = {kind: kind.value for kind in CTokKind}
+
+
+class CToken(NamedTuple):
     kind: CTokKind
     value: str
     loc: SourceLocation
@@ -128,22 +130,28 @@ class CToken:
 
 
 #: One alternation, tried left to right — the token table, compiled once.
-#: Ordering encodes the same precedence the old per-character loop had:
-#: comments before the ``/`` operator, hex before decimal, operators
-#: longest-first (``OPERATORS`` is already sorted that way).
+#: Only comments overlap another alternative (the ``/`` operator), so
+#: they come first of the two; whitespace and words, the commonest
+#: tokens, are tried before everything else.  Operators are matched
+#: longest-first: the multi-character ones as literals, the single
+#: characters as one class.
 _TOKEN_RE = re.compile(
     "|".join(
         (
+            r"(?P<ws>\s+)",
+            r"(?P<word>[^\W\d]\w*)",
             r"(?P<comment>//[^\n]*|/\*.*?\*/)",
             r"(?P<badcomment>/\*)",  # `/*` with no closing `*/` anywhere
+            "(?P<op>"
+            + "|".join(re.escape(op) for op in OPERATORS if len(op) > 1)
+            + "|["
+            + "".join(re.escape(op) for op in OPERATORS if len(op) == 1)
+            + "])",
             r"(?P<hex>0[xX][0-9a-fA-F]*)",
             # digits [. digits*] [exponent] | . digits+ [exponent],
             # optionally suffixed f/F; the exponent needs at least one
             # digit or it is left for the identifier that follows.
             r"(?P<num>(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?[fF]?)",
-            r"(?P<word>[^\W\d]\w*)",
-            "(?P<op>" + "|".join(re.escape(op) for op in OPERATORS) + ")",
-            r"(?P<ws>\s+)",
             r"(?P<bad>.)",
         )
     ),
@@ -154,43 +162,51 @@ _FLOAT_MARKS = frozenset(".eEfF")
 
 
 def clex(text: str, filename: str = "<c>") -> list[CToken]:
-    """Tokenize C source *text*; raises :class:`CSyntaxError` on bad input."""
+    """Tokenize C source *text*; raises :class:`CSyntaxError` on bad input.
+
+    ``unsigned char|short|int`` is fused into one keyword token as the
+    scan goes (the fused token keeps the location of ``unsigned``), so
+    there is no second pass over the list.
+    """
     tokens: list[CToken] = []
     append = tokens.append
+    # ``tuple.__new__`` builds a token without a Python-level __new__ frame.
+    new = tuple.__new__
+    KEYWORD, IDENT, OP = CTokKind.KEYWORD, CTokKind.IDENT, CTokKind.OP
     line = 1
     line_start = 0  # offset of the first character of the current line
     pos = 0
     for m in _TOKEN_RE.finditer(text):
-        start = m.start()
         kind = m.lastgroup
-        word = m.group()
         if kind == "ws" or kind == "comment":
+            word = m.group()
             nl = word.count("\n")
             if nl:
                 line += nl
-                line_start = start + word.rfind("\n") + 1
+                line_start = m.start() + word.rfind("\n") + 1
             pos = m.end()
             continue
+        start, pos = m.span()
+        word = text[start:pos]
         loc = SourceLocation(line, start - line_start + 1, filename)
-        if kind == "word":
-            append(
-                CToken(
-                    CTokKind.KEYWORD if word in KEYWORDS else CTokKind.IDENT,
-                    word,
-                    loc,
-                )
-            )
-        elif kind == "op":
-            append(CToken(CTokKind.OP, word, loc))
+        if kind == "op":
+            append(new(CToken, (OP, word, loc)))
+        elif kind == "word":
+            if word not in KEYWORDS:
+                append(new(CToken, (IDENT, word, loc)))
+            elif word in _TYPE_WORDS and tokens and tokens[-1].value == "unsigned":
+                tokens[-1] = new(CToken, (KEYWORD, f"unsigned_{word}", tokens[-1].loc))
+            else:
+                append(new(CToken, (KEYWORD, word, loc)))
         elif kind == "num":
             if any(c in _FLOAT_MARKS for c in word):
                 if word[-1] in "fF":
                     word = word[:-1]
-                append(CToken(CTokKind.FLOAT, word, loc))
+                append(new(CToken, (CTokKind.FLOAT, word, loc)))
             else:
-                append(CToken(CTokKind.INT, word, loc))
+                append(new(CToken, (CTokKind.INT, word, loc)))
         elif kind == "hex":
-            append(CToken(CTokKind.INT, word, loc))
+            append(new(CToken, (CTokKind.INT, word, loc)))
         elif kind == "badcomment":
             raise CSyntaxError("unterminated block comment", loc)
         else:  # bad
@@ -201,11 +217,10 @@ def clex(text: str, filename: str = "<c>") -> list[CToken]:
                     loc,
                 )
             raise CSyntaxError(f"illegal character {word!r}", loc)
-        pos = m.end()
     append(
         CToken(CTokKind.EOF, "", SourceLocation(line, pos - line_start + 1, filename))
     )
-    return _fuse_unsigned(tokens)
+    return tokens
 
 
 def token_fingerprint(tokens: list[CToken]) -> str:
@@ -216,26 +231,7 @@ def token_fingerprint(tokens: list[CToken]) -> str:
     never changes it, while any single-character semantic edit does.
     The per-function compilation cache keys its front-end stage on this.
     """
-    h = hashlib.sha256()
-    for tok in tokens:
-        h.update(tok.kind.value.encode())
-        h.update(b"\x00")
-        h.update(tok.value.encode())
-        h.update(b"\x01")
-    return h.hexdigest()
-
-
-def _fuse_unsigned(tokens: list[CToken]) -> list[CToken]:
-    """Fuse ``unsigned char|short|int`` into one keyword token."""
-    out: list[CToken] = []
-    i = 0
-    while i < len(tokens):
-        tok = tokens[i]
-        if tok.is_kw("unsigned") and i + 1 < len(tokens) and tokens[i + 1].value in _TYPE_WORDS:
-            fused = f"unsigned_{tokens[i + 1].value}"
-            out.append(CToken(CTokKind.KEYWORD, fused, tok.loc))
-            i += 2
-            continue
-        out.append(tok)
-        i += 1
-    return out
+    tag = _KIND_TAG
+    return hashlib.sha256(
+        "".join([f"{tag[tok.kind]}\x00{tok.value}\x01" for tok in tokens]).encode()
+    ).hexdigest()

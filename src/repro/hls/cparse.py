@@ -64,6 +64,8 @@ class _CParser:
 
     # -- plumbing --------------------------------------------------------
     def peek(self, k: int = 0) -> CToken:
+        if not k:  # ``advance`` never moves past EOF, so ``pos`` is in range
+            return self.toks[self.pos]
         return self.toks[min(self.pos + k, len(self.toks) - 1)]
 
     def advance(self) -> CToken:

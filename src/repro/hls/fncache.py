@@ -10,9 +10,10 @@ whole-core key normalizes away.
 * **Front-end memo** — keyed on the token fingerprint of the source
   (:func:`~repro.hls.clex.token_fingerprint`; comments and whitespace
   do not participate), the top name and the optimize flag.  A hit skips
-  parse → sema → lower → ``run_default_pipeline`` and hands back a deep
-  copy of the lowered+optimized IR, ready for a fresh directive slice —
-  the DSE hot loop, where only directives change between calls.
+  parse → sema → lower → ``run_default_pipeline`` → ``tag_const_muls``
+  and hands back a copy of the tagged IR with fresh loop records, ready
+  for a fresh directive slice — the DSE hot loop, where only directives
+  change between calls.
 * **Result memo** — keyed on the canonical IR digest
   (:func:`~repro.hls.ir.ir_digest`), this function's directive slice,
   the explicit limits and the default trip count, plus the engine
@@ -35,10 +36,10 @@ the layer entirely (the differential legs build with it off).
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 import os
-import pickle
 import threading
 from collections import OrderedDict
 from contextlib import contextmanager
@@ -50,7 +51,8 @@ from repro.obs.metrics import REGISTRY as _METRICS
 
 #: Version of the per-function memo layout; combined with the engine
 #: version in every key, so bumping either strands stale entries.
-FN_CACHE_VERSION = "1"
+#: Version 2: the IR digest covers the ``const_operand`` tags.
+FN_CACHE_VERSION = "2"
 
 
 def _engine_version() -> str:
@@ -99,27 +101,27 @@ def result_key(
 
 @dataclass
 class FrontendEntry:
-    """Cached front-end outcome: pristine optimized IR + its identity.
+    """Cached front-end outcome: the optimized, ``const_operand``-tagged
+    IR and its identity.
 
-    The IR is held pickled: ``pickle.loads`` is several times faster
-    than ``copy.deepcopy`` on Function graphs (measured ~7x on the
-    Table-I kernels), and the entry round-trips to disk unchanged.
-    Scalar types re-intern on load (``ScalarType.__reduce__``), so
-    identity-based fast paths keep working on materialized copies.
+    The entry holds the :class:`Function` itself and is immutable once
+    stored: nothing writes into ``fn``, its blocks or its ops after the
+    front end returns.  The only later writer, ``loop_directives``,
+    sets ``LoopInfo.pipeline``/``unroll`` — and works on
+    :meth:`materialize`, whose loop records are fresh copies.  A
+    disk-routed cache pickles the entry on ``put`` like any other value.
     """
 
-    blob: bytes
+    fn: Function
     converged: bool
     ir_digest: str
 
-    @classmethod
-    def from_function(cls, fn: Function, converged: bool, ir_dig: str) -> "FrontendEntry":
-        return cls(pickle.dumps(fn, pickle.HIGHEST_PROTOCOL), converged, ir_dig)
-
     def materialize(self) -> Function:
-        """A private copy of the IR, safe for the mutating middle-end
-        (``loop_directives`` and ``tag_const_muls`` write into it)."""
-        return pickle.loads(self.blob)
+        """A copy for one synthesis: blocks, ops and tables shared with
+        the entry, loop records private to the copy."""
+        fn = copy.copy(self.fn)
+        fn.loops = [copy.copy(loop) for loop in self.fn.loops]
+        return fn
 
 
 @dataclass

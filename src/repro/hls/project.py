@@ -88,16 +88,19 @@ _FP_MEMO: "OrderedDict[str, str]" = __import__("collections").OrderedDict()
 _FP_MEMO_CAP = 128
 
 
-def _source_fingerprint(source: str) -> str:
+def _source_fingerprint(source: str) -> tuple[str, list | None]:
+    """Token fingerprint of *source*, plus the token list when this call
+    had to lex (``None`` on a memo hit) so a cold compile can hand it to
+    the parser instead of lexing again."""
     fp = _FP_MEMO.get(source)
-    if fp is None:
-        fp = token_fingerprint(clex(source))
-        _FP_MEMO[source] = fp
-        while len(_FP_MEMO) > _FP_MEMO_CAP:
-            _FP_MEMO.popitem(last=False)
-    else:
+    if fp is not None:
         _FP_MEMO.move_to_end(source)
-    return fp
+        return fp, None
+    tokens = clex(source)
+    fp = _FP_MEMO[source] = token_fingerprint(tokens)
+    while len(_FP_MEMO) > _FP_MEMO_CAP:
+        _FP_MEMO.popitem(last=False)
+    return fp, tokens
 
 
 def synthesize_function(
@@ -114,7 +117,8 @@ def synthesize_function(
 
     The pipeline is memoized at two levels through *cache* (default: the
     process-wide :func:`repro.hls.fncache.active_cache`): the front end
-    (token fingerprint → lowered+optimized IR) and the full result
+    (token fingerprint → lowered, optimized and ``const_operand``-tagged
+    IR) and the full result
     (IR digest + directives slice → :class:`SynthesisResult`).  Both
     serve exactly what an uncached run would compute — every stage is
     deterministic in the cached key — so artifacts stay byte-identical.
@@ -126,8 +130,10 @@ def synthesize_function(
 
     entry = None
     r_key = None
+    tokens = None
     if cache is not None:
-        fe_key = fncache.frontend_key(_source_fingerprint(source), top, optimize)
+        fp, tokens = _source_fingerprint(source)
+        fe_key = fncache.frontend_key(fp, top, optimize)
         entry = cache.get(fe_key, stage="frontend", fn_name=top)
         if entry is not None:
             hits += 1
@@ -136,17 +142,16 @@ def synthesize_function(
     fn = None
     converged = True
     if entry is None:
-        unit = parse_c(source)
+        unit = parse_c(source, tokens=tokens)
         inline_functions(unit)
         sema = analyze(unit)
         fn = lower_function(sema, top)
         if optimize:
             pipe = run_default_pipeline(fn)
             converged = pipe.converged
+        tag_const_muls(fn)
         if cache is not None:
-            # The entry pickles the IR while it is still pristine — the
-            # middle-end below mutates ``fn`` in place.
-            entry = fncache.FrontendEntry.from_function(fn, converged, ir_digest(fn))
+            entry = fncache.FrontendEntry(fn, converged, ir_digest(fn))
             cache.put(fe_key, entry, stage="frontend", fn_name=top)
 
     if cache is not None:
@@ -162,11 +167,10 @@ def synthesize_function(
                 fn_cache_misses=misses,
             )
         misses += 1
-        if fn is None:
-            fn = entry.materialize()
+        # The entry is never written: loop directives go on a copy.
+        fn = entry.materialize()
         converged = entry.converged
     loop_directives(fn, dir_list)
-    tag_const_muls(fn)
     limits = {**allocation_limits(top, dir_list), **(limits or {})}
     partitions = partition_specs(top, dir_list)
     for array, (kind, factor) in partitions.items():

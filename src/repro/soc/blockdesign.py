@@ -34,8 +34,17 @@ class BlockDesign:
     name: str
     part: str = "xc7z020clg484-1"
     cells: dict[str, IpCore] = field(default_factory=dict)
+    #: The nets, in connection order — the source of truth.  Callers may
+    #: reassign the list or append, insert and remove in place; an edit
+    #: that keeps both its length and its last element (``l[0] = c``)
+    #: must reassign the list instead, or the duplicate check misses it.
     connections: list[Connection] = field(default_factory=list)
     address_map: AddressMap = field(default_factory=AddressMap)
+    #: Keys of ``connections`` for the duplicate check, valid while the
+    #: list is the same object with the same length and last element as
+    #: when the index was taken (see :meth:`_connection_keys`).
+    _keys: set = field(default_factory=set, init=False, repr=False, compare=False)
+    _keys_of: tuple = field(default=(None, 0, None), init=False, repr=False, compare=False)
 
     # -- construction --------------------------------------------------------
     def add_cell(self, core: IpCore) -> IpCore:
@@ -70,18 +79,28 @@ class BlockDesign:
                 f"{src.data_width} bits, {dst_cell}.{dst_pin} is {dst.data_width}"
             )
         conn = Connection(src_cell, src_pin, dst_cell, dst_pin)
-        if conn.key() in {c.key() for c in self.connections}:
-            raise IntegrationError(f"duplicate connection {conn.key()}")
-        self.connections.append(conn)
+        key = conn.key()
+        keys = self._connection_keys()
+        if key in keys:
+            raise IntegrationError(f"duplicate connection {key}")
+        conns = self.connections
+        conns.append(conn)
+        keys.add(key)
+        self._keys_of = (conns, len(conns), conn)
         return conn
 
+    def _connection_keys(self) -> set:
+        """The key index of ``connections``, re-taken from the list when
+        it was reassigned, resized or had its last element replaced
+        since the index was last taken."""
+        conns = self.connections
+        held, n, last = self._keys_of
+        if held is not conns or n != len(conns) or (n and conns[-1] is not last):
+            self._keys = {c.key() for c in conns}
+            self._keys_of = (conns, len(conns), conns[-1] if conns else None)
+        return self._keys
+
     # -- queries ----------------------------------------------------------------
-    def drivers_of(self, cell: str, pin: str) -> list[Connection]:
-        return [c for c in self.connections if c.dst_cell == cell and c.dst_pin == pin]
-
-    def sinks_of(self, cell: str, pin: str) -> list[Connection]:
-        return [c for c in self.connections if c.src_cell == cell and c.src_pin == pin]
-
     def total_resources(self) -> ResourceUsage:
         total = ResourceUsage()
         for core in self.cells.values():

@@ -13,24 +13,32 @@ Checks mirror what Vivado's ``validate_bd_design`` catches:
 
 from __future__ import annotations
 
-from repro.soc.blockdesign import BlockDesign
+from repro.soc.blockdesign import BlockDesign, Connection
 from repro.soc.ip import PinKind
 from repro.util.errors import DrcError
+
+#: (cell, pin) -> the connections on that pin, in connection order.
+PinNets = dict[tuple[str, str], list[Connection]]
 
 
 def run_drc(bd: BlockDesign) -> None:
     """Run all checks; raises :class:`DrcError` with the first violation."""
-    _check_single_drivers(bd)
-    _check_stream_topology(bd)
-    _check_master_fanout(bd)
-    _check_addressing(bd)
+    drivers: PinNets = {}
+    sinks: PinNets = {}
+    for c in bd.connections:
+        drivers.setdefault((c.dst_cell, c.dst_pin), []).append(c)
+        sinks.setdefault((c.src_cell, c.src_pin), []).append(c)
+    _check_single_drivers(bd, drivers)
+    _check_stream_topology(bd, drivers, sinks)
+    _check_master_fanout(bd, drivers, sinks)
+    _check_addressing(bd, drivers)
 
 
-def _check_single_drivers(bd: BlockDesign) -> None:
+def _check_single_drivers(bd: BlockDesign, drivers: PinNets) -> None:
     for cell in bd.cells.values():
         for pin in cell.pins:
             if pin.kind in (PinKind.CLOCK_IN, PinKind.RESET_IN):
-                n = len(bd.drivers_of(cell.name, pin.name))
+                n = len(drivers.get((cell.name, pin.name), ()))
                 if n == 0:
                     raise DrcError(f"{cell.name}.{pin.name}: {pin.kind.value} undriven")
                 if n > 1:
@@ -39,27 +47,27 @@ def _check_single_drivers(bd: BlockDesign) -> None:
                     )
 
 
-def _check_stream_topology(bd: BlockDesign) -> None:
+def _check_stream_topology(bd: BlockDesign, drivers: PinNets, sinks: PinNets) -> None:
     for cell in bd.cells.values():
         for pin in cell.pins_of_kind(PinKind.AXIS_SLAVE):
-            n = len(bd.drivers_of(cell.name, pin.name))
+            n = len(drivers.get((cell.name, pin.name), ()))
             if n != 1:
                 raise DrcError(
                     f"{cell.name}.{pin.name}: stream input has {n} drivers (needs 1)"
                 )
         for pin in cell.pins_of_kind(PinKind.AXIS_MASTER):
-            n = len(bd.sinks_of(cell.name, pin.name))
+            n = len(sinks.get((cell.name, pin.name), ()))
             if n != 1:
                 raise DrcError(
                     f"{cell.name}.{pin.name}: stream output feeds {n} sinks (needs 1)"
                 )
 
 
-def _check_master_fanout(bd: BlockDesign) -> None:
+def _check_master_fanout(bd: BlockDesign, drivers: PinNets, sinks: PinNets) -> None:
     for cell in bd.cells.values():
         for kind in (PinKind.AXI_LITE_MASTER, PinKind.AXI_FULL_MASTER):
             for pin in cell.pins_of_kind(kind):
-                n = len(bd.sinks_of(cell.name, pin.name))
+                n = len(sinks.get((cell.name, pin.name), ()))
                 if n > 1:
                     raise DrcError(
                         f"{cell.name}.{pin.name}: AXI master drives {n} slaves"
@@ -68,22 +76,22 @@ def _check_master_fanout(bd: BlockDesign) -> None:
                     raise DrcError(f"{cell.name}.{pin.name}: dangling AXI master")
         for kind in (PinKind.AXI_LITE_SLAVE, PinKind.AXI_FULL_SLAVE):
             for pin in cell.pins_of_kind(kind):
-                n = len(bd.drivers_of(cell.name, pin.name))
+                n = len(drivers.get((cell.name, pin.name), ()))
                 if n > 1:
                     raise DrcError(
                         f"{cell.name}.{pin.name}: AXI slave has {n} masters"
                     )
 
 
-def _check_addressing(bd: BlockDesign) -> None:
+def _check_addressing(bd: BlockDesign, drivers: PinNets) -> None:
     assigned = {r.name for r in bd.address_map.ranges}
     # Lite slaves attached to an interconnect output must be addressed.
     for cell in bd.cells.values():
         for pin in cell.pins_of_kind(PinKind.AXI_LITE_SLAVE):
-            drivers = bd.drivers_of(cell.name, pin.name)
-            if not drivers:
+            nets = drivers.get((cell.name, pin.name))
+            if not nets:
                 continue
-            src = bd.cell(drivers[0].src_cell)
+            src = bd.cell(nets[0].src_cell)
             if src.vlnv.startswith("xilinx.com:ip:axi_interconnect"):
                 if cell.name not in assigned:
                     raise DrcError(

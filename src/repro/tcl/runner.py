@@ -17,6 +17,7 @@ Vivado's ``update_ip_catalog`` would pick them up.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -32,31 +33,58 @@ from repro.util.errors import TclError
 Factory = Callable[[str, dict[str, object]], IpCore]
 
 
+#: The characters that open or close a nested word part.
+_BRACKETS = re.compile(r"[\[\]{}]")
+_SPACE = re.compile(r"\s+")
+
+
 def tcl_words(line: str) -> list[str]:
-    """Split a tcl command line into words, respecting [] and {} nesting."""
+    """Split a tcl command line into words, respecting [] and {} nesting.
+
+    Whitespace separates words only outside brackets and braces (the two
+    share one nesting depth).  Only bracket positions are visited: the
+    text between them is split or glued with slices, and a line with no
+    bracket at all is a plain ``str.split()``.
+    """
+    if _BRACKETS.search(line) is None:
+        return line.split()
     words: list[str] = []
+    current = ""  # the word being built; nested parts glue onto it
     depth = 0
-    current: list[str] = []
-    for ch in line:
-        if ch in "[{":
+    start = 0  # start of the text not yet added to a word
+    for m in _BRACKETS.finditer(line):
+        i = m.start()
+        if m.group() in "[{":
+            if depth == 0:
+                current = _split_flat(line[start:i], current, words)
+                start = i
             depth += 1
-            current.append(ch)
-        elif ch in "]}":
+        else:
             depth -= 1
             if depth < 0:
                 raise TclError(f"unbalanced brackets in line: {line!r}")
-            current.append(ch)
-        elif ch.isspace() and depth == 0:
-            if current:
-                words.append("".join(current))
-                current = []
-        else:
-            current.append(ch)
+            if depth == 0:
+                current += line[start : i + 1]
+                start = i + 1
     if depth != 0:
         raise TclError(f"unbalanced brackets in line: {line!r}")
+    current = _split_flat(line[start:], current, words)
     if current:
-        words.append("".join(current))
+        words.append(current)
     return words
+
+
+def _split_flat(text: str, current: str, words: list[str]) -> str:
+    """Split unnested *text* at whitespace: its first piece extends the
+    *current* word, each whitespace run ends one word (appended to
+    *words*), and the returned last piece is the new current word."""
+    pieces = _SPACE.split(text)
+    current += pieces[0]
+    for piece in pieces[1:]:
+        if current:
+            words.append(current)
+        current = piece
+    return current
 
 
 def _strip_braces(word: str) -> str:
@@ -107,6 +135,25 @@ def _pin_ref(word: str, getter: str) -> tuple[str, str]:
     if not pin:
         raise TclError(f"malformed pin path {path!r}")
     return cell, pin
+
+
+def _option(cmd: str, args: list[str], flag: str) -> str:
+    """The word after *flag* in *args* of command *cmd*."""
+    try:
+        return args[args.index(flag) + 1]
+    except (ValueError, IndexError):
+        raise TclError(f"{cmd}: missing {flag} <value>") from None
+
+
+_RANGE_UNITS = {"K": 1024, "M": 1024 * 1024, "G": 1024**3}
+
+
+def _range_bytes(cmd: str, text: str) -> int:
+    """Size of an ``assign_bd_address -range`` value such as ``64K``."""
+    unit = _RANGE_UNITS.get(text[-1:])
+    if unit is None or not text[:-1].isdecimal():
+        raise TclError(f"{cmd}: -range {text!r} is not a size with a K, M or G unit")
+    return int(text[:-1]) * unit
 
 
 def _default_repo() -> dict[str, Factory]:
@@ -190,7 +237,7 @@ class TclRunner:
 
             if cmd == "create_project":
                 if "-part" in args:
-                    part = args[args.index("-part") + 1]
+                    part = _option(cmd, args, "-part")
             elif cmd in (
                 "update_ip_catalog",
                 "startgroup",
@@ -209,15 +256,21 @@ class TclRunner:
             ):
                 flow_steps.append(cmd)
             elif cmd == "create_bd_design":
+                if not args:
+                    raise TclError(f"{cmd}: missing design name")
                 design = BlockDesign(_strip_braces(args[0]), part=part)
             elif cmd == "create_bd_cell":
                 if design is None:
                     raise TclError("create_bd_cell before create_bd_design")
-                vlnv = args[args.index("-vlnv") + 1]
+                vlnv = _option(cmd, args, "-vlnv")
                 name = args[-1]
                 pending[name] = _PendingCell(vlnv, name)
             elif cmd == "set_property":
+                if not args:
+                    raise TclError(f"{cmd}: missing arguments")
                 if args[0] == "-dict":
+                    if len(args) < 3:
+                        raise TclError(f"{cmd}: -dict needs a value list and a target")
                     params = _parse_config_dict(args[1])
                     target = args[2]
                     if target.startswith("[get_bd_cells "):
@@ -243,13 +296,12 @@ class TclRunner:
             elif cmd == "assign_bd_address":
                 materialize()
                 assert design is not None
-                offset = int(args[args.index("-offset") + 1], 16)
-                rng_text = args[args.index("-range") + 1]
-                size = int(rng_text.rstrip("KMG")) * {
-                    "K": 1024,
-                    "M": 1024 * 1024,
-                    "G": 1024**3,
-                }[rng_text[-1]]
+                offset_text = _option(cmd, args, "-offset")
+                try:
+                    offset = int(offset_text, 16)
+                except ValueError:
+                    raise TclError(f"{cmd}: -offset {offset_text!r} is not hex") from None
+                size = _range_bytes(cmd, _option(cmd, args, "-range"))
                 seg = args[-1]
                 cell_name = _pin_ref(seg, "get_bd_addr_segs")[0]
                 design.address_map.assign_fixed(cell_name, offset, size)

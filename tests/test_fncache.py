@@ -29,10 +29,10 @@ from repro.hls.cparse import parse_c
 from repro.hls.clex import clex, token_fingerprint
 from repro.hls.inline import inline_functions
 from repro.hls.ir import canonical_text, ir_digest
-from repro.hls.interfaces import allocation, pipeline, unroll
+from repro.hls.interfaces import InterfaceMode, allocation, interface, pipeline, unroll
 from repro.hls.lower import lower_function
-from repro.hls.passes import run_default_pipeline
-from repro.hls.project import synthesize_function
+from repro.hls.passes import run_default_pipeline, tag_const_muls
+from repro.hls.project import synthesize_function, verify_stream_discipline
 from repro.hls.sema import analyze
 from repro.hls.types import INT32, intern_scalar
 from repro.obs import BUS, capture
@@ -181,6 +181,138 @@ class TestFrontendMemo:
                     if v.type == INT32:
                         assert v.type is INT32
         assert intern_scalar("int", 32, True) is INT32
+
+
+STREAM_SRC = """
+void scale2(int in[16], int out[16]) {
+    int buf[16];
+    L1: for (int i = 0; i < 16; i++) {
+        buf[i] = in[i] * 3 + 1;
+    }
+    L2: for (int j = 0; j < 16; j++) {
+        out[j] = buf[j] * 5;
+    }
+}
+"""
+
+STREAM_PORTS = [
+    interface("scale2", "in", InterfaceMode.AXIS),
+    interface("scale2", "out", InterfaceMode.AXIS),
+]
+
+
+def _frontend_entries(cache):
+    return [v for v in cache._memory.values() if isinstance(v, fncache.FrontendEntry)]
+
+
+class TestCachedIrNeverWritten:
+    """The front-end entry holds the Function itself, so nothing after
+    the front end may write into it: not the loop directives, not
+    scheduling, not csim."""
+
+    def test_entry_survives_directives_and_csim(self):
+        import numpy as np
+
+        reference = _compile(STREAM_SRC, "scale2")
+        tag_const_muls(reference)
+        pristine = canonical_text(reference)
+
+        cache = fncache.FunctionCache()
+        cold = synthesize_function(
+            STREAM_SRC, "scale2",
+            STREAM_PORTS + [pipeline("scale2", "L1"), unroll("scale2", "L2", 4)],
+            cache=cache,
+        )
+        assert (cold.fn_cache_hits, cold.fn_cache_misses) == (0, 2)
+        (entry,) = _frontend_entries(cache)
+        assert canonical_text(entry.fn) == pristine
+        assert entry.ir_digest == ir_digest(entry.fn)
+
+        warm = synthesize_function(
+            STREAM_SRC, "scale2", STREAM_PORTS + [unroll("scale2", "L1", 2)],
+            cache=cache,
+        )
+        assert (warm.fn_cache_hits, warm.fn_cache_misses) == (1, 1)
+        assert [(lp.pipeline, lp.unroll) for lp in cold.function.loops] == [
+            (True, 1), (False, 4),
+        ]
+        assert [(lp.pipeline, lp.unroll) for lp in warm.function.loops] == [
+            (False, 2), (False, 1),
+        ]
+
+        data = np.arange(16, dtype=np.int32)
+        for result in (cold, warm):
+            verify_stream_discipline(result, data.copy(), np.zeros(16, np.int32))
+            out = np.zeros(16, np.int32)
+            result.run(data.copy(), out)
+            assert list(out) == [(3 * x + 1) * 5 for x in range(16)]
+
+        assert canonical_text(entry.fn) == pristine
+        assert [(lp.pipeline, lp.unroll) for lp in entry.fn.loops] == [
+            (False, 1), (False, 1),
+        ]
+        for dirs in (
+            STREAM_PORTS + [pipeline("scale2", "L1"), unroll("scale2", "L2", 4)],
+            STREAM_PORTS + [unroll("scale2", "L1", 2)],
+        ):
+            served = synthesize_function(STREAM_SRC, "scale2", dirs, cache=cache)
+            uncached = synthesize_function(STREAM_SRC, "scale2", dirs, cache=None)
+            assert served.verilog == uncached.verilog
+
+    def test_tags_are_part_of_the_digest(self):
+        cache = fncache.FunctionCache()
+        synthesize_function(SRC, "scale_add", cache=cache)
+        (entry,) = _frontend_entries(cache)
+        tagged = [
+            op for b in entry.fn.blocks for op in b.ops if op.attrs.get("const_operand")
+        ]
+        assert tagged, "the front end tags a * 3 before the digest"
+        assert "const_operand=b1" in canonical_text(entry.fn)
+
+    def test_disk_routed_cache_round_trips_the_entry(self, tmp_path):
+        cache = fncache.FunctionCache(tmp_path / "fn")
+        synthesize_function(STREAM_SRC, "scale2", STREAM_PORTS, cache=cache)
+        (entry,) = _frontend_entries(cache)
+
+        fresh = fncache.FunctionCache(tmp_path / "fn")
+        key = fncache.frontend_key(token_fingerprint(clex(STREAM_SRC)), "scale2", True)
+        loaded = fresh.get(key, stage="frontend", fn_name="scale2")
+        assert isinstance(loaded, fncache.FrontendEntry)
+        assert loaded is not entry
+        assert canonical_text(loaded.fn) == canonical_text(entry.fn)
+        assert (loaded.ir_digest, loaded.converged) == (entry.ir_digest, entry.converged)
+
+        again = synthesize_function(
+            STREAM_SRC, "scale2", STREAM_PORTS + [pipeline("scale2", "L1")], cache=fresh
+        )
+        assert (again.fn_cache_hits, again.fn_cache_misses) == (1, 1)
+        uncached = synthesize_function(
+            STREAM_SRC, "scale2", STREAM_PORTS + [pipeline("scale2", "L1")], cache=None
+        )
+        assert again.verilog == uncached.verilog
+        assert again.report.render() == uncached.report.render()
+
+    def test_version_1_keys_are_never_served(self, monkeypatch):
+        cache = fncache.FunctionCache()
+        token_fp = token_fingerprint(clex(SRC))
+        current = fncache.frontend_key(token_fp, "scale_add", True)
+        # Poison every slot a version-1 layout would have used.
+        decoy_fn = _compile("int scale_add(int a, int b) { return a - b; }", "scale_add")
+        decoy = fncache.FrontendEntry(decoy_fn, True, ir_digest(decoy_fn))
+        monkeypatch.setattr(fncache, "FN_CACHE_VERSION", "1")
+        old_fe = fncache.frontend_key(token_fp, "scale_add", True)
+        cache.put(old_fe, decoy, stage="frontend", fn_name="scale_add")
+        reference = synthesize_function(SRC, "scale_add", cache=None)
+        entry_v1 = _compile(SRC, "scale_add")  # a version-1 entry: untagged IR
+        old_result = fncache.result_key(ir_digest(entry_v1), "", None, 256)
+        cache.put(old_result, reference, stage="result", fn_name="scale_add")
+        monkeypatch.undo()
+
+        assert old_fe != current
+        served = synthesize_function(SRC, "scale_add", cache=cache)
+        assert (served.fn_cache_hits, served.fn_cache_misses) == (0, 2)
+        assert served.verilog == reference.verilog
+        assert served.run(2, 1) == reference.run(2, 1) == 8 * 7
 
 
 class TestPipelineConvergence:

@@ -332,6 +332,70 @@ class TestSynthesis:
         assert bit.achieved_clock_mhz < 100.0
 
 
+class TestConnectionIndex:
+    """``connect`` checks duplicates against a key index, while the
+    ``connections`` list stays the source of truth that callers may
+    reassign or edit directly."""
+
+    @pytest.fixture
+    def bd(self, fig4_system):
+        import copy
+
+        return copy.deepcopy(fig4_system.design)
+
+    def test_duplicate_connect_rejected(self, bd):
+        c = bd.connections[0]
+        with pytest.raises(IntegrationError, match="duplicate"):
+            bd.connect(*c.key())
+
+    def test_reassigned_subset_frees_the_removed_keys(self, bd):
+        removed = bd.connections[:3]
+        bd.connections = bd.connections[3:]
+        for c in removed:
+            bd.connect(*c.key())
+        with pytest.raises(IntegrationError, match="duplicate"):
+            bd.connect(*removed[0].key())
+
+    def test_directly_appended_duplicate_is_seen(self, bd):
+        c, other = bd.connections[:2]
+        bd.connections = bd.connections[2:]
+        bd.connect(*other.key())  # the index is taken without c
+        bd.connections.append(type(c)(*c.key()))  # c goes in behind its back
+        with pytest.raises(IntegrationError, match="duplicate"):
+            bd.connect(*c.key())
+
+    def test_replaced_tail_is_seen(self, bd):
+        first, last = bd.connections[0], bd.connections[-1]
+        bd.connections = bd.connections[1:]
+        with pytest.raises(IntegrationError, match="duplicate"):
+            bd.connect(*last.key())  # the index is taken on this list
+        bd.connections[-1] = first  # same list, same length, new tail
+        bd.connect(*last.key())
+        with pytest.raises(IntegrationError, match="duplicate"):
+            bd.connect(*first.key())
+
+    def test_in_place_remove_and_insert_are_seen(self, bd):
+        first, second, last = bd.connections[0], bd.connections[1], bd.connections[-1]
+        with pytest.raises(IntegrationError, match="duplicate"):
+            bd.connect(*last.key())  # the index is taken on this list
+        del bd.connections[:2]  # same list and tail, two shorter
+        bd.connect(*first.key())
+        bd.connections.insert(0, second)  # same tail, one longer
+        with pytest.raises(IntegrationError, match="duplicate"):
+            bd.connect(*second.key())
+
+    def test_copies_keep_separate_indexes(self, bd):
+        import copy
+
+        twin = copy.deepcopy(bd)
+        c = bd.connections[0]
+        twin.connections = twin.connections[1:]
+        twin.connect(*c.key())
+        with pytest.raises(IntegrationError, match="duplicate"):
+            bd.connect(*c.key())
+        assert twin.connections[-1] == c and len(twin.connections) == len(bd.connections)
+
+
 class TestDrc:
     def test_undriven_clock_detected(self):
         bd = BlockDesign("t")

@@ -1,6 +1,8 @@
 """Tests for tcl generation, versioned backends, and the tcl runner."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.soc import run_synthesis
 from repro.soc.ip import hls_core
@@ -57,6 +59,116 @@ class TestScriptModel:
             tcl_words("cmd [oops")
         with pytest.raises(TclError, match="unbalanced"):
             tcl_words("cmd oops]")
+
+
+def _per_character_words(line):
+    """Reference splitter: the character loop ``tcl_words`` replaced."""
+    words, current, depth = [], [], 0
+    for ch in line:
+        if ch in "[{":
+            depth += 1
+            current.append(ch)
+        elif ch in "]}":
+            depth -= 1
+            if depth < 0:
+                raise TclError(f"unbalanced brackets in line: {line!r}")
+            current.append(ch)
+        elif ch.isspace() and depth == 0:
+            if current:
+                words.append("".join(current))
+                current = []
+        else:
+            current.append(ch)
+    if depth != 0:
+        raise TclError(f"unbalanced brackets in line: {line!r}")
+    if current:
+        words.append("".join(current))
+    return words
+
+
+def _split_outcome(split, line):
+    try:
+        return split(line)
+    except TclError as exc:
+        return ("error", str(exc))
+
+
+class TestWordsAgainstReference:
+    @settings(max_examples=1500, deadline=None)
+    @given(st.text(alphabet="ab [ ] { } \t\n\x0b\x1c /.\xa0", max_size=24))
+    def test_random_lines(self, line):
+        assert _split_outcome(tcl_words, line) == _split_outcome(
+            _per_character_words, line
+        )
+
+    def test_generated_script_lines(self, fig4_system):
+        for backend in (Vivado2014_2(), Vivado2015_3()):
+            for line in generate_system_tcl(fig4_system, backend).render().splitlines():
+                assert tcl_words(line) == _per_character_words(line)
+
+    @pytest.mark.parametrize(
+        "line",
+        ["a{b c}d e", "{x}[y]", "  [a  b]  ", "x]", "}{", "[{]}", "a\x1cb", ""],
+    )
+    def test_corners(self, line):
+        assert _split_outcome(tcl_words, line) == _split_outcome(
+            _per_character_words, line
+        )
+
+
+class TestRunnerArgumentErrors:
+    """Malformed commands raise TclError naming the command, never a bare
+    KeyError/ValueError/IndexError from the argument handling."""
+
+    HEAD = [
+        "create_project p ./p -part xc7z020clg484-1",
+        'create_bd_design "p"',
+        "create_bd_cell -type ip -vlnv xilinx.com:ip:axi_dma:7.1 d0",
+    ]
+
+    def run(self, *lines):
+        return TclRunner().execute("\n".join(self.HEAD + list(lines)))
+
+    def test_range_without_unit(self):
+        with pytest.raises(TclError, match="assign_bd_address: -range '4096'"):
+            self.run("assign_bd_address -offset 0x40400000 -range 4096 "
+                     "[get_bd_addr_segs d0/Reg]")
+
+    def test_create_bd_cell_without_vlnv(self):
+        with pytest.raises(TclError, match="create_bd_cell: missing -vlnv"):
+            self.run("create_bd_cell -type ip d1")
+
+    def test_assign_bd_address_without_offset(self):
+        with pytest.raises(TclError, match="assign_bd_address: missing -offset"):
+            self.run("assign_bd_address -range 64K [get_bd_addr_segs d0/Reg]")
+
+    def test_bare_set_property(self):
+        with pytest.raises(TclError, match="set_property: missing arguments"):
+            self.run("set_property")
+
+    def test_set_property_dict_without_target(self):
+        with pytest.raises(TclError, match="set_property: -dict needs"):
+            self.run("set_property -dict [list CONFIG.c_include_mm2s {1}]")
+
+    def test_offset_not_hex(self):
+        with pytest.raises(TclError, match="assign_bd_address: -offset 'zz'"):
+            self.run("assign_bd_address -offset zz -range 64K [get_bd_addr_segs d0/Reg]")
+
+    def test_flag_without_value(self):
+        with pytest.raises(TclError, match="create_bd_cell: missing -vlnv"):
+            self.run("create_bd_cell -type ip -vlnv")
+
+    def test_create_bd_design_without_name(self):
+        with pytest.raises(TclError, match="create_bd_design: missing design name"):
+            TclRunner().execute("create_bd_design")
+
+    def test_valid_range_units(self):
+        for text, size in (("64K", 64 * 1024), ("1M", 1 << 20)):
+            result = self.run(
+                f"assign_bd_address -offset 0x40400000 -range {text} "
+                "[get_bd_addr_segs d0/Reg]"
+            )
+            assert result.design.address_map.of("d0").size == size
 
 
 class TestBackends:
