@@ -22,7 +22,7 @@ def test_directive_dse(benchmark):
             rounds=1,
             iterations=1,
         )
-        stats = fncache.use_cache_dir(f"{td}/fn").stats
+        stats = fncache.cache_at(f"{td}/fn").stats
     rows = [
         (p.label(), p.cycles, p.lut, p.ff, p.dsp)
         for p in sorted(points, key=lambda p: p.cycles)

@@ -120,9 +120,7 @@ def _reset_fn_layer():
     """Forget all in-process per-function memo state (a fresh process)."""
     from repro.hls import project
 
-    fncache._DEFAULT.clear()
-    fncache._BY_DIR.clear()
-    fncache._ACTIVE = fncache._DEFAULT
+    fncache.cache_at(None).clear()
     project._FP_MEMO.clear()
 
 

@@ -158,9 +158,6 @@ class CacheStats:
     stores: int = 0
     evictions: int = 0
     corrupt: int = 0
-    #: Namespaced lookups served by an object another tenant stored —
-    #: the cross-tenant content dedup the shared store exists for.
-    dedup_hits: int = 0
 
     def as_dict(self) -> dict[str, int]:
         return {
@@ -169,7 +166,6 @@ class CacheStats:
             "stores": self.stores,
             "evictions": self.evictions,
             "corrupt": self.corrupt,
-            "dedup_hits": self.dedup_hits,
         }
 
 
@@ -182,9 +178,6 @@ class ScrubReport:
     quarantined: list[str] = field(default_factory=list)
     #: Keys already sitting in quarantine before this pass.
     quarantine_backlog: int = 0
-    #: Stale tenant refs (pointing at evicted/quarantined objects) that
-    #: the scrub deleted — the "repaired" leg of the report.
-    repaired: int = 0
     #: Entries removed by the scrub because the store was over its
     #: configured ``max_entries`` bound.
     evicted: int = 0
@@ -201,7 +194,6 @@ class ScrubReport:
             "quarantined": sorted(self.quarantined),
             "quarantined_count": len(self.quarantined),
             "quarantine_backlog": self.quarantine_backlog,
-            "repaired": self.repaired,
             "evicted": self.evicted,
             "healthy": self.healthy,
         }
@@ -212,7 +204,6 @@ class ScrubReport:
             f"{len(self.quarantined)} quarantined"
             + (f" ({self.quarantine_backlog} already in quarantine)"
                if self.quarantine_backlog else "")
-            + (f", {self.repaired} stale ref(s) repaired" if self.repaired else "")
             + (f", {self.evicted} over-bound entr"
                f"{'y' if self.evicted == 1 else 'ies'} evicted"
                if self.evicted else "")
@@ -231,15 +222,10 @@ class BuildCache:
     store, the least-recently-used entries (by mtime — reads touch their
     file) are evicted until the bound holds.
 
-    *namespace* turns the instance into one tenant's **view** of a
-    shared store: objects stay global (two tenants submitting the same
-    core share one blob — dedup is by content digest, not by owner), but
-    every key this view stores or serves is recorded as a per-tenant
-    *ref* marker under ``<dir>/tenants/<namespace>/refs/``.  The refs
-    give the multi-tenant build service per-tenant accounting (what does
-    tenant T depend on?) without ever duplicating artifact bytes;
-    ``stats.dedup_hits`` counts lookups this view satisfied from an
-    object some *other* tenant had already paid to build.
+    Two tiers: :meth:`read`/:meth:`write` are the disk tier alone, and
+    :meth:`get`/:meth:`put` keep an in-memory copy of every entry on top
+    of them.  A caller with its own bounded memory (the per-function
+    memo) uses the disk tier directly.
     """
 
     def __init__(
@@ -248,12 +234,10 @@ class BuildCache:
         *,
         max_entries: int | None = None,
         lock_timeout_s: float = 10.0,
-        namespace: str | None = None,
     ) -> None:
         self.dir = Path(cache_dir) if cache_dir is not None else None
         self.root = self.dir / "objects" if self.dir is not None else None
         self.max_entries = max_entries
-        self.namespace = namespace
         self.stats = CacheStats()
         self._memory: dict[str, object] = {}
         self._lock = (
@@ -269,53 +253,6 @@ class BuildCache:
     def quarantine_dir(self) -> Path:
         assert self.dir is not None
         return self.dir / "quarantine"
-
-    @property
-    def tenants_dir(self) -> Path:
-        assert self.dir is not None
-        return self.dir / "tenants"
-
-    def _refs_dir(self, namespace: str) -> Path:
-        return self.tenants_dir / namespace / "refs"
-
-    def tenants(self) -> list[str]:
-        """Namespaces that hold at least one ref in this store."""
-        if self.dir is None or not self.tenants_dir.exists():
-            return []
-        return sorted(
-            p.name for p in self.tenants_dir.iterdir() if (p / "refs").is_dir()
-        )
-
-    def tenant_refs(self, namespace: str | None = None) -> list[str]:
-        """Keys a tenant's view has stored or served (its dependency set)."""
-        ns = namespace if namespace is not None else self.namespace
-        if self.dir is None or ns is None:
-            return []
-        refs = self._refs_dir(ns)
-        if not refs.exists():
-            return []
-        return sorted(p.name for p in refs.iterdir() if p.is_file())
-
-    def _record_ref(self, key: str) -> bool:
-        """Mark *key* as referenced by this view's tenant.
-
-        Returns True when the object was already referenced by some
-        *other* tenant — i.e. this lookup was deduplicated across
-        tenants.  Marker creation is idempotent and crash-safe (an empty
-        file; a torn write leaves an empty file, which is the marker).
-        """
-        if self.dir is None or self.namespace is None:
-            return False
-        refs = self._refs_dir(self.namespace)
-        marker = refs / key
-        shared = any(
-            ns != self.namespace and (self._refs_dir(ns) / key).exists()
-            for ns in self.tenants()
-        )
-        if not marker.exists():
-            refs.mkdir(parents=True, exist_ok=True)
-            marker.touch()
-        return shared
 
     def _entry_files(self) -> list[Path]:
         if self.root is None or not self.root.exists():
@@ -342,19 +279,14 @@ class BuildCache:
         """
         if key in self._memory:
             self.stats.hits += 1
-            if self._record_ref(key):
-                self.stats.dedup_hits += 1
             self._observe("hit", key, tier="memory")
             return self._memory[key]
-        if self.root is not None:
-            value = self._read_disk(key)
-            if value is not None:
-                self._memory[key] = value
-                self.stats.hits += 1
-                if self._record_ref(key):
-                    self.stats.dedup_hits += 1
-                self._observe("hit", key, tier="disk")
-                return value
+        value = self.read(key)
+        if value is not None:
+            self._memory[key] = value
+            self.stats.hits += 1
+            self._observe("hit", key, tier="disk")
+            return value
         self.stats.misses += 1
         self._observe("miss", key)
         return None
@@ -378,7 +310,11 @@ class BuildCache:
         }[what]
         _METRICS.counter(*counter).inc()
 
-    def _read_disk(self, key: str) -> object | None:
+    def read(self, key: str) -> object | None:
+        """The disk tier alone: the entry for *key*, or ``None`` — never
+        stored, concurrently evicted, or corrupt (then quarantined)."""
+        if self.root is None:
+            return None
         path = self._path(key)
         try:
             raw = path.read_bytes()
@@ -445,12 +381,15 @@ class BuildCache:
 
     # -- write -------------------------------------------------------------
     def put(self, key: str, value: object) -> None:
-        """Store *value* under *key*; atomic on disk, then evict over-bound."""
+        """Store *value* under *key* in memory and on disk."""
         self._memory[key] = value
         self.stats.stores += 1
+        self.write(key, value)
+
+    def write(self, key: str, value: object) -> None:
+        """The disk tier alone: store atomically, then evict over-bound."""
         if self.root is None:
             return
-        self._record_ref(key)
         payload = pickle.dumps(value)
         blob = _MAGIC + hashlib.sha256(payload).hexdigest().encode() + b"\n" + payload
         path = self._path(key)
@@ -491,19 +430,8 @@ class BuildCache:
                 except OSError:
                     continue
                 self._memory.pop(path.name, None)
-                self._drop_refs(path.name)
                 self.stats.evictions += 1
                 self._observe("evict", path.name)
-
-    def _drop_refs(self, key: str) -> None:
-        """Remove every tenant's ref marker for a now-gone object."""
-        if self.dir is None:
-            return
-        for ns in self.tenants():
-            try:
-                (self._refs_dir(ns) / key).unlink()
-            except OSError:
-                pass
 
     # -- maintenance -------------------------------------------------------
     def scrub(self) -> ScrubReport:
@@ -541,18 +469,6 @@ class BuildCache:
                     self._memory.pop(path.name, None)
                     self._drop_corrupt(path)
                     report.quarantined.append(path.name)
-            # Repair leg: a quarantined or externally-deleted object can
-            # leave tenant refs dangling; delete them so per-tenant
-            # accounting never claims a dependency the store cannot serve.
-            live = {p.name for p in self._entry_files()}
-            for ns in self.tenants():
-                for key in self.tenant_refs(ns):
-                    if key not in live:
-                        try:
-                            (self._refs_dir(ns) / key).unlink()
-                            report.repaired += 1
-                        except OSError:
-                            pass
             # Eviction leg: a bounded store scrubbed over its bound (e.g.
             # after a max_entries change) trims back down here.
             if self.max_entries is not None:

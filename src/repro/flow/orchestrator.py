@@ -153,6 +153,18 @@ class FlowHooks(ActionHooks):
         if build_cache is None and self.config.cache_dir is not None:
             build_cache = BuildCache(self.config.cache_dir)
         self.build_cache = build_cache
+        # The sub-core per-function memo persists next to (and under)
+        # the whole-core objects: a whole-core miss still reuses every
+        # unchanged function from previous builds.  An explicit
+        # ``fn_cache_dir`` overrides that — the DSE engine points many
+        # build-cache-less flows at one shared function store.
+        if self.config.fn_cache_dir is not None:
+            fn_dir = Path(self.config.fn_cache_dir)
+        elif self.config.cache_dir is not None:
+            fn_dir = Path(self.config.cache_dir) / "fn"
+        else:
+            fn_dir = None
+        self.fn_cache = fncache.active_cache(fn_dir)
         self.journal = journal
         self.cores: dict[str, CoreBuild] = {}
         self.timing = FlowTiming()
@@ -224,7 +236,7 @@ class FlowHooks(ActionHooks):
         crashpoint(f"{step}:start", core=node.name)
         with _BUS.span("flow.step", step, core=node.name):
             try:
-                result = project.csynth()
+                result = project.csynth(cache=self.fn_cache)
             except ReproError:
                 raise  # HlsError, FlowInterrupted, LeaseLost keep their class
             except Exception as exc:
@@ -453,19 +465,7 @@ def run_flow(
         build_cache=build_cache,
         journal=journal,
     )
-    # Persist the sub-core per-function memo next to (and under) the
-    # whole-core objects for the duration of this run: a whole-core miss
-    # still reuses every unchanged function from previous builds.  An
-    # explicit ``fn_cache_dir`` overrides that routing — the DSE engine
-    # points many build-cache-less flows at one shared function store.
-    if config.fn_cache_dir is not None:
-        fn_dir = Path(config.fn_cache_dir)
-    elif config.cache_dir is not None:
-        fn_dir = Path(config.cache_dir) / "fn"
-    else:
-        fn_dir = None
-    with fncache.routed(fn_dir):
-        parse_dsl(text, hooks=hooks)
+    parse_dsl(text, hooks=hooks)
     if hooks.result is None:  # pragma: no cover - parse_dsl raises first
         raise FlowError("flow did not complete")
     return hooks.result

@@ -14,11 +14,12 @@ whole-core key normalizes away.
   and hands back a copy of the tagged IR with fresh loop records, ready
   for a fresh directive slice — the DSE hot loop, where only directives
   change between calls.
-* **Result memo** — keyed on the canonical IR digest
-  (:func:`~repro.hls.ir.ir_digest`), this function's directive slice,
-  the explicit limits and the default trip count, plus the engine
-  version.  A hit makes scheduling, binding, FSM construction, latency
-  analysis and RTL emission a single lookup.
+* **Result memo** — keyed on the front-end key, this function's
+  directive slice, the explicit limits and the default trip count.  A
+  hit makes scheduling, binding, FSM construction, latency analysis and
+  RTL emission a single lookup.  Because the result key embeds the
+  front-end key, a front-end miss implies a result miss: that lookup is
+  skipped and only counted.
 
 Both keys are process-stable (no ``id()``, no ``PYTHONHASHSEED``
 dependence) and both payloads are exactly what the uncached pipeline
@@ -27,11 +28,14 @@ inputs, so serving a memoized result preserves byte-identity of every
 artifact (the differential suite in ``tests/test_fncache.py`` and
 ``benchmarks/bench_hls.py`` prove it end to end).
 
-Persistence reuses the hardened :class:`BuildCache` machinery —
-integrity headers, quarantine-on-corruption, cross-process locking,
-scrub — rooted at ``<flow cache dir>/fn``.  Without a directory the
-cache is a bounded in-process memo.  ``REPRO_HLS_FN_CACHE=0`` disables
-the layer entirely (the differential legs build with it off).
+The in-process copy is one bounded LRU per :class:`FunctionCache`.
+With a directory, entries also persist through the disk tier of a
+:class:`BuildCache` (integrity headers, quarantine-on-corruption,
+cross-process locking, scrub) — the flow roots it at
+``<flow cache dir>/fn``.  Callers pass the cache explicitly;
+:func:`cache_at` hands out the one instance per directory and
+``REPRO_HLS_FN_CACHE=0`` disables the layer (the differential legs
+build with it off).
 """
 
 from __future__ import annotations
@@ -42,7 +46,6 @@ import json
 import os
 import threading
 from collections import OrderedDict
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 from repro.hls.ir import Function
@@ -51,8 +54,8 @@ from repro.obs.metrics import REGISTRY as _METRICS
 
 #: Version of the per-function memo layout; combined with the engine
 #: version in every key, so bumping either strands stale entries.
-#: Version 2: the IR digest covers the ``const_operand`` tags.
-FN_CACHE_VERSION = "2"
+#: Version 3: result keys embed the front-end key, not an IR digest.
+FN_CACHE_VERSION = "3"
 
 
 def _engine_version() -> str:
@@ -81,20 +84,22 @@ def frontend_key(token_fp: str, top: str, optimize: bool) -> str:
 
 
 def result_key(
-    ir_dig: str,
+    fe_key: str,
     directives_slice: str,
     limits: dict[str, int] | None,
     default_trip: int,
 ) -> str:
-    """Key of the result memo — ``(IR digest, directives slice, engine)``.
+    """Key of the result memo — ``(front-end key, directives slice)``.
 
-    *directives_slice* is the rendered tcl of the directives addressing
-    this function only (the middle-end never reads any other), *limits*
-    the caller-supplied overrides, canonically sorted.
+    The front end is deterministic in its key, so *fe_key* stands for
+    the IR every later stage reads.  *directives_slice* is the rendered
+    tcl of the directives addressing this function only (the middle-end
+    never reads any other), *limits* the caller-supplied overrides,
+    canonically sorted.
     """
     canon_limits = ",".join(f"{k}={v}" for k, v in sorted((limits or {}).items()))
     return _digest_fields(
-        "fn-result", FN_CACHE_VERSION, _engine_version(), ir_dig,
+        "fn-result", FN_CACHE_VERSION, _engine_version(), fe_key,
         directives_slice, canon_limits, str(default_trip),
     )
 
@@ -102,19 +107,18 @@ def result_key(
 @dataclass
 class FrontendEntry:
     """Cached front-end outcome: the optimized, ``const_operand``-tagged
-    IR and its identity.
+    IR and whether its pass pipeline converged.
 
     The entry holds the :class:`Function` itself and is immutable once
     stored: nothing writes into ``fn``, its blocks or its ops after the
     front end returns.  The only later writer, ``loop_directives``,
     sets ``LoopInfo.pipeline``/``unroll`` — and works on
     :meth:`materialize`, whose loop records are fresh copies.  A
-    disk-routed cache pickles the entry on ``put`` like any other value.
+    disk-backed cache pickles the entry on ``put`` like any other value.
     """
 
     fn: Function
     converged: bool
-    ir_digest: str
 
     def materialize(self) -> Function:
         """A copy for one synthesis: blocks, ops and tables shared with
@@ -139,12 +143,14 @@ class FnCacheStats:
 class FunctionCache:
     """Two-level-keyed memo of per-function compilation stages.
 
-    In-process entries live in a bounded LRU (``memory_entries``); with
-    *cache_dir* set, entries additionally persist through a
+    In-process entries live in one bounded LRU (``memory_entries``) —
+    the only in-process copy.  With *cache_dir* set, entries also
+    persist through the disk tier of a
     :class:`~repro.flow.buildcache.BuildCache` (same integrity header,
-    quarantine and locking discipline as the whole-core cache) and
-    cumulative hit/miss counters persist in ``<dir>/stats.json`` so
-    ``repro cachecheck`` can report a hit rate across processes.
+    quarantine and locking discipline as the whole-core cache;
+    *max_entries* bounds it) and cumulative hit/miss counters persist
+    in ``<dir>/stats.json`` so ``repro cachecheck`` can report a hit
+    rate across processes.
     """
 
     def __init__(
@@ -179,7 +185,7 @@ class FunctionCache:
             if in_memory:
                 self._memory.move_to_end(key)
             elif self._store is not None:
-                value = self._store.get(key)
+                value = self._store.read(key)
                 if value is not None:
                     self._remember(key, value)
             if value is not None:
@@ -191,12 +197,19 @@ class FunctionCache:
         self._observe("hit" if value is not None else "miss", key, stage, fn_name)
         return value
 
+    def count_miss(self, key: str, *, stage: str, fn_name: str) -> None:
+        """Count a lookup of *key* the caller knows would miss, without
+        making it — a result key after its front-end key missed."""
+        with self._lock:
+            self.stats.misses += 1
+        self._observe("miss", key, stage, fn_name)
+
     def put(self, key: str, value: object, *, stage: str, fn_name: str) -> None:
         with self._lock:
             self._remember(key, value)
             self.stats.stores += 1
             if self._store is not None:
-                self._store.put(key, value)
+                self._store.write(key, value)
                 self._flush_stats_soon()
         self._observe("store", key, stage, fn_name)
 
@@ -312,54 +325,33 @@ class FunctionCache:
 #: hit even without any flow cache directory configured.
 _DEFAULT = FunctionCache()
 _BY_DIR: dict[str, FunctionCache] = {}
-_ACTIVE: FunctionCache = _DEFAULT
+_BY_DIR_LOCK = threading.Lock()
 
 
-def active_cache() -> FunctionCache | None:
-    """The cache ``synthesize_function`` consults, or ``None`` when the
-    layer is disabled via ``REPRO_HLS_FN_CACHE=0``."""
-    if os.environ.get("REPRO_HLS_FN_CACHE", "") == "0":
-        return None
-    return _ACTIVE
+def cache_at(cache_dir: str | os.PathLike | None) -> FunctionCache:
+    """The one :class:`FunctionCache` for *cache_dir* — the in-memory
+    process default for ``None``.
 
-
-def use_cache_dir(cache_dir: str | os.PathLike | None) -> FunctionCache:
-    """Route the process-default cache to a persistent directory.
-
-    The flow orchestrator routes ``<cache_dir>/fn`` here when a build
-    cache is configured, so per-function entries persist next to (and
-    under) the whole-core objects.  ``None`` reverts to the in-memory
-    default.  Instances are kept per directory: two flows alternating
-    directories each keep their own store.
+    Every flow pointed at one directory shares one instance (one LRU,
+    one set of counters); flows on different directories never see each
+    other's entries, whichever threads they run on.
     """
-    global _ACTIVE
     if cache_dir is None:
-        _ACTIVE = _DEFAULT
-    else:
-        key = str(cache_dir)
+        return _DEFAULT
+    key = str(cache_dir)
+    with _BY_DIR_LOCK:
         cache = _BY_DIR.get(key)
         if cache is None:
-            cache = FunctionCache(cache_dir)
-            _BY_DIR[key] = cache
-        _ACTIVE = cache
-    return _ACTIVE
+            cache = _BY_DIR[key] = FunctionCache(cache_dir)
+    return cache
 
 
-@contextmanager
-def routed(cache_dir: str | os.PathLike | None):
-    """Scope :func:`use_cache_dir` to a ``with`` block.
-
-    The flow wraps each run in this so a flow pointed at a temporary
-    cache directory does not leave the process-default routed at a
-    directory that is about to disappear (the test suite runs hundreds
-    of flows against ``tmp_path`` caches in one process).
-    """
-    global _ACTIVE
-    prev = _ACTIVE
-    try:
-        yield use_cache_dir(cache_dir) if cache_dir is not None else _ACTIVE
-    finally:
-        _ACTIVE = prev
+def active_cache(cache_dir: str | os.PathLike | None = None) -> FunctionCache | None:
+    """The cache to consult for *cache_dir* (:func:`cache_at`), or
+    ``None`` when the layer is disabled via ``REPRO_HLS_FN_CACHE=0``."""
+    if os.environ.get("REPRO_HLS_FN_CACHE", "") == "0":
+        return None
+    return cache_at(cache_dir)
 
 
 __all__ = [
@@ -368,8 +360,7 @@ __all__ = [
     "FrontendEntry",
     "FunctionCache",
     "active_cache",
+    "cache_at",
     "frontend_key",
     "result_key",
-    "routed",
-    "use_cache_dir",
 ]

@@ -30,7 +30,6 @@ Opcodes
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 
 from repro.hls.types import ArrayType, CType, ScalarType
@@ -217,88 +216,3 @@ class Function:
                 if target not in names:
                     raise HlsError(f"branch to unknown block {target!r}")
 
-
-# -- canonical digest --------------------------------------------------------
-#
-# The per-function compilation cache (``repro.hls.fncache``) keys on the
-# content of the lowered IR, so the serialization below must be a pure
-# function of IR *content*: no ``id()``, no ``hash()`` of strings (both
-# vary per process under ``PYTHONHASHSEED``), dict entries sorted where
-# insertion order is not itself semantic.
-
-
-def _canon_scalar(v: object) -> str:
-    """Canonical spelling of one attribute value."""
-    if isinstance(v, ScalarType):
-        return f"T{v.name}"
-    if isinstance(v, ArrayType):
-        return f"A{v.element.name}[{v.size}]{v.dims or ''}"
-    if isinstance(v, bool):  # before int: True is an int
-        return "b1" if v else "b0"
-    if isinstance(v, int):
-        return f"i{v}"
-    if isinstance(v, float):
-        return f"f{v.hex()}"
-    if isinstance(v, str):
-        return f"s{v}"
-    if v is None:
-        return "n"
-    if isinstance(v, (tuple, list)):
-        return "(" + ",".join(_canon_scalar(x) for x in v) + ")"
-    raise HlsError(f"unserializable IR attribute value {v!r}")
-
-
-def canonical_text(fn: Function) -> str:
-    """A process-stable, content-complete rendering of *fn*.
-
-    Two Functions produce the same text iff every downstream stage
-    (directive application, scheduling, binding, FSM construction, RTL
-    emission) would behave identically on them.  Values are identified
-    by their ``vid`` (deterministically assigned by the lowerer), blocks
-    and ops keep program order, and every unordered mapping is sorted.
-    """
-    out: list[str] = [f"func {fn.name} -> {fn.ret.name}"]
-    out.append(
-        "params " + ",".join(f"{n}:{_canon_scalar(t)}" for n, t in fn.params)
-    )
-    out.append(
-        "slots " + ",".join(f"{n}:{t.name}" for n, t in sorted(fn.slots.items()))
-    )
-    out.append(
-        "arrays "
-        + ",".join(f"{n}:{_canon_scalar(t)}" for n, t in sorted(fn.arrays.items()))
-    )
-    out.append(
-        "aparams "
-        + ",".join(
-            f"{n}:{_canon_scalar(t)}" for n, t in sorted(fn.array_params.items())
-        )
-    )
-    for name, init in sorted(fn.array_init.items()):
-        out.append(f"init {name} " + ",".join(_canon_scalar(v) for v in init))
-    for loop in fn.loops:
-        out.append(
-            f"loop {loop.header} [{','.join(loop.blocks)}] latch={loop.latch} "
-            f"exit={loop.exit} trip={loop.trip_count} pipe={int(loop.pipeline)} "
-            f"unroll={loop.unroll} ivar={loop.ivar} label={loop.label}"
-        )
-    for block in fn.blocks:
-        out.append(f"{block.name}:")
-        for op in block.ops:
-            res = f"%{op.result.vid}:{op.result.type.name}=" if op.result else ""
-            operands = ",".join(f"%{v.vid}:{v.type.name}" for v in op.operands)
-            attrs = ";".join(
-                f"{k}={_canon_scalar(v)}" for k, v in sorted(op.attrs.items())
-            )
-            out.append(f"  {res}{op.opcode}({operands}){{{attrs}}}")
-    return "\n".join(out)
-
-
-def ir_digest(fn: Function) -> str:
-    """SHA-256 of :func:`canonical_text` — the per-function cache key.
-
-    Stable across processes (``PYTHONHASHSEED``-independent), sensitive
-    to any semantic change of the IR, insensitive to anything the IR has
-    already normalized away (comments, whitespace, source formatting).
-    """
-    return hashlib.sha256(canonical_text(fn).encode()).hexdigest()

@@ -22,7 +22,6 @@ from repro.hls.clex import clex, token_fingerprint
 from repro.hls.cparse import parse_c
 from repro.hls.inline import inline_functions
 from repro.hls.fsm import Fsm, build_fsm
-from repro.hls.ir import ir_digest
 from repro.hls.interfaces import (
     Directive,
     InterfaceMode,
@@ -119,7 +118,7 @@ def synthesize_function(
     process-wide :func:`repro.hls.fncache.active_cache`): the front end
     (token fingerprint → lowered, optimized and ``const_operand``-tagged
     IR) and the full result
-    (IR digest + directives slice → :class:`SynthesisResult`).  Both
+    (front-end key + directives slice → :class:`SynthesisResult`).  Both
     serve exactly what an uncached run would compute — every stage is
     deterministic in the cached key — so artifacts stay byte-identical.
     """
@@ -129,7 +128,6 @@ def synthesize_function(
     hits = misses = 0
 
     entry = None
-    r_key = None
     tokens = None
     if cache is not None:
         fp, tokens = _source_fingerprint(source)
@@ -151,21 +149,24 @@ def synthesize_function(
             converged = pipe.converged
         tag_const_muls(fn)
         if cache is not None:
-            entry = fncache.FrontendEntry(fn, converged, ir_digest(fn))
+            entry = fncache.FrontendEntry(fn, converged)
             cache.put(fe_key, entry, stage="frontend", fn_name=top)
 
     if cache is not None:
         slice_tcl = directives_file([d for d in dir_list if d.function == top])
-        r_key = fncache.result_key(entry.ir_digest, slice_tcl, limits, default_trip)
-        cached = cache.get(r_key, stage="result", fn_name=top)
-        if cached is not None:
-            hits += 1
-            return replace(
-                cached,
-                directives=dir_list,
-                fn_cache_hits=hits,
-                fn_cache_misses=misses,
-            )
+        r_key = fncache.result_key(fe_key, slice_tcl, limits, default_trip)
+        if hits:  # the front end hit, so the result may too
+            cached = cache.get(r_key, stage="result", fn_name=top)
+            if cached is not None:
+                return replace(
+                    cached,
+                    directives=dir_list,
+                    fn_cache_hits=hits + 1,
+                    fn_cache_misses=misses,
+                )
+        else:
+            # The result key embeds the front-end key that just missed.
+            cache.count_miss(r_key, stage="result", fn_name=top)
         misses += 1
         # The entry is never written: loop directives go on a copy.
         fn = entry.materialize()
@@ -220,7 +221,7 @@ def synthesize_function(
         fn_cache_hits=hits,
         fn_cache_misses=misses,
     )
-    if cache is not None and r_key is not None:
+    if cache is not None:
         cache.put(r_key, result, stage="result", fn_name=top)
     return result
 
@@ -272,7 +273,10 @@ class HlsProject:
         *,
         limits: dict[str, int] | None = None,
         default_trip: int = 256,
+        cache: "fncache.FunctionCache | None" = _ACTIVE_CACHE,  # type: ignore[assignment]
     ) -> SynthesisResult:
+        """Synthesize the top function; *cache* as for
+        :func:`synthesize_function`."""
         if self.top is None:
             raise HlsError(f"project {self.name!r}: no top function set")
         if not self.sources:
@@ -283,6 +287,7 @@ class HlsProject:
             self.directives,
             limits=limits,
             default_trip=default_trip,
+            cache=cache,
         )
         return self._result
 

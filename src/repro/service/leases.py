@@ -13,8 +13,8 @@ primitives that are atomic on POSIX:
 * **Steal** — a replica that observes an *expired* heartbeat links a
   fully-written successor lease onto a per-token **claim file**
   (``leases/<job_id>.claim.<token+1>``; O_EXCL, so exactly one of any
-  number of concurrent stealers wins each token) and then ``rename``\ s
-  a second link of that claim *onto* the lease path.  The lease path is
+  number of concurrent stealers wins each token) and then atomically
+  renames a second link of that claim *onto* the lease path.  The lease path is
   only ever atomically overwritten — it is never absent mid-steal, so a
   concurrent scanner can never mistake an in-progress steal for an
   unleased job and re-acquire it at token 1.

@@ -2,8 +2,7 @@
 
 Layout under one service root::
 
-    <root>/cache/                          shared content-addressed BuildCache
-    <root>/cache/tenants/<t>/refs/<key>    per-tenant object refs (see buildcache)
+    <root>/cache/                               shared content-addressed BuildCache
     <root>/tenants/<t>/jobs/<job>/job.json      durable admission intent
     <root>/tenants/<t>/jobs/<job>/journal.jsonl write-ahead run journal
     <root>/tenants/<t>/jobs/<job>/out/          materialized workspace
@@ -136,8 +135,9 @@ class JobStore:
         return self.job_dir(tenant, job_id) / _SIM_FILE
 
     def cache_for(self, tenant: str) -> BuildCache:
-        """The shared object store viewed through *tenant*'s namespace."""
-        return BuildCache(self.cache_root, namespace=tenant)
+        """The object store *tenant*'s jobs build through — one store
+        shared by every tenant, so identical cores are built once."""
+        return BuildCache(self.cache_root)
 
     # -- admission intent --------------------------------------------------
     def save_spec(

@@ -122,7 +122,7 @@ class TestFlowConfigRouting:
         assert b.fn_cache_hits > 0
         # One store on disk, at the configured root.
         assert fn_dir.is_dir()
-        stats = fncache.use_cache_dir(str(fn_dir)).stats
+        stats = fncache.cache_at(fn_dir).stats
         assert stats.hits + stats.misses >= a.fn_cache_misses + b.fn_cache_hits
 
 
@@ -255,7 +255,7 @@ class TestCampaign:
         assert result.completed
         assert result.fn_cache_hit_rate >= 0.5
         # Cross-checked against the FunctionCache's own counters.
-        stats = fncache.use_cache_dir(fn_dir).stats
+        stats = fncache.cache_at(fn_dir).stats
         assert stats.hits == result.fn_cache_hits
         assert stats.misses == result.fn_cache_misses
 

@@ -2,11 +2,11 @@
 
 The contract under test (see DESIGN.md, "Two-level build caching"):
 
-* IR digests are canonical and process-stable — two interpreters with
-  different ``PYTHONHASHSEED`` values produce identical digests and
-  identical RTL for the same source;
-* a single-character semantic edit changes the digest, a comment or
-  whitespace edit does not even invalidate the post-lex stages;
+* memo keys are process-stable — two interpreters with different
+  ``PYTHONHASHSEED`` values produce identical keys and identical RTL
+  for the same source;
+* a single-character semantic edit changes the keys, a comment or
+  whitespace edit changes neither;
 * every cached outcome is byte-identical to what the uncached pipeline
   produces — for fresh caches, warm caches, directives-only rebuilds
   and whole flows;
@@ -19,6 +19,7 @@ import os
 import pickle
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -28,8 +29,9 @@ from repro.hls import fncache
 from repro.hls.cparse import parse_c
 from repro.hls.clex import clex, token_fingerprint
 from repro.hls.inline import inline_functions
-from repro.hls.ir import canonical_text, ir_digest
-from repro.hls.interfaces import InterfaceMode, allocation, interface, pipeline, unroll
+from repro.hls.interfaces import (
+    InterfaceMode, allocation, directives_file, interface, pipeline, unroll,
+)
 from repro.hls.lower import lower_function
 from repro.hls.passes import run_default_pipeline, tag_const_muls
 from repro.hls.project import synthesize_function, verify_stream_discipline
@@ -57,28 +59,21 @@ def _compile(source, top):
     return run_default_pipeline(fn).fn
 
 
-_DIGEST_SNIPPET = """
+_KEYS_SNIPPET = """
 import sys
 sys.path.insert(0, {src_path!r})
-from repro.hls.cparse import parse_c
-from repro.hls.inline import inline_functions
-from repro.hls.ir import ir_digest
-from repro.hls.lower import lower_function
-from repro.hls.passes import run_default_pipeline
+from repro.hls import fncache
 from repro.hls.project import synthesize_function
-from repro.hls.sema import analyze
 
-source = {source!r}
-unit = parse_c(source)
-inline_functions(unit)
-fn = run_default_pipeline(lower_function(analyze(unit), {top!r})).fn
-print(ir_digest(fn))
-print(synthesize_function(source, {top!r}, cache=None).verilog)
+cache = fncache.FunctionCache()
+result = synthesize_function({source!r}, {top!r}, cache=cache)
+print(" ".join(cache._memory))
+print(result.verilog)
 """
 
 
-def _digest_and_rtl_in_subprocess(source, top, hashseed):
-    script = _DIGEST_SNIPPET.format(
+def _keys_and_rtl_in_subprocess(source, top, hashseed):
+    script = _KEYS_SNIPPET.format(
         src_path=str(Path(__file__).resolve().parent.parent / "src"),
         source=source,
         top=top,
@@ -91,39 +86,46 @@ def _digest_and_rtl_in_subprocess(source, top, hashseed):
         env=env,
         check=True,
     ).stdout
-    digest, _, rtl = out.partition("\n")
-    return digest, rtl
+    keys, _, rtl = out.partition("\n")
+    return keys.split(), rtl
+
+
+def _memo_keys(source, top, directives=()):
+    """``[front-end key, result key]`` one cold synthesis stores."""
+    cache = fncache.FunctionCache()
+    synthesize_function(source, top, directives, cache=cache)
+    return list(cache._memory)
 
 
 class TestDigestStability:
     def test_digest_is_process_stable_across_hash_seeds(self):
-        a = _digest_and_rtl_in_subprocess(SRC, "scale_add", "0")
-        b = _digest_and_rtl_in_subprocess(SRC, "scale_add", "424242")
-        assert a[0] == b[0], "IR digest depends on the interpreter hash seed"
+        a = _keys_and_rtl_in_subprocess(SRC, "scale_add", "0")
+        b = _keys_and_rtl_in_subprocess(SRC, "scale_add", "424242")
+        assert a[0] == b[0], "memo keys depend on the interpreter hash seed"
         assert a[1] == b[1], "emitted RTL depends on the interpreter hash seed"
-        assert a[0] == ir_digest(_compile(SRC, "scale_add"))
+        fe_key = fncache.frontend_key(token_fingerprint(clex(SRC)), "scale_add", True)
+        r_key = fncache.result_key(fe_key, directives_file([]), None, 256)
+        assert a[0] == [fe_key, r_key]
+        assert a[0] == _memo_keys(SRC, "scale_add")
 
     def test_semantic_edit_changes_digest(self):
-        base = ir_digest(_compile(SRC, "scale_add"))
-        edited = ir_digest(_compile(SRC.replace("a * 3", "a * 4"), "scale_add"))
-        assert base != edited
+        base = _memo_keys(SRC, "scale_add")
+        edited = _memo_keys(SRC.replace("a * 3", "a * 4"), "scale_add")
+        assert not set(base) & set(edited)
 
     def test_comment_and_whitespace_do_not_change_token_fingerprint(self):
         noisy = SRC.replace(
             "int acc = 0;", "int  acc = 0;  // running total\n    /* x */"
         )
         assert token_fingerprint(clex(SRC)) == token_fingerprint(clex(noisy))
-        assert ir_digest(_compile(SRC, "scale_add")) == ir_digest(
-            _compile(noisy, "scale_add")
-        )
+        assert _memo_keys(SRC, "scale_add") == _memo_keys(noisy, "scale_add")
 
-    def test_canonical_text_renders_every_op(self):
-        fn = _compile(SRC, "scale_add")
-        text = canonical_text(fn)
-        n_ops = sum(len(b.ops) for b in fn.blocks)
-        assert text.count("\n  %") + text.count("\n  !") >= 0  # smoke: renders
-        assert f"func {fn.name}" in text
-        assert len(text.splitlines()) > n_ops  # one line per op plus headers
+    def test_result_key_covers_the_directive_slice(self):
+        plain = _memo_keys(SRC, "scale_add")
+        other_fn = _memo_keys(SRC, "scale_add", [pipeline("other", "i")])
+        piped = _memo_keys(SRC, "scale_add", [pipeline("scale_add", "i")])
+        assert other_fn == plain
+        assert piped[0] == plain[0] and piped[1] != plain[1]
 
 
 class TestFrontendMemo:
@@ -166,6 +168,18 @@ class TestFrontendMemo:
         reference = synthesize_function(edited, "scale_add", cache=None)
         assert r.verilog == reference.verilog
 
+    def test_sibling_edit_recompiles_and_matches_uncached(self):
+        source = SRC + "\nint twice(int x) { return x + x; }\n"
+        cache = fncache.FunctionCache()
+        cold = synthesize_function(source, "scale_add", cache=cache)
+        edited = source.replace("return x + x;", "return x * 3;")
+        r = synthesize_function(edited, "scale_add", cache=cache)
+        # Both keys cover the whole token stream: no stale result served.
+        assert (r.fn_cache_hits, r.fn_cache_misses) == (0, 2)
+        reference = synthesize_function(edited, "scale_add", cache=None)
+        assert r.verilog == reference.verilog == cold.verilog
+        assert r.report.render() == reference.report.render()
+
     def test_disabled_via_environment(self, monkeypatch):
         monkeypatch.setenv("REPRO_HLS_FN_CACHE", "0")
         assert fncache.active_cache() is None
@@ -205,6 +219,12 @@ def _frontend_entries(cache):
     return [v for v in cache._memory.values() if isinstance(v, fncache.FrontendEntry)]
 
 
+def _snapshot(fn):
+    """Content snapshot of a Function — blocks, ops and their attrs,
+    tables and loop flags — through the IR dataclasses' field reprs."""
+    return repr(fn)
+
+
 class TestCachedIrNeverWritten:
     """The front-end entry holds the Function itself, so nothing after
     the front end may write into it: not the loop directives, not
@@ -215,7 +235,7 @@ class TestCachedIrNeverWritten:
 
         reference = _compile(STREAM_SRC, "scale2")
         tag_const_muls(reference)
-        pristine = canonical_text(reference)
+        pristine = _snapshot(reference)
 
         cache = fncache.FunctionCache()
         cold = synthesize_function(
@@ -225,8 +245,7 @@ class TestCachedIrNeverWritten:
         )
         assert (cold.fn_cache_hits, cold.fn_cache_misses) == (0, 2)
         (entry,) = _frontend_entries(cache)
-        assert canonical_text(entry.fn) == pristine
-        assert entry.ir_digest == ir_digest(entry.fn)
+        assert _snapshot(entry.fn) == pristine
 
         warm = synthesize_function(
             STREAM_SRC, "scale2", STREAM_PORTS + [unroll("scale2", "L1", 2)],
@@ -247,7 +266,7 @@ class TestCachedIrNeverWritten:
             result.run(data.copy(), out)
             assert list(out) == [(3 * x + 1) * 5 for x in range(16)]
 
-        assert canonical_text(entry.fn) == pristine
+        assert _snapshot(entry.fn) == pristine
         assert [(lp.pipeline, lp.unroll) for lp in entry.fn.loops] == [
             (False, 1), (False, 1),
         ]
@@ -259,15 +278,14 @@ class TestCachedIrNeverWritten:
             uncached = synthesize_function(STREAM_SRC, "scale2", dirs, cache=None)
             assert served.verilog == uncached.verilog
 
-    def test_tags_are_part_of_the_digest(self):
+    def test_held_ir_is_tagged(self):
         cache = fncache.FunctionCache()
         synthesize_function(SRC, "scale_add", cache=cache)
         (entry,) = _frontend_entries(cache)
         tagged = [
             op for b in entry.fn.blocks for op in b.ops if op.attrs.get("const_operand")
         ]
-        assert tagged, "the front end tags a * 3 before the digest"
-        assert "const_operand=b1" in canonical_text(entry.fn)
+        assert tagged, "the front end tags a * 3 before the entry is stored"
 
     def test_disk_routed_cache_round_trips_the_entry(self, tmp_path):
         cache = fncache.FunctionCache(tmp_path / "fn")
@@ -279,8 +297,8 @@ class TestCachedIrNeverWritten:
         loaded = fresh.get(key, stage="frontend", fn_name="scale2")
         assert isinstance(loaded, fncache.FrontendEntry)
         assert loaded is not entry
-        assert canonical_text(loaded.fn) == canonical_text(entry.fn)
-        assert (loaded.ir_digest, loaded.converged) == (entry.ir_digest, entry.converged)
+        assert _snapshot(loaded.fn) == _snapshot(entry.fn)
+        assert loaded.converged == entry.converged
 
         again = synthesize_function(
             STREAM_SRC, "scale2", STREAM_PORTS + [pipeline("scale2", "L1")], cache=fresh
@@ -292,21 +310,21 @@ class TestCachedIrNeverWritten:
         assert again.verilog == uncached.verilog
         assert again.report.render() == uncached.report.render()
 
-    def test_version_1_keys_are_never_served(self, monkeypatch):
+    def test_version_2_keys_are_never_served(self, monkeypatch):
         cache = fncache.FunctionCache()
         token_fp = token_fingerprint(clex(SRC))
         current = fncache.frontend_key(token_fp, "scale_add", True)
-        # Poison every slot a version-1 layout would have used.
-        decoy_fn = _compile("int scale_add(int a, int b) { return a - b; }", "scale_add")
-        decoy = fncache.FrontendEntry(decoy_fn, True, ir_digest(decoy_fn))
-        monkeypatch.setattr(fncache, "FN_CACHE_VERSION", "1")
+        # Poison both slots a version-2 layout would have used.
+        decoy_src = "int scale_add(int a, int b) { return a - b; }"
+        decoy = fncache.FrontendEntry(_compile(decoy_src, "scale_add"), True)
+        decoy_result = synthesize_function(decoy_src, "scale_add", cache=None)
+        monkeypatch.setattr(fncache, "FN_CACHE_VERSION", "2")
         old_fe = fncache.frontend_key(token_fp, "scale_add", True)
         cache.put(old_fe, decoy, stage="frontend", fn_name="scale_add")
-        reference = synthesize_function(SRC, "scale_add", cache=None)
-        entry_v1 = _compile(SRC, "scale_add")  # a version-1 entry: untagged IR
-        old_result = fncache.result_key(ir_digest(entry_v1), "", None, 256)
-        cache.put(old_result, reference, stage="result", fn_name="scale_add")
+        old_result = fncache.result_key(old_fe, directives_file([]), None, 256)
+        cache.put(old_result, decoy_result, stage="result", fn_name="scale_add")
         monkeypatch.undo()
+        reference = synthesize_function(SRC, "scale_add", cache=None)
 
         assert old_fe != current
         served = synthesize_function(SRC, "scale_add", cache=cache)
@@ -407,6 +425,17 @@ class TestPersistence:
             "hits": 0, "misses": 0, "stores": 0,
         }
 
+    def test_memory_bound_holds_with_a_disk_tier(self, tmp_path):
+        cache = fncache.FunctionCache(tmp_path / "fn", memory_entries=4)
+        for k in range(6):
+            synthesize_function(SRC.replace("a * 3", f"a * {k + 3}"), "scale_add",
+                                cache=cache)
+        assert cache.stats.stores == 12
+        # The LRU is the only in-process copy; the disk tier keeps none.
+        held = len(cache._memory) + len(cache._store._memory)
+        assert held <= 4
+        assert len(cache._store) == 12
+
     def test_scrub_resets_hit_rate_window(self, tmp_path):
         cache = fncache.FunctionCache(tmp_path / "fn")
         synthesize_function(SRC, "scale_add", cache=cache)
@@ -458,3 +487,56 @@ class TestFlowDifferential:
         assert set(timing["fn_cache"]) == {"hits", "misses"}
         assert all("fn_cache_hits" in core for core in timing["cores"])
         assert (tmp_path / "cache" / "fn").is_dir()
+
+
+class TestCachePassedByArgument:
+    def test_overlapping_flows_keep_their_own_stores(self, tmp_path, monkeypatch):
+        from repro.apps.generator import random_task_graph
+        from repro.flow import FlowConfig, run_flow
+        from repro.hls.project import HlsProject
+
+        monkeypatch.delenv("REPRO_HLS_FN_CACHE", raising=False)
+        graph, sources = random_task_graph(
+            stream_depth=16, seed=5, lite_nodes=1, stream_chains=1, chain_length=2
+        )
+        # Both flows are inside their first core synthesis at once.
+        barrier = threading.Barrier(2, timeout=60)
+        first_call = threading.local()
+        csynth = HlsProject.csynth
+
+        def overlapping_csynth(self, **kwargs):
+            if not getattr(first_call, "done", False):
+                first_call.done = True
+                barrier.wait()
+            return csynth(self, **kwargs)
+
+        monkeypatch.setattr(HlsProject, "csynth", overlapping_csynth)
+        dirs = {tag: str(tmp_path / tag / "fn") for tag in ("a", "b")}
+        results, errors = {}, []
+
+        def build(tag):
+            try:
+                config = FlowConfig(
+                    cache_dir=None, check_tcl=False, fn_cache_dir=dirs[tag]
+                )
+                results[tag] = run_flow(graph, sources, config=config)
+            except Exception as exc:  # surfaced below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=build, args=(t,)) for t in dirs]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors, errors
+
+        for tag, fn_dir in dirs.items():
+            timing = results[tag].timing
+            stats = fncache.cache_at(fn_dir).stats
+            assert (stats.hits, stats.misses) == (
+                timing.fn_cache_hits, timing.fn_cache_misses,
+            )
+            assert stats.stores == 2 * len(results[tag].cores)
+        assert fncache.active_cache() is fncache._DEFAULT
+        assert results["a"].bitstream.digest == results["b"].bitstream.digest

@@ -103,8 +103,8 @@ def test_parallel_build_emits_from_worker_threads(tmp_path):
     ]
 
     def build(i):
-        # Like a service job: a per-job build cache passed in, while the
-        # process-wide function memo stays unrouted.
+        # Like a service job: a per-job build cache passed in, while
+        # both flows share the process-default function memo.
         graph, sources = designs[i]
         return run_flow(
             graph, sources,

@@ -261,8 +261,6 @@ class TestBuildService:
         assert a.job_id != b.job_id  # separate job records
         assert a.state == b.state == "done"
         assert a.artifact_digest == b.artifact_digest  # shared content
-        cache = svc.store.cache_for("alice")
-        assert sorted(cache.tenants()) == ["alice", "bob"]
 
     def test_failure_attributed_to_hls_breaker(self, tmp_path):
         svc = BuildService(tmp_path, workers=1)
