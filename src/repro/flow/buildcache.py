@@ -25,11 +25,12 @@ leaves no partial entry.
 The cache is safe to share between concurrent flows *and between
 concurrent processes*: an entry is written only after its
 synthesis completed successfully, and every mutating operation (store,
-LRU eviction, quarantine, scrub) holds a cross-process ``flock`` on
+quarantine, scrub, clear) holds a cross-process ``flock`` on
 ``<dir>/lock`` (bounded wait — :class:`~repro.util.errors.CacheLockTimeout`
 after *lock_timeout_s*).  Reads stay lock-free: they verify the
-integrity header and fall back to a rebuild if a concurrent eviction
-snatched the file mid-read, so no reader can ever observe a torn entry.
+integrity header and fall back to a rebuild if a peer removed the file
+mid-read, so no reader can ever observe a torn entry.  The store is
+unbounded: nothing evicts an entry.
 :meth:`BuildCache.scrub` walks every entry, quarantines the corrupt
 ones and reports — the engine behind ``repro cachecheck``.
 """
@@ -93,7 +94,7 @@ class FileLock:
     """Reentrant, cross-process advisory lock on one path (``flock``).
 
     One instance guards one :class:`BuildCache`; re-acquiring from the
-    same instance (e.g. ``put`` → ``_evict``) just bumps a depth
+    same instance (``scrub`` → ``_drop_corrupt``) just bumps a depth
     counter, while a second process — or a second instance in this
     process — contends on the OS lock.  Acquisition polls with a
     *timeout_s* bound and raises :class:`CacheLockTimeout` instead of
@@ -156,7 +157,6 @@ class CacheStats:
     hits: int = 0
     misses: int = 0
     stores: int = 0
-    evictions: int = 0
     corrupt: int = 0
 
     def as_dict(self) -> dict[str, int]:
@@ -164,7 +164,6 @@ class CacheStats:
             "hits": self.hits,
             "misses": self.misses,
             "stores": self.stores,
-            "evictions": self.evictions,
             "corrupt": self.corrupt,
         }
 
@@ -178,9 +177,6 @@ class ScrubReport:
     quarantined: list[str] = field(default_factory=list)
     #: Keys already sitting in quarantine before this pass.
     quarantine_backlog: int = 0
-    #: Entries removed by the scrub because the store was over its
-    #: configured ``max_entries`` bound.
-    evicted: int = 0
 
     @property
     def healthy(self) -> bool:
@@ -194,7 +190,6 @@ class ScrubReport:
             "quarantined": sorted(self.quarantined),
             "quarantined_count": len(self.quarantined),
             "quarantine_backlog": self.quarantine_backlog,
-            "evicted": self.evicted,
             "healthy": self.healthy,
         }
 
@@ -204,9 +199,6 @@ class ScrubReport:
             f"{len(self.quarantined)} quarantined"
             + (f" ({self.quarantine_backlog} already in quarantine)"
                if self.quarantine_backlog else "")
-            + (f", {self.evicted} over-bound entr"
-               f"{'y' if self.evicted == 1 else 'ies'} evicted"
-               if self.evicted else "")
         ]
         for key in self.quarantined:
             lines.append(f"  quarantined {key}")
@@ -216,29 +208,25 @@ class ScrubReport:
 class BuildCache:
     """Content-addressed store of picklable build artifacts.
 
-    *cache_dir* ``None`` keeps everything in memory (useful for tests and
-    one-shot runs); otherwise entries persist on disk and survive the
-    process.  *max_entries* bounds the on-disk entry count: after a
-    store, the least-recently-used entries (by mtime — reads touch their
-    file) are evicted until the bound holds.
-
-    Two tiers: :meth:`read`/:meth:`write` are the disk tier alone, and
-    :meth:`get`/:meth:`put` keep an in-memory copy of every entry on top
-    of them.  A caller with its own bounded memory (the per-function
-    memo) uses the disk tier directly.
+    One tier per instance: *cache_dir* ``None`` keeps the store in a
+    dict (tests, one-shot runs, the four case-study builds sharing their
+    cores); otherwise the store is the directory alone, persists across
+    processes and keeps no in-memory copy.  :meth:`read`/:meth:`write`
+    are the store; :meth:`get`/:meth:`put` wrap them with the hit/miss
+    counters and ``cache.*`` events.  The per-function memo, which
+    keeps its own bounded LRU, goes through :meth:`read`/:meth:`write`.
     """
 
     def __init__(
         self,
         cache_dir: str | os.PathLike | None = None,
         *,
-        max_entries: int | None = None,
         lock_timeout_s: float = 10.0,
     ) -> None:
         self.dir = Path(cache_dir) if cache_dir is not None else None
         self.root = self.dir / "objects" if self.dir is not None else None
-        self.max_entries = max_entries
         self.stats = CacheStats()
+        #: The whole store when there is no directory; unused otherwise.
         self._memory: dict[str, object] = {}
         self._lock = (
             FileLock(self.dir / "lock", lock_timeout_s) if self.dir is not None else None
@@ -265,62 +253,54 @@ class BuildCache:
         return len(self._entry_files())
 
     def __contains__(self, key: str) -> bool:
-        if key in self._memory:
-            return True
-        return self.root is not None and self._path(key).exists()
+        if self.root is None:
+            return key in self._memory
+        return self._path(key).exists()
 
     # -- read --------------------------------------------------------------
     def get(self, key: str) -> object | None:
         """Return the cached value for *key* or ``None`` (counted as a miss).
 
         A corrupted on-disk entry — bad magic, digest mismatch, truncated
-        or unpicklable payload — is deleted, counted in ``stats.corrupt``
-        and reported as a miss, so the caller rebuilds instead of using it.
+        or unpicklable payload — is quarantined, counted in
+        ``stats.corrupt`` and reported as a miss, so the caller rebuilds
+        instead of using it.
         """
-        if key in self._memory:
-            self.stats.hits += 1
-            self._observe("hit", key, tier="memory")
-            return self._memory[key]
         value = self.read(key)
         if value is not None:
-            self._memory[key] = value
             self.stats.hits += 1
-            self._observe("hit", key, tier="disk")
+            self._observe("hit", key)
             return value
         self.stats.misses += 1
         self._observe("miss", key)
         return None
 
-    def _observe(self, what: str, key: str, **fields) -> None:
+    def _observe(self, what: str, key: str) -> None:
         """Emit a ``cache.*`` event + counters (no-op when obs is off).
 
         The invariant the harness checks: ``cache.hits + cache.misses ==
-        cache.lookups`` — every lookup resolves to exactly one of the
-        two, and evictions are counted separately.
+        cache.lookups`` — every lookup resolves to exactly one of the two.
         """
         if not _BUS.enabled:
             return
-        _BUS.emit(f"cache.{what}", key[:16], **fields)
-        if what in ("hit", "miss"):
-            _METRICS.counter("cache.lookups", "cache get() calls").inc()
-        counter = {
-            "hit": ("cache.hits", "lookups served from the cache"),
-            "miss": ("cache.misses", "lookups that found nothing"),
-            "evict": ("cache.evictions", "LRU entries evicted"),
-        }[what]
-        _METRICS.counter(*counter).inc()
+        _BUS.emit(f"cache.{what}", key[:16])
+        _METRICS.counter("cache.lookups", "cache get() calls").inc()
+        if what == "hit":
+            _METRICS.counter("cache.hits", "lookups served from the cache").inc()
+        else:
+            _METRICS.counter("cache.misses", "lookups that found nothing").inc()
 
     def read(self, key: str) -> object | None:
-        """The disk tier alone: the entry for *key*, or ``None`` — never
-        stored, concurrently evicted, or corrupt (then quarantined)."""
+        """The entry for *key*, or ``None`` — never stored, removed by a
+        peer, or corrupt (then quarantined).  Uncounted."""
         if self.root is None:
-            return None
+            return self._memory.get(key)
         path = self._path(key)
         try:
             raw = path.read_bytes()
         except OSError:
-            # Concurrently evicted (or never stored) — a plain miss, so
-            # the caller rebuilds instead of raising mid-flow.
+            # Never stored (or removed by a peer) — a plain miss, so the
+            # caller rebuilds instead of raising mid-flow.
             return None
         payload = self._checked_payload(raw)
         if payload is None:
@@ -331,10 +311,6 @@ class BuildCache:
         except Exception:
             self._drop_corrupt(path)
             return None
-        try:
-            os.utime(path)  # LRU touch
-        except OSError:
-            pass
         return value
 
     @staticmethod
@@ -381,14 +357,14 @@ class BuildCache:
 
     # -- write -------------------------------------------------------------
     def put(self, key: str, value: object) -> None:
-        """Store *value* under *key* in memory and on disk."""
-        self._memory[key] = value
+        """Store *value* under *key* (counted)."""
         self.stats.stores += 1
         self.write(key, value)
 
     def write(self, key: str, value: object) -> None:
-        """The disk tier alone: store atomically, then evict over-bound."""
+        """Store *value* under *key*; on disk atomically.  Uncounted."""
         if self.root is None:
+            self._memory[key] = value
             return
         payload = pickle.dumps(value)
         blob = _MAGIC + hashlib.sha256(payload).hexdigest().encode() + b"\n" + payload
@@ -406,32 +382,6 @@ class BuildCache:
                 except OSError:
                     pass
                 raise
-            self._evict()
-
-    def _evict(self) -> None:
-        """Evict LRU entries over *max_entries*, under the process lock.
-
-        Two concurrent processes sharing one cache dir used to race
-        here: one could unlink an entry the other was about to read.
-        The lock serializes evictions against stores; readers stay
-        lock-free and treat a snatched file as a miss (rebuild), never
-        an error.
-        """
-        if self.max_entries is None or self.root is None:
-            return
-        with self._locked():
-            files = self._entry_files()
-            if len(files) <= self.max_entries:
-                return
-            files.sort(key=lambda p: (p.stat().st_mtime, p.name))
-            for path in files[: len(files) - self.max_entries]:
-                try:
-                    path.unlink()
-                except OSError:
-                    continue
-                self._memory.pop(path.name, None)
-                self.stats.evictions += 1
-                self._observe("evict", path.name)
 
     # -- maintenance -------------------------------------------------------
     def scrub(self) -> ScrubReport:
@@ -466,15 +416,8 @@ class BuildCache:
                 if ok:
                     report.ok += 1
                 else:
-                    self._memory.pop(path.name, None)
                     self._drop_corrupt(path)
                     report.quarantined.append(path.name)
-            # Eviction leg: a bounded store scrubbed over its bound (e.g.
-            # after a max_entries change) trims back down here.
-            if self.max_entries is not None:
-                before = self.stats.evictions
-                self._evict()
-                report.evicted = self.stats.evictions - before
         return report
 
     def quarantined_keys(self) -> list[str]:

@@ -13,19 +13,17 @@ DSL keyword is an executable function:
 8. ``tg end_edges`` → integration, tcl generation, the (simulated)
    implementation up to the bitstream, then API/boot generation.
 
-Cores already synthesized in a previous run can be supplied through
-``core_cache`` — the case study builds Arch4 first and reuses its cores,
-"the generation of the hardware cores is done only once for each
-function" (Section VI-B).  Reuse is verified by *content*, not name: a
-cached core is taken only when its source, directives and backend match
-the node being built (see :mod:`repro.flow.buildcache`), so two cores
-that merely share a function name never alias.
-
-Step 4 is the only place a core is synthesized, in declaration order.
-With ``cache_dir`` set, artifacts persist in a content-addressed
-on-disk cache across processes; cold and warm cached runs produce
-byte-identical artifacts to an uncached run — proven by the
-differential suite in ``tests/test_flow_parallel.py``.
+Step 4 is the only place a core is synthesized, in declaration order,
+and whole-core reuse has one path: the content-addressed
+:class:`~repro.flow.buildcache.BuildCache`.  A core is reused only when
+its source, directives and backend digest to a stored key, so two cores
+that merely share a function name never alias.  The case study builds
+Arch4 first and shares one store across the four builds — "the
+generation of the hardware cores is done only once for each function"
+(Section VI-B).  With ``cache_dir`` set the store persists on disk
+across processes; cold and warm cached runs produce byte-identical
+artifacts to an uncached run — proven by the differential suite in
+``tests/test_flow_parallel.py``.
 """
 
 from __future__ import annotations
@@ -50,7 +48,7 @@ from repro.tcl.backends import VivadoBackend, Vivado2015_3
 from repro.tcl.generate import generate_hls_tcl, generate_system_tcl
 from repro.tcl.runner import TclRunner
 from repro.tcl.script import TclScript
-from repro.flow.buildcache import ENGINE_VERSION, BuildCache, cache_key
+from repro.flow.buildcache import ENGINE_VERSION, BuildCache
 from repro.flow.crashpoints import crashpoint
 from repro.flow.journal import RunJournal, stable_digest
 from repro.flow.timing import CoreTrace, FlowTiming, TimingModel
@@ -141,14 +139,12 @@ class FlowHooks(ActionHooks):
         c_sources: dict[str, str],
         *,
         extra_directives: dict[str, list[Directive]] | None = None,
-        core_cache: dict[str, CoreBuild] | None = None,
         config: FlowConfig | None = None,
         build_cache: BuildCache | None = None,
         journal: RunJournal | None = None,
     ) -> None:
         self.c_sources = c_sources
         self.extra_directives = extra_directives or {}
-        self.core_cache = core_cache or {}
         self.config = config or FlowConfig()
         if build_cache is None and self.config.cache_dir is not None:
             build_cache = BuildCache(self.config.cache_dir)
@@ -185,11 +181,7 @@ class FlowHooks(ActionHooks):
         # is decided at ``end`` by comparing content, not names.
         source = self.c_sources.get(name)
         if source is None:
-            cached = self.core_cache.get(name)
-            if cached is not None and cached.c_source:
-                source = cached.c_source  # Section VI-B reuse without re-supplying C
-            else:
-                raise FlowError(f"no C source supplied for node {name!r}")
+            raise FlowError(f"no C source supplied for node {name!r}")
         self._project = HlsProject(name).add_files(source).set_top(name)
         for d in self.extra_directives.get(name, []):
             self._project.add_directive(d)
@@ -203,20 +195,14 @@ class FlowHooks(ActionHooks):
         self._project.add_directive(interface(node, port.name, mode))
 
     def on_node_end(self, graph: TgGraph, node: NodeDecl) -> None:
-        # Step 4: invoke HLS synthesis for this core — unless an entry
-        # with the same content digest already exists somewhere.
+        # Step 4: invoke HLS synthesis for this core — unless the build
+        # cache holds an entry with the same content digest.
         project = self._project
         assert project is not None
         self._project = None
         key = project.content_key(self.config.backend.version)
 
         step = f"hls:{node.name}"
-        cached = self.core_cache.get(node.name)
-        if cached is not None and self._content_matches(cached, key):
-            self._journal_commit(step, key)
-            self._reuse(node.name, cached, key, source="memo")
-            return
-
         if self.build_cache is not None:
             hit = self.build_cache.get(key)
             if hit is not None:
@@ -227,7 +213,7 @@ class FlowHooks(ActionHooks):
                     # promise, so the resume skips the synthesis.
                     self.timing.steps_skipped += 1
                 self._journal_commit(step, key)
-                self._reuse(node.name, hit, key, source="cache")
+                self._reuse(node.name, hit, key)
                 return
             self.timing.cache_misses += 1
 
@@ -250,21 +236,9 @@ class FlowHooks(ActionHooks):
         if self.journal is not None and not self.journal.committed(step, digest):
             self.journal.step_commit(step, digest)
 
-    def _content_matches(self, cached: CoreBuild, key: str) -> bool:
-        """A name-cache entry is reused only if its content digest agrees."""
-        if not cached.c_source:
-            return False  # nothing to verify against — never trust a bare name
-        cached_key = cached.key or cache_key(
-            cached.name,
-            cached.c_source,
-            cached.directives_tcl,
-            self.config.backend.version,
-        )
-        return cached_key == key
-
-    def _reuse(self, name: str, cached: CoreBuild, key: str, *, source: str) -> None:
+    def _reuse(self, name: str, cached: CoreBuild, key: str) -> None:
         if _BUS.enabled:
-            _BUS.emit("flow.step", f"hls:{name}", source=source)
+            _BUS.emit("flow.step", f"hls:{name}", source="cache")
             _METRICS.counter("flow.steps_reused", "steps satisfied without work").inc()
         self.cores[name] = CoreBuild(
             name=name,
@@ -277,7 +251,7 @@ class FlowHooks(ActionHooks):
             key=key,
         )
         self.timing.hls_cores[name] = 0.0
-        self.timing.trace.append(CoreTrace(name, 0.0, source=source))
+        self.timing.trace.append(CoreTrace(name, 0.0, source="cache"))
 
     def _finish_core(
         self,
@@ -432,7 +406,6 @@ def run_flow(
     c_sources: dict[str, str],
     *,
     extra_directives: dict[str, list[Directive]] | None = None,
-    core_cache: dict[str, CoreBuild] | None = None,
     config: FlowConfig | None = None,
     build_cache: BuildCache | None = None,
     journal: RunJournal | str | os.PathLike | None = None,
@@ -460,7 +433,6 @@ def run_flow(
     hooks = FlowHooks(
         c_sources,
         extra_directives=extra_directives,
-        core_cache=core_cache,
         config=config,
         build_cache=build_cache,
         journal=journal,
@@ -477,7 +449,6 @@ def resume_flow(
     *,
     journal: RunJournal | str | os.PathLike,
     extra_directives: dict[str, list[Directive]] | None = None,
-    core_cache: dict[str, CoreBuild] | None = None,
     config: FlowConfig | None = None,
     build_cache: BuildCache | None = None,
 ) -> FlowResult:
@@ -496,7 +467,6 @@ def resume_flow(
         description,
         c_sources,
         extra_directives=extra_directives,
-        core_cache=core_cache,
         config=config,
         build_cache=build_cache,
         journal=journal,

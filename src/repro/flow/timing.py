@@ -25,9 +25,8 @@ PHASES = ("SCALA", "HLS", "PROJECT", "SYNTH")
 class CoreTrace:
     """How one core's build was satisfied — the per-core Fig. 9 record.
 
-    *source* is ``synth`` (HLS ran), ``memo`` (reused from the caller's
-    name-keyed ``core_cache`` after a content match) or ``cache`` (hit in
-    the persistent content-addressed build cache).
+    *source* is ``synth`` (HLS ran) or ``cache`` (reused from the
+    content-addressed build cache).
     """
 
     name: str

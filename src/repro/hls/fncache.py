@@ -29,9 +29,9 @@ artifact (the differential suite in ``tests/test_fncache.py`` and
 ``benchmarks/bench_hls.py`` prove it end to end).
 
 The in-process copy is one bounded LRU per :class:`FunctionCache`.
-With a directory, entries also persist through the disk tier of a
+With a directory, entries also persist in a disk-backed
 :class:`BuildCache` (integrity headers, quarantine-on-corruption,
-cross-process locking, scrub) — the flow roots it at
+cross-process locking, scrub; unbounded) — the flow roots it at
 ``<flow cache dir>/fn``.  Callers pass the cache explicitly;
 :func:`cache_at` hands out the one instance per directory and
 ``REPRO_HLS_FN_CACHE=0`` disables the layer (the differential legs
@@ -145,10 +145,10 @@ class FunctionCache:
 
     In-process entries live in one bounded LRU (``memory_entries``) —
     the only in-process copy.  With *cache_dir* set, entries also
-    persist through the disk tier of a
+    persist in a disk-backed
     :class:`~repro.flow.buildcache.BuildCache` (same integrity header,
-    quarantine and locking discipline as the whole-core cache;
-    *max_entries* bounds it) and cumulative hit/miss counters persist
+    quarantine and locking discipline as the whole-core cache, and
+    likewise unbounded) and cumulative hit/miss counters persist
     in ``<dir>/stats.json`` so ``repro cachecheck`` can report a hit
     rate across processes.
     """
@@ -157,7 +157,6 @@ class FunctionCache:
         self,
         cache_dir: str | os.PathLike | None = None,
         *,
-        max_entries: int | None = 4096,
         memory_entries: int = 256,
     ) -> None:
         self.cache_dir = cache_dir
@@ -175,7 +174,7 @@ class FunctionCache:
         if cache_dir is not None:
             from repro.flow.buildcache import BuildCache  # lazy: layer cycle
 
-            self._store = BuildCache(cache_dir, max_entries=max_entries)
+            self._store = BuildCache(cache_dir)
 
     # -- lookup ------------------------------------------------------------
     def get(self, key: str, *, stage: str, fn_name: str) -> object | None:

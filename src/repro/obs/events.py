@@ -39,7 +39,6 @@ CATEGORIES = frozenset(
         "flow.step",
         "cache.hit",
         "cache.miss",
-        "cache.evict",
         "journal.intent",
         "journal.commit",
         "sim.phase",

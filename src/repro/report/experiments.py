@@ -1,9 +1,10 @@
 """Regeneration of the paper's tables and figures (Section VI).
 
 ``build_all_architectures`` runs the flow for Arch1-4 the way the paper
-did — Arch4 first, reusing its synthesized cores for the other three —
-and the per-artifact functions derive Table I, Table II, Fig. 7, Fig. 9
-and Fig. 10 from those builds.
+did — Arch4 first, with one content-addressed build cache shared by all
+four, so the other three reuse its synthesized cores — and the
+per-artifact functions derive Table I, Table II, Fig. 7, Fig. 9 and
+Fig. 10 from those builds.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 from repro.apps.otsu import ARCHITECTURES, OtsuApplication, build_otsu_app
 from repro.apps.otsu.csrc import ACTOR_TO_TABLE1
 from repro.flow.buildcache import BuildCache
-from repro.flow.orchestrator import CoreBuild, FlowConfig, FlowResult, run_flow
+from repro.flow.orchestrator import FlowConfig, FlowResult, run_flow
 from repro.util.text import format_table
 
 #: The four architectures of Table I.
@@ -50,32 +51,25 @@ def build_all_architectures(
 ) -> dict[int, ArchBuild]:
     """Run the flow for Arch1-4, Arch4 first with core reuse (Section VI-B).
 
-    *cache_dir* is a convenience that builds a :class:`FlowConfig` when
-    *config* is not given; one :class:`BuildCache` instance is shared
-    across the four builds so later architectures hit the artifacts the
-    earlier ones stored.
+    One :class:`BuildCache` on ``config.cache_dir`` (in memory when that
+    is ``None``) is shared across the four builds, so Arch1-3 reuse the
+    cores Arch4 synthesized.  *cache_dir* is a convenience that builds a
+    :class:`FlowConfig` when *config* is not given; with neither, the
+    environment default of :class:`FlowConfig` applies.
     """
-    if config is None and cache_dir is not None:
-        config = FlowConfig(cache_dir=cache_dir)
-    build_cache = (
-        BuildCache(config.cache_dir)
-        if config is not None and config.cache_dir is not None
-        else None
-    )
+    if config is None:
+        config = FlowConfig() if cache_dir is None else FlowConfig(cache_dir=cache_dir)
+    build_cache = BuildCache(config.cache_dir)
     builds: dict[int, ArchBuild] = {}
-    core_cache: dict[str, CoreBuild] = {}
     for arch in (4, 1, 2, 3):
         app = build_otsu_app(arch, width=width, height=height)
         flow = run_flow(
             app.dsl_graph(),
             app.c_sources,
             extra_directives=app.extra_directives,
-            core_cache=core_cache,
             config=config,
             build_cache=build_cache,
         )
-        if arch == 4:
-            core_cache.update(flow.cores)
         builds[arch] = ArchBuild(app, flow)
     return builds
 

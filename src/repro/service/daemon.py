@@ -379,7 +379,7 @@ class BuildService:
         if degraded is not None:
             return degraded
 
-        cache = self.store.cache_for(tenant)
+        cache = self.store.cache_for()
         journal = RunJournal(self.store.journal_path(tenant, job_id))
         out_dir = self.store.out_dir(tenant, job_id)
         config = FlowConfig(check_tcl=self.check_tcl)

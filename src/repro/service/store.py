@@ -134,9 +134,9 @@ class JobStore:
     def sim_path(self, tenant: str, job_id: str) -> Path:
         return self.job_dir(tenant, job_id) / _SIM_FILE
 
-    def cache_for(self, tenant: str) -> BuildCache:
-        """The object store *tenant*'s jobs build through — one store
-        shared by every tenant, so identical cores are built once."""
+    def cache_for(self) -> BuildCache:
+        """The object store every job builds through — one store shared
+        by every tenant, so identical cores are built once."""
         return BuildCache(self.cache_root)
 
     # -- admission intent --------------------------------------------------

@@ -30,37 +30,13 @@ class HlsRunResult:
 class HlsTclRunner:
     """Executes one HLS project script relative to *root* on disk.
 
-    With *cache* (a :class:`repro.flow.buildcache.BuildCache`) the
-    re-run is content-addressed like the flow itself: a script whose
-    source + directives digest hits the cache returns the stored
-    :class:`SynthesisResult` instead of re-running the HLS engine —
-    the replay path of a materialized workspace stays warm too.
+    Every ``csynth_design`` re-runs the HLS engine; the per-function
+    memo (:mod:`repro.hls.fncache`) keeps a replay of unchanged
+    functions warm.
     """
 
-    def __init__(
-        self, root: str | Path, *, cache=None, backend_version: str = ""
-    ) -> None:
+    def __init__(self, root: str | Path) -> None:
         self.root = Path(root)
-        self.cache = cache
-        self.backend_version = backend_version
-
-    def _synthesize(
-        self, sources: list[str], top: str, directives: list[Directive]
-    ) -> SynthesisResult:
-        if self.cache is None:
-            return synthesize_function("\n".join(sources), top, directives)
-        from repro.flow.buildcache import cache_key  # lazy: avoid layer cycle
-        from repro.hls.interfaces import directives_file
-
-        key = cache_key(
-            top, "\n".join(sources), directives_file(directives), self.backend_version
-        )
-        hit = self.cache.get(key)
-        if hit is not None:
-            return hit
-        result = synthesize_function("\n".join(sources), top, directives)
-        self.cache.put(key, result)
-        return result
 
     def execute(self, script_text: str) -> HlsRunResult:
         project: str | None = None
@@ -89,7 +65,7 @@ class HlsTclRunner:
             elif cmd == "csynth_design":
                 if top is None or not sources:
                     raise TclError("csynth_design before set_top/add_files")
-                result = self._synthesize(sources, top, directives)
+                result = synthesize_function("\n".join(sources), top, directives)
                 synthesized = HlsRunResult(
                     project or top, top, result, list(directives)
                 )

@@ -5,7 +5,6 @@ processes), must change whenever any input changes, and the store must
 detect — never serve — a corrupted entry.
 """
 
-import os
 import pickle
 import random
 
@@ -162,19 +161,6 @@ class TestBuildCacheStore:
             assert cache.get(key) is None
         assert cache.stats.corrupt == 1
 
-    def test_eviction_is_lru_and_counted(self, tmp_path):
-        cache = BuildCache(tmp_path, max_entries=3)
-        keys = [_key(name=f"core{i}") for i in range(5)]
-        for i, key in enumerate(keys):
-            cache.put(key, i)
-            os.utime(cache._path(key), (1000 + i, 1000 + i))
-        cache._evict()
-        assert len(cache) == 3
-        assert cache.stats.evictions >= 2
-        survivors = BuildCache(tmp_path)
-        assert survivors.get(keys[0]) is None  # oldest gone
-        assert survivors.get(keys[4]) == 4  # newest kept
-
     def test_contains_and_clear(self, tmp_path):
         cache = BuildCache(tmp_path)
         key = _key()
@@ -189,12 +175,20 @@ class TestCacheHardening:
     """Cross-process locking, corruption quarantine, and scrubbing."""
 
     def test_lock_is_reentrant_within_one_cache(self, tmp_path):
-        # put() holds the lock and calls _evict(), which re-acquires —
-        # a non-reentrant lock would deadlock right here.
-        cache = BuildCache(tmp_path, max_entries=2)
-        for i in range(5):
-            cache.put(_key(name=f"core{i}"), i)
-        assert len(cache) <= 2
+        # scrub() holds the lock and quarantines a corrupt entry through
+        # _drop_corrupt(), which re-acquires — a non-reentrant lock
+        # would deadlock (time out) right here.
+        cache = BuildCache(tmp_path, lock_timeout_s=0.2)
+        keys = [_key(name=f"core{i}") for i in range(3)]
+        for i, key in enumerate(keys):
+            cache.put(key, i)
+        cache._path(keys[0]).write_bytes(b"junk")
+        with pytest.warns(CacheIntegrityWarning):
+            report = cache.scrub()
+        assert report.quarantined == [keys[0]] and report.ok == 2
+        assert cache.quarantined_keys() == [keys[0]]
+        # Fully released: a second instance locks at once.
+        BuildCache(tmp_path, lock_timeout_s=0.2).put(_key(name="other"), 3)
 
     def test_lock_contention_times_out(self, tmp_path):
         holder = FileLock(tmp_path / "lock", timeout_s=5.0)
@@ -217,10 +211,12 @@ class TestCacheHardening:
         cache = BuildCache(tmp_path)
         key = _key()
         cache.put(key, "value")
-        cache._memory.clear()
-        # Simulate the peer process's LRU eviction winning the race.
+        # Simulate a peer process removing the entry (clear()) mid-read.
+        # The disk store keeps no memory copy, so even the instance that
+        # stored the entry has nothing left to answer with.
         cache._path(key).unlink()
         assert cache.get(key) is None  # rebuild, never a raise
+        assert key not in cache and len(cache) == 0
         assert cache.stats.misses == 1 and cache.stats.corrupt == 0
 
     def test_scrub_quarantines_and_reports(self, tmp_path):

@@ -115,7 +115,7 @@ class TestStealAndResume:
                     spec.dsl,
                     dict(spec.sources),
                     config=FlowConfig(check_tcl=False),
-                    build_cache=store.cache_for(tenant),
+                    build_cache=store.cache_for(),
                     journal=journal,
                 )
         journal.close()

@@ -125,6 +125,36 @@ class TestFig9:
         for row in f9.breakdown.values():
             assert row["SYNTH"] > row["PROJECT"] > row["SCALA"]
 
+    def test_default_build_reuses_arch4_cores_through_the_cache(self, monkeypatch):
+        """With no config, the four builds share one build cache: Arch1-3
+        take Arch4's cores from it, and the modeled breakdown is the one
+        the name-keyed reuse produced (a reused core costs 0 s)."""
+        monkeypatch.delenv("REPRO_FLOW_CACHE_DIR", raising=False)
+        default = build_all_architectures(width=24, height=24)
+        for arch in (1, 2, 3):
+            assert all(core.reused for core in default[arch].flow.cores.values())
+        assert not any(core.reused for core in default[4].flow.cores.values())
+        f9 = regenerate_fig9(default)
+        assert f9.breakdown == {
+            1: {"SCALA": 5.9, "HLS": 0.0, "PROJECT": 50.1, "SYNTH": 402.9},
+            2: {"SCALA": 5.9, "HLS": 0.0, "PROJECT": 50.1, "SYNTH": 496.9},
+            3: {"SCALA": 5.9, "HLS": 0.0, "PROJECT": 51.4, "SYNTH": 529.5},
+            4: {"SCALA": 6.1, "HLS": 231.9, "PROJECT": 54.3, "SYNTH": 607.7},
+        }
+        assert f9.cores[1] == [
+            {"name": "computeHistogram", "seconds": 0.0, "source": "cache",
+             "fn_cache_hits": 0},
+        ]
+        assert [c["name"] for c in f9.cores[3]] == [
+            "computeHistogram", "halfProbability",
+        ]
+        for arch in (1, 2, 3):
+            assert all(c["source"] == "cache" for c in f9.cores[arch])
+        assert all(c["source"] == "synth" for c in f9.cores[4])
+        assert f9.cache[4] == {"hits": 0, "misses": 4}
+        assert f9.cache_hits == 4
+        assert f"{f9.total_minutes:.1f}" == "41.6"
+
     def test_cold_builds_carry_no_resume_flag(self, builds):
         f9 = regenerate_fig9(builds)
         assert set(f9.resume) == {1, 2, 3, 4}

@@ -12,6 +12,7 @@ from repro.flow import (
     run_flow,
     sdsoc_flow,
 )
+from repro.flow.buildcache import BuildCache
 from repro.flow.orchestrator import FlowHooks
 from repro.flow.timing import TimingModel
 from repro.tcl.backends import Vivado2014_2
@@ -54,9 +55,12 @@ class TestRunFlow:
 
     def test_core_cache_reuse(self, fig4_flow):
         graph, sources, directives = build_fig4_flow_inputs(64)
-        again = run_flow(
-            graph, sources, extra_directives=directives, core_cache=fig4_flow.cores
-        )
+        cold = FlowConfig(cache_dir=None)
+        store = BuildCache()
+        run_flow(graph, sources, extra_directives=directives, config=cold,
+                 build_cache=store)
+        again = run_flow(graph, sources, extra_directives=directives, config=cold,
+                         build_cache=store)
         assert all(build.reused for build in again.cores.values())
         assert again.timing.hls_s == 0.0
         assert again.bitstream.digest == fig4_flow.bitstream.digest
@@ -64,18 +68,20 @@ class TestRunFlow:
     def test_core_cache_same_name_different_directives_not_reused(self):
         """Regression: the core cache used to be keyed by function name
         alone, so two cores sharing a name but differing in directives
-        silently aliased.  Reuse is now verified by content digest."""
+        silently aliased.  Reuse is now decided by content digest."""
         from repro.hls.interfaces import unroll
 
         graph, sources, directives = build_fig4_flow_inputs(64)
         cold = FlowConfig(cache_dir=None)
-        first = run_flow(graph, sources, extra_directives=directives, config=cold)
+        store = BuildCache()
+        first = run_flow(graph, sources, extra_directives=directives, config=cold,
+                         build_cache=store)
 
         changed = {k: list(v) for k, v in directives.items()}
         changed.setdefault("GAUSS", []).append(unroll("GAUSS", "i", 4))
         second = run_flow(
-            graph, sources, extra_directives=changed,
-            core_cache=first.cores, config=cold,
+            graph, sources, extra_directives=changed, config=cold,
+            build_cache=store,
         )
         fresh = run_flow(graph, sources, extra_directives=changed, config=cold)
 
