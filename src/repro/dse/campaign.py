@@ -41,7 +41,7 @@ from pathlib import Path
 from repro.dse.evaluate import EvalPoint, evaluate_candidate
 from repro.dse.pareto import OBJECTIVES, ParetoFront, dominates
 from repro.dse.space import Candidate, SearchSpace, sdsoc_baseline_candidate
-from repro.flow.journal import stable_digest
+from repro.flow.journal import open_for_append, stable_digest
 from repro.util.errors import ReproError
 
 #: Bumped whenever the evaluation semantics change — part of the
@@ -233,7 +233,7 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
     if journal is not None:
         journal.parent.mkdir(parents=True, exist_ok=True)
         if config.resume and journal.exists():
-            journal_fh = journal.open("a")
+            journal_fh = open_for_append(journal)
         else:
             journal_fh = journal.open("w")
             journal_fh.write(

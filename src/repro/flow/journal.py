@@ -15,10 +15,11 @@ Durability model
 * The journal is an append-only JSONL file; every record is one line,
   flushed and fsynced before the step runs, so a ``kill -9`` at any
   instant loses at most the line being written.
-* A torn trailing line (the crash hit mid-append) is tolerated and
-  ignored on load; a torn line *before* the end means the file did not
-  come from this writer, so the whole journal is discarded — a clean
-  rebuild is always safe, stale reuse never is.
+* A torn trailing line (the crash hit mid-append) is tolerated: it is
+  ignored on load and truncated before the next append.  A torn line
+  *before* the end means the file did not come from this writer, so
+  the whole journal is discarded — a clean rebuild is always safe,
+  stale reuse never is.
 * The header pins the *run digest* — a digest of everything the flow
   depends on (DSL text, C sources, directives, backend, config).  A
   journal whose header does not match the current inputs is discarded,
@@ -37,6 +38,7 @@ import hashlib
 import json
 import os
 from pathlib import Path
+from typing import TextIO
 
 from repro.obs.events import BUS as _BUS
 from repro.obs.metrics import REGISTRY as _METRICS
@@ -60,6 +62,22 @@ def fsync_dir(path: Path) -> None:
         os.fsync(dirfd)
     finally:
         os.close(dirfd)
+
+
+def open_for_append(path: Path) -> TextIO:
+    """Open a JSONL file for appending after its last complete line.
+
+    Readers drop a torn final line (a crash mid-append); appending
+    straight after it would glue the next record onto the fragment and
+    turn a tolerated tear into mid-file corruption.  So the fragment is
+    truncated away first.
+    """
+    with open(path, "rb+") as fh:
+        data = fh.read()
+        end = data.rfind(b"\n") + 1
+        if end != len(data):
+            fh.truncate(end)
+    return open(path, "a", encoding="utf-8")
 
 
 class RunJournal:
@@ -128,7 +146,7 @@ class RunJournal:
                 _METRICS.counter(
                     "journal.replays", "committed records replayed on resume"
                 ).inc(len(committed))
-            self._fh = open(self.path, "a", encoding="utf-8")
+            self._fh = open_for_append(self.path)
         else:
             self.path.parent.mkdir(parents=True, exist_ok=True)
             self._fh = open(self.path, "w", encoding="utf-8")
@@ -244,4 +262,10 @@ class RunJournal:
         }
 
 
-__all__ = ["JOURNAL_VERSION", "RunJournal", "fsync_dir", "stable_digest"]
+__all__ = [
+    "JOURNAL_VERSION",
+    "RunJournal",
+    "fsync_dir",
+    "open_for_append",
+    "stable_digest",
+]

@@ -11,7 +11,12 @@ with **no leader and no broker**: the filesystem is the only shared
 medium, and every claim, renewal, steal and publish is arbitrated by an
 atomic filesystem primitive.
 
-Execution under a lease is *fenced* end to end:
+A replica does only the lease work — claim, heartbeat, release and
+its report counters.  The job itself runs through the daemon's one
+attempt loop (:meth:`BuildService._run_job`) with the lease's fence, so
+replicas retry, charge circuit breakers and emit the service events
+exactly as a single daemon does.  Execution under a lease is *fenced*
+end to end:
 
 * the lease's :class:`~repro.service.leases.Fence` is installed as the
   crashpoint boundary hook, so ownership is re-validated at **every
@@ -19,13 +24,13 @@ Execution under a lease is *fenced* end to end:
   resumed dies with :class:`~repro.service.leases.LeaseLost` inside the
   very boundary it paused at, before touching another byte of shared
   state;
-* the terminal publish runs through the fence *and* through link-based
-  first-writer-wins creation, so a stale owner can neither clobber nor
-  duplicate the thief's result — the attempt raises
+* the terminal publish validates the fence in front of the store's
+  link-based first-writer-wins creation, so a stale owner can neither
+  clobber nor duplicate the thief's result — the publish raises
   :class:`~repro.service.leases.FencedWrite` and is counted in
   ``service.fenced_writes_total``.
 
-Every attempt ends with exactly one terminal-publish attempt *through
+Every job run ends with exactly one terminal-publish attempt *through
 the fence*, even after ``LeaseLost``: the on-disk lease — not the
 replica's possibly-stale view — arbitrates.  If the loss was spurious
 the publish lands and the job is safe; if it was real the fence rejects
@@ -48,7 +53,6 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
-import functools
 import os
 import subprocess
 import sys
@@ -57,10 +61,10 @@ from pathlib import Path
 
 from repro.obs.metrics import REGISTRY as _METRICS
 from repro.service.daemon import BuildService, ServiceServer
-from repro.service.jobs import DONE, FAILED, QUEUED, RUNNING, JobRecord
-from repro.service.leases import Fence, FencedWrite, LeaseLost, LeaseManager
+from repro.service.jobs import QUEUED, JobRecord
+from repro.service.leases import Fence, FencedWrite, LeaseManager
 from repro.service.robust import RetryPolicy
-from repro.service.store import JobScan, _durable_write
+from repro.service.store import JobScan, durable_write
 
 REPLICAS_DIR = "replicas"
 
@@ -211,75 +215,34 @@ class ClusterReplica:
         return progress
 
     async def _run_leased(self, scan: JobScan, lease) -> None:
-        tenant, job_id, spec = scan.tenant, scan.job_id, scan.spec
-        self.svc.specs[job_id] = spec
+        """Run one claimed job through the daemon's attempt loop, fenced.
+
+        The replica only does the lease work around it: heartbeat while
+        the job runs, count the outcome, release the lease.
+        """
+        job_id = scan.job_id
+        self.svc.specs[job_id] = scan.spec
         record = self.svc.records.get(job_id)
         if record is None:
-            record = JobRecord(job_id=job_id, tenant=tenant, state=QUEUED)
+            record = JobRecord(job_id=job_id, tenant=scan.tenant, state=QUEUED)
             self.svc.records[job_id] = record
-        record.state = RUNNING
-        fence = Fence(self.leases, lease)
-        loop = asyncio.get_running_loop()
         beat = asyncio.create_task(self._heartbeat(lease))
-        attempt = 0
         try:
-            while True:
-                attempt += 1
-                record.attempts = attempt
-                try:
-                    info = await loop.run_in_executor(
-                        self.svc._pool,
-                        functools.partial(
-                            self.svc._execute, tenant, job_id, spec, fence=fence
-                        ),
-                    )
-                except LeaseLost:
-                    self.report["lease_lost"] += 1
-                    record.state = FAILED
-                    record.error = "lease lost mid-run"
-                    record.error_step = "lease"
-                    break
-                except BaseException as exc:
-                    if self.svc.retry.should_retry(attempt, exc):
-                        record.retries += 1
-                        await asyncio.sleep(
-                            self.svc.retry.delay_s(job_id, attempt)
-                        )
-                        continue
-                    record.state = FAILED
-                    record.error = f"{type(exc).__name__}: {exc}"
-                    record.error_step = BuildService._step_family(exc)
-                    break
-                else:
-                    record.state = DONE
-                    record.served_from = info["served_from"]
-                    record.artifact_digest = info["artifact_digest"]
-                    record.sim_digest = info["sim_digest"]
-                    record.steps_skipped = info["steps_skipped"]
-                    record.crash_recoveries = info["crash_recoveries"]
-                    break
-        finally:
-            beat.cancel()
-            with contextlib.suppress(asyncio.CancelledError):
-                await beat
-        record.replica = self.replica_id
-        # The one terminal-publish attempt of this attempt — always
-        # through the fence, whatever happened above.  The on-disk lease
-        # arbitrates: spurious loss -> the publish lands, job safe; real
-        # loss -> FencedWrite, the thief's record stands.
-        try:
-            self.store.write_terminal(
-                record, content_digest=spec.content_digest(), fence=fence
+            await self.svc._run_job(
+                scan.tenant, job_id, fence=Fence(self.leases, lease)
             )
             self.report["published"].append(job_id)
         except FencedWrite:
             self.report["fenced_writes"] += 1
-            disk = self.store.load_terminal(tenant, job_id)
-            if disk is not None:
-                self.svc.records[job_id] = disk
         finally:
+            # *record*, not svc.records: a FencedWrite adoption has
+            # already replaced the latter with the thief's record.
+            if record.error_step == "lease":
+                self.report["lease_lost"] += 1
+            beat.cancel()
+            with contextlib.suppress(asyncio.CancelledError):
+                await beat
             self.leases.release(lease)
-        self._signal(job_id)
 
     async def _heartbeat(self, lease) -> None:
         """Renew the lease at TTL/3 until cancelled or no longer ours.
@@ -300,12 +263,7 @@ class ClusterReplica:
         existing = self.svc.records.get(job_id)
         if existing is None or existing.state != record.state:
             self.svc.records[job_id] = record
-        self._signal(job_id)
-
-    def _signal(self, job_id: str) -> None:
-        event = self.svc._events.get(job_id)
-        if event is not None:
-            event.set()
+        self.svc._signal(job_id)
 
     def _all_done(self) -> bool:
         return all(s.record is not None for s in self.store.scan())
@@ -318,7 +276,7 @@ class ClusterReplica:
         payload["fenced_writes_total"] = _METRICS.counter(
             "service.fenced_writes_total"
         ).value
-        _durable_write(self._report_path, payload)
+        durable_write(self._report_path, payload)
 
 
 def read_replica_reports(root: str | Path) -> list[dict]:

@@ -4,7 +4,9 @@
 :mod:`repro.service.store`), a :class:`~repro.service.queueing.FairScheduler`,
 and a bounded thread pool the synchronous flow engine runs on.  One
 asyncio *dispatcher* pulls jobs from the scheduler and fans them out to
-the pool; every job execution is wrapped in the robustness ladder:
+the pool.  Every job — the dispatcher's, and every job a cluster
+replica claims — runs through one attempt loop,
+:meth:`BuildService._run_job`, wrapped in the robustness ladder:
 
 1. **Degradation gate** — when a circuit breaker is open or the queue
    backlog exceeds the saturation bound, an identical completed job's
@@ -28,7 +30,8 @@ the pool; every job execution is wrapped in the robustness ladder:
    close it again.
 
 Restart safety: ``job.json`` is durable before admission, the journal
-before execution, terminal records after publication — so
+before execution, terminal records after publication — published
+first-writer-wins and never overwritten — so
 :meth:`BuildService.recover` reconstructs the entire daemon state from
 disk: terminal jobs re-serve their recorded results (*replay*),
 journaled jobs resume mid-flight (*resume*), admitted-but-unstarted
@@ -44,6 +47,7 @@ in-process ``kill -9`` semantics.
 from __future__ import annotations
 
 import asyncio
+import functools
 import hashlib
 import json
 import time
@@ -67,6 +71,7 @@ from repro.service.jobs import (
     JobRecord,
     JobSpec,
 )
+from repro.service.leases import Fence, LeaseLost
 from repro.service.queueing import FairScheduler
 from repro.service.robust import (
     OPEN,
@@ -75,7 +80,7 @@ from repro.service.robust import (
     Deadline,
     RetryPolicy,
 )
-from repro.service.store import JobStore
+from repro.service.store import JobStore, durable_write
 from repro.sim.faults import RecoveryPolicy
 from repro.util.errors import FlowInterrupted, ReproError
 
@@ -268,7 +273,20 @@ class BuildService:
             for event in self._events.values():
                 event.set()
 
-    async def _run_job(self, tenant: str, job_id: str) -> None:
+    async def _run_job(
+        self, tenant: str, job_id: str, *, fence: Fence | None = None
+    ) -> None:
+        """The service's one attempt loop: retries, breakers, one publish.
+
+        The daemon's dispatcher and a cluster replica (under a lease's
+        *fence*) both run every job through here.  A
+        :class:`~repro.service.leases.LeaseLost` ends the job FAILED at
+        step ``lease`` with no retry and no breaker charge; the publish
+        still goes through the fence, so the on-disk lease arbitrates.
+        A publish that loses to an earlier terminal record adopts that
+        record (under a fence it then re-raises the
+        :class:`~repro.service.leases.FencedWrite`).
+        """
         record = self.records[job_id]
         spec = self.specs[job_id]
         record.state = RUNNING
@@ -279,8 +297,15 @@ class BuildService:
             record.attempts = attempt
             try:
                 info = await loop.run_in_executor(
-                    self._pool, self._execute, tenant, job_id, spec
+                    self._pool,
+                    functools.partial(
+                        self._execute, tenant, job_id, spec, fence=fence
+                    ),
                 )
+            except LeaseLost as exc:
+                # Ownership is gone: never retried (should_retry refuses
+                # it) and never charged to a breaker.
+                failure, step = exc, "lease"
             except FlowInterrupted as exc:
                 if self.die_on_interrupt:
                     # The armed crash-point killed "the daemon": stop
@@ -288,21 +313,12 @@ class BuildService:
                     self.died = True
                     self.death = exc
                     return
-                if self.retry.should_retry(attempt, exc):
-                    await self._backoff(record, attempt)
-                    continue
-                self._fail(record, spec, exc, step=self._step_family(exc))
-                break
-            except BaseException as exc:
-                step = self._step_family(exc)
+                failure, step = exc, self._step_family(exc)
+            except Exception as exc:  # cancellation is shutdown, not failure
+                failure, step = exc, self._step_family(exc)
                 if not isinstance(exc, BreakerOpen):
                     self._breaker(step).record_failure()
                     self._breaker_event(self._breaker(step))
-                if self.retry.should_retry(attempt, exc):
-                    await self._backoff(record, attempt)
-                    continue
-                self._fail(record, spec, exc, step=step)
-                break
             else:
                 record.state = DONE
                 record.served_from = info["served_from"]
@@ -315,12 +331,38 @@ class BuildService:
                     if breaker is not None:
                         breaker.record_success()
                         self._breaker_event(breaker)
-                self.store.write_terminal(
-                    record, content_digest=spec.content_digest()
-                )
-                if _BUS.enabled:
-                    _METRICS.counter("service.jobs_done", "jobs completed").inc()
                 break
+            if self.retry.should_retry(attempt, failure):
+                await self._backoff(record, attempt)
+                continue
+            record.state = FAILED
+            record.error = f"{type(failure).__name__}: {failure}"
+            record.error_step = step
+            break
+        record.replica = self.replica_id
+        published = False
+        try:
+            published = self.store.write_terminal(
+                record, content_digest=spec.content_digest(), fence=fence
+            )
+        finally:
+            if not published:
+                # A terminal record is never overwritten: adopt the one
+                # already on disk.
+                disk = self.store.load_terminal(tenant, job_id)
+                if disk is not None:
+                    self.records[job_id] = disk
+            self._signal(job_id)
+        if _BUS.enabled and published:
+            if record.state == DONE:
+                _METRICS.counter("service.jobs_done", "jobs completed").inc()
+            else:
+                _METRICS.counter(
+                    "service.jobs_failed", "jobs ending FAILED"
+                ).inc()
+
+    def _signal(self, job_id: str) -> None:
+        """Wake every waiter on *job_id*."""
         self._events.setdefault(job_id, asyncio.Event()).set()
 
     async def _backoff(self, record: JobRecord, attempt: int) -> None:
@@ -348,16 +390,6 @@ class BuildService:
         if not step:
             return "flow"
         return str(step).split(":", 1)[0]
-
-    def _fail(
-        self, record: JobRecord, spec: JobSpec, exc: BaseException, *, step: str
-    ) -> None:
-        record.state = FAILED
-        record.error = f"{type(exc).__name__}: {exc}"
-        record.error_step = step
-        self.store.write_terminal(record, content_digest=spec.content_digest())
-        if _BUS.enabled:
-            _METRICS.counter("service.jobs_failed", "jobs ending FAILED").inc()
 
     # -- execution (runs on the thread pool) -------------------------------
     def _execute(
@@ -518,9 +550,7 @@ class BuildService:
             "recoveries": len(res.report.recovery_events),
         }
         report["digest"] = stable_digest(report)
-        from repro.service.store import _durable_write
-
-        _durable_write(sim_path, report)
+        durable_write(sim_path, report)
         journal.step_commit("simulate", digest_in)
         crashpoint("simulate:commit")
         return report["digest"]

@@ -51,7 +51,7 @@ _SIM_FILE = "sim.json"
 _OUT_DIR = "out"
 
 
-def _durable_write(path: Path, payload: dict) -> None:
+def durable_write(path: Path, payload: dict) -> None:
     """Write JSON atomically: temp file, fsync, rename, fsync dir."""
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.parent / f".tmp-{path.name}"
@@ -179,32 +179,33 @@ class JobStore:
         *,
         content_digest: str,
         fence: Fence | None = None,
-    ) -> None:
-        """Durably publish a terminal record; DONE jobs also index
-        themselves for warm serving.
+    ) -> bool:
+        """Durably publish a terminal record, first-writer-wins; DONE
+        jobs also index themselves for warm serving.
 
-        With a *fence* (multi-replica execution) the publish is guarded
-        twice: the fencing token is validated against the on-disk lease
-        (stale ⇒ :class:`~repro.service.leases.FencedWrite`, counted in
-        ``service.fenced_writes_total``), and the record itself is
-        created with link-based first-writer-wins semantics — even a
-        replica that revalidates and then stalls inside the publish
-        window cannot clobber or duplicate an already-published result.
-        Only the winning publisher updates the warm-serving index.
+        The record is created with link-based first-writer-wins
+        semantics, so a terminal record is never overwritten: a losing
+        publish returns ``False`` and leaves the first record on disk
+        for the caller to adopt.  A *fence* (multi-replica execution)
+        adds a token check in front: a stale token — or a lost link
+        under a fence — raises
+        :class:`~repro.service.leases.FencedWrite`, counted in
+        ``service.fenced_writes_total``.  Only the winning publisher
+        updates the warm-serving index.
         """
         name = _RESULT_FILE if record.state == DONE else _FAILED_FILE
         path = self.job_dir(record.tenant, record.job_id) / name
         payload = {"content_digest": content_digest, "record": record.as_dict()}
-        if fence is None:
-            _durable_write(path, payload)
-        else:
+        if fence is not None:
             fence.validate()
-            if not _durable_publish_excl(
-                path, payload, suffix=fence.lease.replica
-            ):
+        if not _durable_publish_excl(
+            path, payload, suffix=record.replica or "local"
+        ):
+            if fence is not None:
                 fence.rejected("already-published")
+            return False
         if record.state == DONE:
-            _durable_write(
+            durable_write(
                 self.index_root / f"{content_digest}.json",
                 {
                     "tenant": record.tenant,
@@ -213,6 +214,7 @@ class JobStore:
                     "sim_digest": record.sim_digest,
                 },
             )
+        return True
 
     def load_terminal(self, tenant: str, job_id: str) -> JobRecord | None:
         for name in (_RESULT_FILE, _FAILED_FILE):
@@ -261,7 +263,7 @@ class JobStore:
         src_sim = self.sim_path(entry["tenant"], entry["job_id"])
         sim = _read_json(src_sim)
         if sim is not None:
-            _durable_write(self.sim_path(tenant, job_id), sim)
+            durable_write(self.sim_path(tenant, job_id), sim)
         return entry
 
     # -- recovery ----------------------------------------------------------
@@ -306,4 +308,4 @@ class JobStore:
         return scans
 
 
-__all__ = ["JobScan", "JobStore"]
+__all__ = ["JobScan", "JobStore", "durable_write"]

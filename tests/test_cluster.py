@@ -29,6 +29,7 @@ from repro.service.cluster import ClusterReplica, read_replica_reports
 from repro.service.leases import Fence
 from repro.service.store import JobStore
 from repro.util.errors import FlowInterrupted, ReproError
+from tests.test_service import BAD_SOURCES, INC_DSL, INC_SOURCES
 
 
 def _seed(root, submissions=None):
@@ -96,6 +97,56 @@ class TestClusterDrain:
         reports = read_replica_reports(root)
         assert [r["replica"] for r in reports] == ["r1"]
         assert reports[0]["fenced_writes"] == 0
+
+
+class TestSharedAttemptPath:
+    def test_replica_failure_charges_the_step_breaker(self, tmp_path):
+        root = tmp_path / "root"
+        spec = JobSpec(dsl=INC_DSL, sources=dict(BAD_SOURCES))
+        store, [(tenant, job_id, _)] = _seed(root, [("alice", spec)])
+        replica = ClusterReplica(root, "r1", check_tcl=False)
+        replica.recover()
+        report = replica.run_until_drained(timeout_s=60)
+        replica.close()
+        assert report["published"] == [job_id]
+        record = store.load_terminal(tenant, job_id)
+        assert record.state == "failed"
+        assert record.error_step == "hls"
+        assert record.replica == "r1"
+        assert replica.svc.breakers["hls"].consecutive_failures == 1
+
+    def test_cancelled_replica_publishes_nothing(self, tmp_path):
+        """Shutting a replica down mid-job leaves the job to a peer."""
+        root = tmp_path / "root"
+        spec = JobSpec(dsl=INC_DSL, sources=dict(INC_SOURCES))
+        store, [(tenant, job_id, _)] = _seed(root, [("alice", spec)])
+        replica = ClusterReplica(root, "r1", check_tcl=False)
+        started, release = threading.Event(), threading.Event()
+
+        def stuck(*args, **kwargs):
+            started.set()
+            release.wait(10)
+            raise RuntimeError("attempt outlived its replica")
+
+        replica.svc._execute = stuck
+
+        async def go():
+            run = asyncio.create_task(replica.run(stop_when_drained=False))
+            loop = asyncio.get_running_loop()
+            assert await loop.run_in_executor(None, started.wait, 10)
+            run.cancel()
+            await asyncio.wait({run}, timeout=10)
+            return run.cancelled()
+
+        try:
+            cancelled = asyncio.run(go())
+        finally:
+            release.set()
+            replica.close()
+        assert cancelled
+        assert store.load_terminal(tenant, job_id) is None
+        assert replica.svc.breakers == {}
+        assert replica.leases.read(job_id) is None  # released for a peer
 
 
 class TestStealAndResume:

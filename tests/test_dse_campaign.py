@@ -182,26 +182,29 @@ class TestCampaign:
     def test_resume_tolerates_torn_tail(self, tmp_path):
         space = small_space()
         journal = tmp_path / "torn.jsonl"
-        killed = run_campaign(
-            CampaignConfig(
-                space=space,
-                fn_cache_dir=str(tmp_path / "fn"),
-                journal_path=str(journal),
-                stop_after=2,
+
+        def run(**kw):
+            return run_campaign(
+                CampaignConfig(
+                    space=space,
+                    fn_cache_dir=str(tmp_path / "fn"),
+                    journal_path=str(journal),
+                    **kw,
+                )
             )
-        )
+
+        killed = run(stop_after=2)
         with journal.open("a") as fh:
             fh.write('{"kind": "point", "cid": "tr')  # mid-write kill
-        resumed = run_campaign(
-            CampaignConfig(
-                space=space,
-                fn_cache_dir=str(tmp_path / "fn"),
-                journal_path=str(journal),
-                resume=True,
-            )
-        )
+        resumed = run(resume=True, stop_after=2)
         assert resumed.resumed == killed.evaluated
-        assert resumed.completed
+        assert resumed.evaluated == 2
+        # The points appended after the tear start on their own lines,
+        # so the next resume sees all of them.
+        final = run(resume=True)
+        assert final.resumed == killed.evaluated + resumed.evaluated
+        assert final.evaluated == len(space) - final.resumed
+        assert final.completed
 
     def test_resume_rejects_foreign_journal(self, tmp_path):
         journal = tmp_path / "foreign.jsonl"

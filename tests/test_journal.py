@@ -114,6 +114,16 @@ class TestDiscard:
         assert r.committed("s1", "d1")  # everything before the tear survives
         assert r.crash_recoveries == 0
 
+        # The resumed run appends after the tear: the next record must
+        # start on its own line, not glue onto the fragment.
+        r.step_start("s2", "d2")
+        r.step_commit("s2", "d2")
+        r.close()
+        again = RunJournal(tmp_path / "journal")
+        again.begin(RUN)
+        assert again.resumed
+        assert again.committed_steps == {"s1": "d1", "s2": "d2"}
+
     def test_corruption_before_tail_discards_all(self, tmp_path):
         j = RunJournal(tmp_path / "journal")
         j.begin(RUN)

@@ -1,6 +1,7 @@
 """Unit + integration tests for the multi-tenant build service."""
 
 import asyncio
+import json
 
 import pytest
 
@@ -21,7 +22,9 @@ from repro.service import (
     UnknownJob,
 )
 from repro.service.chaos import SERVICE_DSL, SERVICE_SOURCES
+from repro.service.jobs import JobRecord
 from repro.service.robust import CLOSED, HALF_OPEN, OPEN
+from repro.service.store import JobStore
 from repro.util.errors import CacheLockTimeout, FlowInterrupted
 
 INC_DSL = """
@@ -239,6 +242,9 @@ class TestBuildService:
         assert record.artifact_digest
         out = svc.store.out_dir("alice", record.job_id)
         assert (out / "MANIFEST.json").exists()
+        # The terminal record names its publisher, as a replica's does.
+        result = svc.store.job_dir("alice", record.job_id) / "result.json"
+        assert json.loads(result.read_text())["record"]["replica"] == "d0"
 
     def test_idempotent_submit(self, tmp_path):
         svc = BuildService(tmp_path, workers=1)
@@ -251,6 +257,34 @@ class TestBuildService:
         svc.close()
         assert after is first  # terminal record re-served
         assert after.state == "done"
+
+    def test_terminal_record_is_never_overwritten(self, tmp_path):
+        store = JobStore(tmp_path)
+        first = JobRecord(
+            job_id="j-1", tenant="alice", state="done", artifact_digest="a" * 64
+        )
+        second = JobRecord(
+            job_id="j-1", tenant="alice", state="done", artifact_digest="b" * 64
+        )
+        assert store.write_terminal(first, content_digest="cd") is True
+        assert store.write_terminal(second, content_digest="cd") is False
+        assert store.load_terminal("alice", "j-1").artifact_digest == "a" * 64
+
+    def test_daemon_adopts_an_existing_terminal_record(self, tmp_path):
+        spec = JobSpec(dsl=INC_DSL, sources=dict(INC_SOURCES))
+        first = BuildService(tmp_path, workers=1)
+        built = first.submit("alice", spec)
+        drain(first)
+        first.close()
+        # A second daemon that skipped recover() runs the job again; its
+        # publish loses, and it serves the record already on disk.
+        second = BuildService(tmp_path, workers=1)
+        second.submit("alice", spec)
+        drain(second)
+        second.close()
+        assert second.status(built.job_id).served_from == "build"
+        disk = second.store.load_terminal("alice", built.job_id)
+        assert disk.served_from == "build"
 
     def test_cross_tenant_same_artifact(self, tmp_path):
         svc = BuildService(tmp_path, workers=1)
