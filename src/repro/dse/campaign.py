@@ -21,7 +21,9 @@ HLS through the one shared persistent per-function store at
 ``fn_cache_dir`` via :func:`~repro.dse.evaluate.dse_flow_config`, so a
 candidate that re-synthesizes a function another candidate already
 compiled hits the frontend/result memos instead of spawning a private
-cold store.
+cold store.  Each worker (or the serial loop) also holds one
+:class:`~repro.sim.burst.PhaseMemo` for the campaign's lifetime, so a
+hardware phase repeated across candidates is simulated once per worker.
 
 **Resumability.**  An append-only JSONL journal records the campaign
 header plus one record per evaluated point.  A killed campaign resumed
@@ -42,6 +44,7 @@ from repro.dse.evaluate import EvalPoint, evaluate_candidate
 from repro.dse.pareto import OBJECTIVES, ParetoFront, dominates
 from repro.dse.space import Candidate, SearchSpace, sdsoc_baseline_candidate
 from repro.flow.journal import open_for_append, stable_digest
+from repro.sim.burst import PhaseMemo
 from repro.util.errors import ReproError
 
 #: Bumped whenever the evaluation semantics change — part of the
@@ -98,6 +101,9 @@ class CampaignResult:
     fn_cache_misses: int
     pruned: int
     evicted: int
+    #: Hardware phases served from the phase memo (order-dependent
+    #: under a pool, so not part of any digest).
+    memo_hits: int = 0
 
     @property
     def fn_cache_hit_rate(self) -> float:
@@ -194,8 +200,8 @@ def _read_journal(path: Path, identity: str) -> list[EvalPoint]:
     return points
 
 
-def _worker_evaluate(payload: tuple) -> EvalPoint:
-    """Top-level (picklable) worker: evaluate one candidate."""
+def _worker_evaluate(payload: tuple, phase_memo: PhaseMemo | None) -> EvalPoint:
+    """Evaluate one candidate against the calling process's phase memo."""
     cand_dict, width, height, fn_cache_dir, check_tcl = payload
     return evaluate_candidate(
         Candidate.from_dict(cand_dict),
@@ -203,7 +209,23 @@ def _worker_evaluate(payload: tuple) -> EvalPoint:
         height=height,
         fn_cache_dir=fn_cache_dir,
         check_tcl=check_tcl,
+        phase_memo=phase_memo,
     )
+
+
+#: A pool worker's phase memo, set by :func:`_init_pool_worker` in the
+#: worker process only; it dies with the pool at the end of the campaign.
+_pool_memo: PhaseMemo | None = None
+
+
+def _init_pool_worker() -> None:
+    global _pool_memo
+    _pool_memo = PhaseMemo()
+
+
+def _pool_evaluate(payload: tuple) -> EvalPoint:
+    """Top-level (picklable) pool task."""
+    return _worker_evaluate(payload, _pool_memo)
 
 
 def _pool_context():
@@ -268,13 +290,16 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
             with ProcessPoolExecutor(
                 max_workers=min(config.jobs, len(payloads)),
                 mp_context=_pool_context(),
+                initializer=_init_pool_worker,
             ) as pool:
-                for point in pool.map(_worker_evaluate, payloads):
+                for point in pool.map(_pool_evaluate, payloads):
                     new_points.append(point)
                     _journal_point(journal_fh, point)
         else:
+            # One memo per campaign: a later campaign starts cold.
+            memo = PhaseMemo()
             for payload in payloads:
-                point = _worker_evaluate(payload)
+                point = _worker_evaluate(payload, memo)
                 new_points.append(point)
                 _journal_point(journal_fh, point)
     finally:
@@ -303,6 +328,7 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
         fn_cache_misses=sum(p.fn_cache_misses for p in new_points),
         pruned=front.pruned,
         evicted=front.evicted,
+        memo_hits=sum(p.memo_hits for p in new_points),
     )
 
 

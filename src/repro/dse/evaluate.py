@@ -29,6 +29,7 @@ import numpy as np
 from repro.apps.otsu.app import build_otsu_custom, buildable_hw_sets
 from repro.dse.space import Candidate
 from repro.flow.orchestrator import FlowConfig, run_flow
+from repro.sim.burst import PhaseMemo
 from repro.sim.runtime import simulate_application
 from repro.soc.integrator import IntegrationConfig
 from repro.util.errors import ReproError
@@ -87,6 +88,8 @@ class EvalPoint:
     dma_cells: int
     fn_cache_hits: int
     fn_cache_misses: int
+    #: Hardware phases committed from the campaign's phase memo.
+    memo_hits: int = 0
 
     @property
     def cid(self) -> str:
@@ -99,9 +102,10 @@ class EvalPoint:
         return self.candidate.label()
 
     def record(self) -> dict:
-        """Journaled form.  Deliberately **excludes** fn-cache counters:
-        per-point hit/miss splits depend on evaluation order under
-        parallelism, and the journal feeds the campaign digest."""
+        """Journaled form.  Deliberately **excludes** fn-cache and
+        phase-memo counters: per-point hit/miss splits depend on
+        evaluation order under parallelism, and the journal feeds the
+        campaign digest."""
         return {
             "cid": self.cid,
             "candidate": self.candidate.as_dict(),
@@ -137,8 +141,16 @@ def evaluate_candidate(
     height: int = 16,
     fn_cache_dir: str | None = None,
     check_tcl: bool = False,
+    phase_memo: PhaseMemo | None = None,
 ) -> EvalPoint:
-    """Build, synthesize, integrate and simulate one candidate."""
+    """Build, synthesize, integrate and simulate one candidate.
+
+    *phase_memo* is the campaign's :class:`~repro.sim.burst.PhaseMemo`:
+    a hardware phase another candidate of the same campaign already
+    solved or word-simulated is committed from it instead (same cycles
+    and bytes; see :func:`~repro.sim.runtime.simulate_application`).
+    ``None`` simulates every phase afresh.
+    """
     hw = frozenset(candidate.get("hw", ()))
     pipelined = frozenset(candidate.get("pipelined", ()))
     dma = candidate.get("dma", "paired")
@@ -185,6 +197,7 @@ def evaluate_candidate(
         {},
         system=system,
         hp_words_per_cycle=hp_words,
+        phase_memo=phase_memo,
     )
     correct = bool(
         np.array_equal(report.of("binImage"), np.asarray(app.golden["binary"]))
@@ -200,6 +213,7 @@ def evaluate_candidate(
         dma_cells=dma_cells,
         fn_cache_hits=fn_hits,
         fn_cache_misses=fn_misses,
+        memo_hits=report.burst_stats["memo_hits"],
     )
 
 

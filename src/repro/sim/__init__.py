@@ -19,9 +19,9 @@ pipeline depth, latency) and calibrated bus costs.
 from repro.sim.axi import AxiLiteBus, StreamChannel
 from repro.sim.burst import (
     FALLBACK_REASONS,
+    PhaseMemo,
     PhaseSolution,
     hw_serialized,
-    solve_phase,
     solve_phase_ex,
 )
 from repro.sim.faults import (
@@ -48,6 +48,7 @@ __all__ = [
     "FaultInjector",
     "FaultPlan",
     "Memory",
+    "PhaseMemo",
     "PhaseSolution",
     "Process",
     "RecoveryEvent",
@@ -57,6 +58,5 @@ __all__ = [
     "campaign_digest",
     "hw_serialized",
     "simulate_application",
-    "solve_phase",
     "solve_phase_ex",
 ]

@@ -80,6 +80,13 @@ Every bail-out is classified into the closed taxonomy
 :data:`FALLBACK_REASONS` (via :func:`solve_phase_ex`), so the runtime,
 ``repro simbench`` and the benchmark artifacts can account for *why*
 each phase fell back instead of just counting fallbacks.
+
+A :class:`PhaseMemo` remembers each phase's outcome under its
+t0-relative solver inputs (:func:`phase_memo_key`).  A design-space
+sweep repeats the same phase across candidates that differ only on
+other axes, so the runtime solves — or, for an ``hp_unprovable``
+phase, word-simulates — each distinct phase once per campaign and
+commits every repeat from the memo.
 """
 
 from __future__ import annotations
@@ -510,7 +517,8 @@ def solve_phase_ex(
     ), None
 
 
-def solve_phase(
+def phase_memo_key(
+    t0: int,
     channels: dict,
     dmas: list[DmaSpec],
     actors: list[ActorSpec],
@@ -518,14 +526,93 @@ def solve_phase(
     hp_wpc: int | None = None,
     hp_slot_time: int | None = None,
     hp_slot_used: int = 0,
-) -> PhaseSolution | None:
-    """Reason-less wrapper of :func:`solve_phase_ex` (compat shim)."""
-    solution, _reason = solve_phase_ex(
-        channels,
-        dmas,
-        actors,
-        hp_wpc=hp_wpc,
-        hp_slot_time=hp_slot_time,
-        hp_slot_used=hp_slot_used,
+) -> tuple:
+    """The solver's inputs for a phase starting at *t0*, made t0-relative.
+
+    Channels are named by their index in *channels* (layout order), so
+    two phases over different fabric objects share a key whenever the
+    solver would see the same problem shifted in time.  A port whose
+    ``_slot_time`` lies before *t0* is reset by the phase's first call,
+    so its entry state is recorded as ``None``.
+    """
+    index = {key: i for i, key in enumerate(channels)}
+    hp = None
+    if hp_wpc is not None:
+        entry = None
+        if hp_slot_time is not None and hp_slot_time >= t0:
+            entry = (hp_slot_time - t0, hp_slot_used)
+        hp = (hp_wpc, entry)
+    return (
+        tuple(channels.values()),
+        tuple((d.kick - t0, d.count, d.direction, index[d.chan]) for d in dmas),
+        tuple(
+            (
+                a.t0 - t0, a.firings, a.depth, a.ii,
+                tuple((index[k], n) for k, n in a.bulk_ins),
+                tuple(index[k] for k in a.rate_ins),
+                tuple(index[k] for k in a.rate_outs),
+                tuple((index[k], n) for k, n in a.bulk_outs),
+            )
+            for a in actors
+        ),
+        hp,
     )
-    return solution
+
+
+@dataclass(frozen=True)
+class _MemoEntry:
+    source: str  # "solve" | "word": the path that observed the outcome
+    finish: int
+    spans: tuple  # ((started, finished), ...) per actor, layout order
+    channels: tuple  # ((puts, gets, high_water), ...) per channel index
+    hp_state: tuple[int, int] | None
+    hp_words: int
+
+
+class PhaseMemo:
+    """Phase outcomes keyed by :func:`phase_memo_key`, all t0-relative.
+
+    The word-path trajectory of a phase is a function of the key (see
+    DESIGN.md §8), so an outcome observed once — solved, or run word by
+    word after an ``hp_unprovable`` refusal — is rebased and committed
+    through the burst path at every later occurrence.  One memo serves
+    one campaign; it is never shared across campaigns.
+    """
+
+    def __init__(self) -> None:
+        self._entries: dict[tuple, _MemoEntry] = {}
+        #: Hits served, by the path that filled the entry.
+        self.hits = {"solve": 0, "word": 0}
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def record(self, key: tuple, t0: int, source: str,
+               outcome: PhaseSolution) -> None:
+        """Store *outcome* (absolute cycles, channels in key order)."""
+        hp = outcome.hp_state
+        self._entries.setdefault(key, _MemoEntry(
+            source=source,
+            finish=outcome.finish - t0,
+            spans=tuple((s - t0, f - t0) for _n, s, f in outcome.actor_spans),
+            channels=tuple(outcome.channels.values()),
+            hp_state=None if hp is None else (hp[0] - t0, hp[1]),
+            hp_words=outcome.hp_words,
+        ))
+
+    def lookup(self, key: tuple, t0: int, channels: dict,
+               actors: list[ActorSpec]) -> PhaseSolution | None:
+        """The memoised outcome rebased to *t0*, or ``None`` on a miss."""
+        e = self._entries.get(key)
+        if e is None:
+            return None
+        self.hits[e.source] += 1
+        return PhaseSolution(
+            finish=t0 + e.finish,
+            actor_spans=[
+                (a.name, t0 + s, t0 + f) for a, (s, f) in zip(actors, e.spans)
+            ],
+            channels=dict(zip(channels, e.channels)),
+            hp_state=None if e.hp_state is None else (t0 + e.hp_state[0], e.hp_state[1]),
+            hp_words=e.hp_words,
+        )

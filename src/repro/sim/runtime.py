@@ -41,7 +41,10 @@ from repro.sim.axi import AxiLiteBus, StreamChannel
 from repro.sim.burst import (
     ActorSpec,
     DmaSpec,
+    PhaseMemo,
+    PhaseSolution,
     hw_serialized,
+    phase_memo_key,
     replay_hp_state,
     solve_phase_ex,
 )
@@ -323,6 +326,7 @@ class _Runtime:
         inputs: dict[str, np.ndarray],
         *,
         policy: RecoveryPolicy | None = None,
+        phase_memo: PhaseMemo | None = None,
     ) -> None:
         self.htg = htg
         self.partition = partition
@@ -357,12 +361,19 @@ class _Runtime:
         self.fallback_reasons: dict[str, int] = {}
         self.fallback_phases: dict[str, str] = {}
         self.phase_modes: dict[str, tuple[str, str | None]] = {}
+        #: The phase memo (repro.sim.burst.PhaseMemo) serves only plain
+        #: burst runs: with no fault plan and no ladder, neither the
+        #: prefix path nor the watchdog budget can arise.
+        self.phase_memo = None
+        #: Phases committed from the memo (their E span says so).
+        self.memo_phases: set[str] = set()
         #: AXI-Lite cores may charge their m_axi traffic as one burst
         #: grant only when nothing can interrupt the core mid-window:
         #: serialized hardware and no recovery ladder (a watchdog abandon
         #: between grant and completion would otherwise leave the port
         #: ahead of where the word path would be).
         if self._burst_base and not self._ladder:
+            self.phase_memo = phase_memo
             for core in platform.lite_cores.values():
                 core.burst_traffic = True
 
@@ -538,7 +549,7 @@ class _Runtime:
 
     def run_hw_phase(self, phase: Phase):
         assert self.p.system is not None and self.p.cpu is not None
-        channel_data = None
+        channel_data = memo_fill = None
         if self._burst_base:
             channel_data = self._dataflow_outputs(phase)
             kind, payload = self._plan_burst_phase(phase, channel_data)
@@ -550,15 +561,17 @@ class _Runtime:
                 self.phase_modes[phase.name] = ("prefix", None)
                 yield from self._run_hw_phase_prefix(phase, channel_data, *payload)
                 return
-            reason = payload
+            reason, memo_fill = payload
             self.fallback_reasons[reason] = self.fallback_reasons.get(reason, 0) + 1
             self.fallback_phases[phase.name] = reason
             self.phase_modes[phase.name] = ("word", reason)
-        yield from self._run_hw_phase_word(phase, channel_data)
+        yield from self._run_hw_phase_word(phase, channel_data, memo_fill)
 
-    def _run_hw_phase_word(self, phase: Phase, channel_data=None):
+    def _run_hw_phase_word(self, phase: Phase, channel_data=None, memo_fill=None):
         system = self.p.system
         start = self.p.env.now
+        hp = self.p.hp_port
+        hp_words0 = hp.total_words if hp is not None else 0
         if channel_data is None:
             channel_data = self._dataflow_outputs(phase)
 
@@ -623,6 +636,29 @@ class _Runtime:
                     f"hw:{sim.name}", "stream", sim.started_at, sim.finished_at
                 )
         self.p.trace.record(f"phase:{phase.name}", "hw-phase", start, self.p.env.now)
+        if memo_fill is not None:
+            self._memo_record_word(memo_fill, start, actors, hp_words0)
+
+    def _memo_record_word(self, memo_fill, t0: int, actors, hp_words0: int) -> None:
+        """Store what the word path observed for a first occurrence.
+
+        The planner hands over *memo_fill* — the key and the phase's
+        channels in key order — only for an ``hp_unprovable`` phase whose
+        channels were all untouched at entry, so the counters below are
+        this phase's own traffic.
+        """
+        key, channels = memo_fill
+        hp = self.p.hp_port
+        hp_words = hp.total_words - hp_words0 if hp is not None else 0
+        self.phase_memo.record(key, t0, "word", PhaseSolution(
+            finish=self.p.env.now,
+            actor_spans=[(a.name, a.started_at, a.finished_at) for a in actors],
+            channels={
+                ch: (ch.total_put, ch.total_got, ch.high_water) for ch in channels
+            },
+            hp_state=(hp._slot_time, hp._slot_used) if hp_words else None,
+            hp_words=hp_words,
+        ))
 
     # -- burst fast path (see repro.sim.burst for the equivalence argument) --
     def _plan_burst_phase(self, phase: Phase, channel_data):
@@ -631,8 +667,9 @@ class _Runtime:
         ``("burst", args)`` runs the whole phase as one commit;
         ``("prefix", args)`` burst-commits up to the cycle before the
         earliest fault hazard and resumes the remainder on the live word
-        path; ``("fallback", reason)`` — reason from
-        :data:`~repro.sim.burst.FALLBACK_REASONS` — runs the word path.
+        path; ``("fallback", (reason, memo_fill))`` — reason from
+        :data:`~repro.sim.burst.FALLBACK_REASONS` — runs the word path,
+        which fills the phase memo when *memo_fill* is not ``None``.
         Pure apart from the idempotent capacity bump: nothing is staged,
         kicked or charged until the plan is accepted, so a fallback
         leaves the simulator exactly where the word path expects it.
@@ -672,7 +709,7 @@ class _Runtime:
                 targets.add(engine.name)
         except SimError:
             # Unmappable boundary: let the word path raise the error.
-            return ("fallback", "no_convergence")
+            return ("fallback", ("no_convergence", None))
 
         channels: dict[StreamChannel, int] = {}
         chan_tokens: dict[StreamChannel, list] = {}
@@ -708,32 +745,43 @@ class _Runtime:
             spent = p.injector.spent() if p.injector is not None else None
             hazard = p.fault_plan.earliest_hazard(targets, now=t0, spent=spent)
             if hazard is not None and hazard <= kick:
-                return ("fallback", "fault_touches")
+                return ("fallback", ("fault_touches", None))
         # The FIFOs must be idle and deep enough for burst algebra.
         for ch in channels:
             if ch.capacity < 2 or len(ch) or ch._getters or ch._putters:
-                return ("fallback", "fifo_busy")
+                return ("fallback", ("fifo_busy", None))
         for _, _, engine in in_ctx:
             if engine._mm2s_busy is not None and not engine._mm2s_busy.triggered:
-                return ("fallback", "engine_busy")
+                return ("fallback", ("engine_busy", None))
         for _, _, engine, _ in out_ctx:
             if engine._s2mm_busy is not None and not engine._s2mm_busy.triggered:
-                return ("fallback", "engine_busy")
+                return ("fallback", ("engine_busy", None))
 
-        solution, reason = solve_phase_ex(
-            channels,
-            dma_specs,
-            actor_specs,
+        hp_args = dict(
             hp_wpc=p.hp_port.words_per_cycle if p.hp_port else None,
             hp_slot_time=p.hp_port._slot_time if p.hp_port else None,
             hp_slot_used=p.hp_port._slot_used if p.hp_port else 0,
         )
+        memo, key = self.phase_memo, None
+        if memo is not None:
+            key = phase_memo_key(t0, channels, dma_specs, actor_specs, **hp_args)
+            solution = memo.lookup(key, t0, channels, actor_specs)
+            if solution is not None:
+                self.memo_phases.add(phase.name)
+                return ("burst", (solution, in_ctx, out_ctx, chan_tokens))
+        solution, reason = solve_phase_ex(channels, dma_specs, actor_specs, **hp_args)
         if solution is None:
-            return ("fallback", reason)
+            fill = None
+            if (key is not None and reason == "hp_unprovable"
+                    and all(ch.total_put == 0 for ch in channels)):
+                fill = (key, list(channels))
+            return ("fallback", (reason, fill))
+        if key is not None:
+            memo.record(key, t0, "solve", solution)
         # A watchdog that would expire mid-phase must see the word path
         # wedge word by word, not a single opaque timeout.
         if self._ladder and solution.finish - t0 >= self.policy.node_budget:
-            return ("fallback", "watchdog_budget")
+            return ("fallback", ("watchdog_budget", None))
         if hazard is not None and hazard <= solution.finish:
             return (
                 "prefix",
@@ -1095,6 +1143,8 @@ class _Runtime:
                         extra["path"] = mode[0]
                         if mode[1] is not None:
                             extra["fallback_reason"] = mode[1]
+                        if name in self.memo_phases:
+                            extra["source"] = "memo"
                     _BUS.emit(
                         "sim.phase",
                         name,
@@ -1124,6 +1174,7 @@ def simulate_application(
     faults: FaultPlan | None = None,
     policy: RecoveryPolicy | None = None,
     burst_mode: bool | None = None,
+    phase_memo: PhaseMemo | None = None,
 ) -> ExecutionReport:
     """Run *htg* under *partition* and return the execution report.
 
@@ -1151,6 +1202,15 @@ def simulate_application(
     exactness would require word granularity (an armed fault plan
     touching it, shallow FIFOs, contended HP windows, parallel hardware
     nodes).
+
+    *phase_memo* (a :class:`~repro.sim.burst.PhaseMemo`) lets runs that
+    share it simulate each distinct hardware phase once: a phase whose
+    t0-relative solver inputs were seen before is committed from the
+    memo through the burst path, byte- and cycle-identical to solving
+    or word-simulating it again (``burst_stats["memo_hits"]`` counts
+    them).  It is consulted only on the burst path with no *faults* and
+    no *policy*; share one memo across the runs of one campaign, never
+    across campaigns.
     """
     validate_htg(htg)
     partition.validate(htg)
@@ -1169,7 +1229,10 @@ def simulate_application(
         platform.cpu = CpuModel(
             platform.env, AxiLiteBus(platform.env, AddressMap()), num_cores=cpu_cores
         )
-    runtime = _Runtime(htg, partition, behaviors, platform, inputs, policy=policy)
+    runtime = _Runtime(
+        htg, partition, behaviors, platform, inputs,
+        policy=policy, phase_memo=phase_memo,
+    )
     runtime.launch()
     cycles = platform.env.run()
     if _BUS.enabled:
@@ -1225,6 +1288,7 @@ def simulate_application(
             "burst_phases": runtime.burst_phases,
             "prefix_phases": runtime.prefix_phases,
             "word_phases": runtime.word_phases,
+            "memo_hits": len(runtime.memo_phases),
             "fallback_reasons": dict(runtime.fallback_reasons),
             "fallback_phases": dict(runtime.fallback_phases),
         },

@@ -19,6 +19,7 @@ from repro.dse import (
 from repro.dse.campaign import _read_journal, campaign_digest
 from repro.dse.space import Axis, SearchSpace, actors_of
 from repro.hls import fncache
+from repro.sim.burst import PhaseMemo
 from repro.util.errors import ReproError
 
 
@@ -286,3 +287,64 @@ class TestCampaign:
         report = result.frontier_report(baseline=baseline)
         assert report["baseline_dominated"] is True
         assert report["points_evaluated"] == len(result.points)
+
+
+class TestPhaseMemo:
+    """One memo per campaign; every candidate's simulation is unchanged."""
+
+    @pytest.fixture(autouse=True)
+    def _burst_on(self, monkeypatch):
+        # The memo serves the burst path only (REPRO_SIM_BURST=0 skips it).
+        monkeypatch.delenv("REPRO_SIM_BURST", raising=False)
+
+    def test_otsu_space_differential(self, monkeypatch):
+        import repro.dse.evaluate as evaluate
+
+        reports = {}
+        inner = evaluate.simulate_application
+        current = {}
+
+        def spy(*args, **kwargs):
+            report = inner(*args, **kwargs)
+            reports[current["run"], current["cid"]] = report
+            return report
+
+        monkeypatch.setattr(evaluate, "simulate_application", spy)
+        cands = sorted(otsu_space(), key=lambda c: c.cid)
+        memos = {"forward": PhaseMemo(), "reverse": PhaseMemo()}
+        for run, order, memo in (
+            ("none", cands, None),
+            ("forward", cands, memos["forward"]),
+            ("reverse", cands[::-1], memos["reverse"]),
+        ):
+            for cand in order:
+                current.update(run=run, cid=cand.cid)
+                evaluate_candidate(cand, width=8, height=8, phase_memo=memo)
+
+        def word_phases(run):
+            return sum(
+                reports[run, c.cid].burst_stats["word_phases"] for c in cands
+            )
+
+        for cand in cands:
+            ref = reports["none", cand.cid]
+            for run in memos:
+                got = reports[run, cand.cid]
+                assert got.digest() == ref.digest(), (run, cand.label())
+                assert got.cycles == ref.cycles
+                assert got.channel_stats == ref.channel_stats
+                assert got.hp_words == ref.hp_words
+        for memo in memos.values():
+            assert memo.hits["word"] >= 1
+        assert word_phases("forward") < word_phases("none")
+        assert word_phases("reverse") < word_phases("none")
+
+    def test_memo_does_not_outlive_a_campaign(self):
+        config = CampaignConfig(space=small_space(), width=8, height=8)
+        first, second = run_campaign(config), run_campaign(config)
+        assert first.memo_hits > 0
+        assert second.memo_hits == first.memo_hits
+        assert second.digest == first.digest
+        assert sum(p.memo_hits for p in first.points) == first.memo_hits
+        # Order-dependent, so kept out of the journal and the digest.
+        assert all("memo_hits" not in p.record() for p in first.points)

@@ -17,8 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.htg import HTG, Actor, Partition, Phase, StreamChannel as HtgChannel, Task
-from repro.sim import Environment, StreamChannel, hw_serialized, simulate_application, solve_phase
-from repro.sim.burst import ActorSpec, DmaSpec
+from repro.sim import Environment, StreamChannel, hw_serialized, simulate_application, solve_phase_ex
+from repro.sim.burst import ActorSpec, DmaSpec, PhaseMemo, phase_memo_key
 from repro.sim.dma_engine import HpPort
 from repro.sim.faults import FaultPlan, RecoveryPolicy
 from repro.sim.runtime import Behavior
@@ -403,21 +403,21 @@ class TestSolverGuards:
     def test_shallow_fifo_rejected(self):
         env = Environment()
         ch = StreamChannel(env, "c", capacity=1)
-        sol = solve_phase(
+        sol = solve_phase_ex(
             {ch: 1}, [DmaSpec(0, 4, ch, "mm2s")],
             [ActorSpec(name="a", t0=0, firings=4, depth=1, ii=1,
                        rate_ins=[ch])],
-        )
+        )[0]
         assert sol is None
 
     def test_count_mismatch_rejected(self):
         env = Environment()
         ch = StreamChannel(env, "c", capacity=8)
-        sol = solve_phase(
+        sol = solve_phase_ex(
             {ch: 8}, [DmaSpec(0, 4, ch, "mm2s")],
             [ActorSpec(name="a", t0=0, firings=3, depth=1, ii=1,
                        rate_ins=[ch])],
-        )
+        )[0]
         assert sol is None  # 4 produced, 3 consumed: leftover token
 
     def test_saturated_shared_port_rejected(self):
@@ -425,7 +425,7 @@ class TestSolverGuards:
         # carries 4 wanted words -> arbitration order matters.
         env = Environment()
         a, b = (StreamChannel(env, n, capacity=64) for n in "ab")
-        sol = solve_phase(
+        sol = solve_phase_ex(
             {a: 64, b: 64},
             [DmaSpec(0, 32, a, "mm2s"), DmaSpec(0, 32, b, "mm2s")],
             [ActorSpec(name="x", t0=0, firings=32, depth=0, ii=1,
@@ -433,19 +433,19 @@ class TestSolverGuards:
              ActorSpec(name="y", t0=0, firings=32, depth=0, ii=1,
                        rate_ins=[b])],
             hp_wpc=2, hp_slot_time=-1,
-        )
+        )[0]
         assert sol is None
 
     def test_busy_port_at_entry_rejected(self):
         env = Environment()
         ch = StreamChannel(env, "c", capacity=64)
         kw = dict(hp_wpc=2, hp_slot_time=10**9)
-        sol = solve_phase(
+        sol = solve_phase_ex(
             {ch: 64}, [DmaSpec(0, 4, ch, "mm2s")],
             [ActorSpec(name="a", t0=0, firings=4, depth=0, ii=1,
                        rate_ins=[ch])],
             **kw,
-        )
+        )[0]
         assert sol is None
 
 
@@ -882,3 +882,195 @@ class TestPhaseSpanAttributes:
         fields = self._phase_fields(plan)
         assert fields["path"] == "word"
         assert fields["fallback_reason"] == "fault_touches"
+
+
+def assert_same_run(ref, got):
+    """Everything the phase memo must reproduce, high_water included."""
+    assert got.digest() == ref.digest()
+    assert got.cycles == ref.cycles
+    assert got.channel_stats == ref.channel_stats
+    assert got.hp_words == ref.hp_words
+
+
+def build_otsu_candidate(hw, *, dma="per-stream", width=8):
+    """An Otsu DSE candidate's app and integrated system (no PIPELINE)."""
+    from repro.apps.otsu.app import build_otsu_custom
+    from repro.dse.evaluate import dse_flow_config
+    from repro.flow.orchestrator import run_flow
+
+    app = build_otsu_custom(frozenset(hw), width=width, height=width)
+    directives = {
+        actor: [d for d in dirs if d.kind != "pipeline"]
+        for actor, dirs in app.extra_directives.items()
+    }
+    flow = run_flow(
+        app.dsl_graph(),
+        app.c_sources,
+        extra_directives=directives,
+        config=dse_flow_config(one_dma_per_stream=(dma == "per-stream")),
+    )
+    return app, flow.system
+
+
+class _UntouchableMemo(PhaseMemo):
+    def lookup(self, *args, **kwargs):
+        raise AssertionError("phase memo consulted")
+
+    def record(self, *args, **kwargs):
+        raise AssertionError("phase memo filled")
+
+
+class TestPhaseMemo:
+    """A phase seen before is committed from the memo, exactly."""
+
+    @pytest.fixture(scope="class")
+    def contended(self):
+        # Per-stream DMAs on one saturated HP port: the certificate
+        # refuses this phase, so the word path fills the memo.
+        return build_otsu_candidate({"binarization", "otsuMethod"})
+
+    @staticmethod
+    def run_otsu(app, system, behaviors=None, **kw):
+        return simulate_application(
+            app.htg, app.partition, behaviors or app.behaviors, {},
+            system=system, burst_mode=kw.pop("burst_mode", True), **kw,
+        )
+
+    def test_time_shifted_hit_equals_word_path(self, contended):
+        app, system = contended
+        memo = PhaseMemo()
+        first = self.run_otsu(app, system, phase_memo=memo)
+        assert first.burst_stats["fallback_reasons"] == {"hp_unprovable": 1}
+        assert first.burst_stats["memo_hits"] == 0
+        assert len(memo) == 1
+        # A slower readImage moves the phase to a later t0.
+        slow = dict(app.behaviors)
+        slow["readImage"] = Behavior(
+            app.behaviors["readImage"].func, sw_cycles=lambda: 777
+        )
+        hit = self.run_otsu(app, system, slow, phase_memo=memo)
+        assert hit.node_spans["hwPipeline"][0] != first.node_spans["hwPipeline"][0]
+        assert hit.burst_stats["memo_hits"] == 1
+        assert hit.burst_stats["word_phases"] == 0
+        assert hit.burst_stats["burst_phases"] == 1
+        assert hit.kernel_events < first.kernel_events
+        assert memo.hits == {"solve": 0, "word": 1}
+        for burst_mode in (False, True):
+            assert_same_run(
+                self.run_otsu(app, system, slow, burst_mode=burst_mode), hit
+            )
+
+    def test_solver_record_hit_is_identical(self):
+        htg, behaviors, _ = build_pipeline_app(n=64)
+        part, system = build_hw_system(htg)
+        memo = PhaseMemo()
+        runs = [
+            simulate_application(htg, part, behaviors, {}, system=system,
+                                 burst_mode=True, phase_memo=memo)
+            for _ in range(2)
+        ]
+        assert [r.burst_stats["memo_hits"] for r in runs] == [0, 1]
+        assert memo.hits == {"solve": 1, "word": 0}
+        assert_same_run(runs[0], runs[1])
+        word = simulate_application(htg, part, behaviors, {}, system=system,
+                                    burst_mode=False)
+        assert_identical(word, runs[1])
+
+    def test_runtime_misses_on_changed_inputs(self):
+        htg, behaviors, _ = build_pipeline_app(n=64)
+        part, system = build_hw_system(htg)
+        memo = PhaseMemo()
+
+        def run(htg, part, behaviors, system, **kw):
+            return simulate_application(htg, part, behaviors, {}, system=system,
+                                        burst_mode=True, phase_memo=memo, **kw)
+
+        run(htg, part, behaviors, system)
+        assert run(htg, part, behaviors, system,
+                   hp_words_per_cycle=1).burst_stats["memo_hits"] == 0
+        htg2, behaviors2, _ = build_pipeline_app(n=96)
+        part2, system2 = build_hw_system(htg2)
+        assert run(htg2, part2, behaviors2, system2).burst_stats["memo_hits"] == 0
+        assert len(memo) == 3
+        assert memo.hits == {"solve": 0, "word": 0}
+
+    @staticmethod
+    def key(*, t0=100, cap=8, ii=1, depth=3, count=16, wpc=2,
+            slot_time=-1, slot_used=0):
+        env = Environment()
+        a, b = StreamChannel(env, "a"), StreamChannel(env, "b")
+        dmas = [DmaSpec(t0 + 150, count, a, "mm2s"),
+                DmaSpec(t0 + 300, count, b, "s2mm")]
+        actors = [ActorSpec(name="x", t0=t0, firings=count, depth=depth,
+                            ii=ii, rate_ins=[a], rate_outs=[b])]
+        return phase_memo_key(t0, {a: cap, b: cap}, dmas, actors,
+                              hp_wpc=wpc, hp_slot_time=slot_time,
+                              hp_slot_used=slot_used)
+
+    def test_key_is_relative_to_phase_start(self):
+        base = self.key()
+        assert self.key(t0=5000) == base
+        # A port idle since before t0 is reset by the first call.
+        assert self.key(slot_time=99, slot_used=2) == base
+        assert self.key(t0=5000, slot_time=4000, slot_used=1) == base
+        # A busy entry state is kept, t0-relative.
+        assert self.key(slot_time=105, slot_used=1) == self.key(
+            t0=900, slot_time=905, slot_used=1
+        )
+
+    @pytest.mark.parametrize("change", [
+        {"cap": 16},
+        {"ii": 2},
+        {"depth": 4},
+        {"count": 17},
+        {"wpc": 1},
+        {"slot_time": 100, "slot_used": 1},
+        {"slot_time": 105, "slot_used": 1},
+    ])
+    def test_key_sensitivity(self, change):
+        assert self.key(**change) != self.key()
+
+    def test_busy_entry_states_are_distinct(self):
+        keys = {self.key(slot_time=100 + d, slot_used=u)
+                for d in (0, 5) for u in (1, 2)}
+        assert len(keys) == 4
+
+    @pytest.mark.parametrize("gate", ["burst_off", "env_off", "faults", "policy"])
+    def test_memo_not_consulted_outside_plain_burst(self, gate, monkeypatch):
+        htg, behaviors, _ = build_pipeline_app(n=64)
+        part, system = build_hw_system(htg)
+        kw = {"burst_mode": True}
+        if gate == "burst_off":
+            kw["burst_mode"] = False
+        elif gate == "env_off":
+            monkeypatch.setenv("REPRO_SIM_BURST", "0")
+            kw = {}
+        elif gate == "faults":
+            kw["faults"] = FaultPlan.single("accel_hang", "not_in_this_design")
+        else:
+            kw["policy"] = RecoveryPolicy()
+        rep = simulate_application(htg, part, behaviors, {}, system=system,
+                                   phase_memo=_UntouchableMemo(), **kw)
+        assert rep.burst_stats["memo_hits"] == 0
+        if gate in ("faults", "policy"):
+            assert rep.burst_stats["burst_phases"] == 1
+
+    def test_hit_span_carries_memo_source(self):
+        from repro.obs import capture
+
+        htg, behaviors, _ = build_pipeline_app(n=64)
+        part, system = build_hw_system(htg)
+        memo = PhaseMemo()
+        fields = []
+        for _ in range(2):
+            with capture() as (bus, _reg):
+                simulate_application(htg, part, behaviors, {}, system=system,
+                                     burst_mode=True, phase_memo=memo)
+            fields += [
+                dict(e.fields) for e in bus.events()
+                if e.category == "sim.phase" and e.phase == "E"
+                and e.name == "pipe"
+            ]
+        assert [f["path"] for f in fields] == ["burst", "burst"]
+        assert "source" not in fields[0]
+        assert fields[1]["source"] == "memo"
