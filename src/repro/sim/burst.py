@@ -51,14 +51,27 @@ test: disjoint schedules replay to their solo grants trivially, an
 unsaturated shared window is a uniform tie group, and saturated
 single-master stretches (a DMA filling a deep FIFO at full rate) are
 now accepted whenever the other masters provably keep out of the
-contended cycles.  Anything the replay cannot certify **falls back to
-the word path**, so the fast path is only taken when it is provably
-exact.
+contended cycles.  A schedule the certificate refuses
+(``hp_unprovable``) really depends on the kernel's tie order: a late
+grant in a back-to-back S2MM drain moves every later call of that
+master.
 
-What is *not* reconstructed exactly: a FIFO's ``high_water`` statistic
-depends on whether a same-cycle put/get pair hands off directly or
-bounces through the queue — invisible to timing and data, so the solver
-only estimates it and :meth:`ExecutionReport.digest` excludes it.
+*Contended phases are replayed in kernel order.*  For those phases
+:func:`replay_phase` runs the phase's own entries — process starts,
+timeout triggers, resumptions, FIFO handoffs, HP-port calls — in the
+event kernel's ``(time, push order)``, as opcode-yielding generators on
+a private two-queue loop with no :class:`~repro.sim.kernel.Event`
+objects.  Entries of other processes only interleave with the phase's
+own, so the replay reaches the word path's exact outcome without an
+event allocation or callback dispatch per entry.  A phase the replay
+cannot finish (a blocked process, tokens left in a FIFO) **falls back
+to the word path**, which raises the usual diagnostic.
+
+What the solver does *not* reconstruct exactly: a FIFO's ``high_water``
+statistic depends on whether a same-cycle put/get pair hands off
+directly or bounces through the queue — invisible to timing and data,
+so the solver only estimates it (the replay's is exact) and
+:meth:`ExecutionReport.digest` excludes it.
 
 Components modelled (mirroring the generator processes word for word):
 
@@ -85,12 +98,14 @@ A :class:`PhaseMemo` remembers each phase's outcome under its
 t0-relative solver inputs (:func:`phase_memo_key`).  A design-space
 sweep repeats the same phase across candidates that differ only on
 other axes, so the runtime solves — or, for an ``hp_unprovable``
-phase, word-simulates — each distinct phase once per campaign and
-commits every repeat from the memo.
+phase, replays — each distinct phase once per campaign and commits
+every repeat from the memo.
 """
 
 from __future__ import annotations
 
+import heapq
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -517,6 +532,195 @@ def solve_phase_ex(
     ), None
 
 
+#: Replay opcodes: what a replayed process yields, paired with its argument.
+_WAIT, _PUT, _GET, _ACQUIRE = range(4)
+
+
+class _Fifo:
+    """A phase FIFO as :func:`replay_phase` sees it: counts, no tokens."""
+
+    __slots__ = ("cap", "n", "puts", "gets", "high_water", "getters", "putters",
+                 "put_op", "get_op")
+
+    def __init__(self, cap: int) -> None:
+        self.cap = cap
+        self.n = 0
+        self.puts = self.gets = self.high_water = 0
+        self.getters: deque = deque()  # blocked consumers, arrival order
+        self.putters: deque = deque()  # blocked producers, arrival order
+        self.put_op = (_PUT, self)
+        self.get_op = (_GET, self)
+
+
+def _replay_dma(spec: DmaSpec, f: _Fifo):
+    """``DmaEngine._run_mm2s`` / ``_run_s2mm`` on an HP port, as opcodes."""
+    acquire = (_ACQUIRE, None)
+    if spec.direction == "mm2s":
+        yield (_WAIT, READ_LATENCY)
+        for _ in range(spec.count):
+            yield acquire
+            yield f.put_op
+    else:
+        yield (_WAIT, WRITE_LATENCY)
+        for _ in range(spec.count):
+            yield f.get_op
+            yield acquire
+
+
+def _replay_actor(spec: ActorSpec, fifos: dict):
+    """``StreamActorSim._run``, as opcodes."""
+    for key, n in spec.bulk_ins:
+        op = fifos[key].get_op
+        for _ in range(n):
+            yield op
+    yield (_WAIT, spec.depth)
+    gets = [fifos[k].get_op for k in spec.rate_ins]
+    puts = [fifos[k].put_op for k in spec.rate_outs]
+    step = (_WAIT, spec.ii)
+    for f in range(spec.firings):
+        yield from gets
+        if f > 0:
+            yield step
+        yield from puts
+    word = (_WAIT, CYCLES_PER_WORD)
+    for key, n in spec.bulk_outs:
+        op = fifos[key].put_op
+        for _ in range(n):
+            yield word
+            yield op
+
+
+def replay_phase(
+    t0: int,
+    channels: dict,
+    dmas: list[DmaSpec],
+    actors: list[ActorSpec],
+    *,
+    hp_wpc: int,
+    hp_slot_time: int | None = None,
+    hp_slot_used: int = 0,
+) -> PhaseSolution | None:
+    """Run one phase's own kernel entries in the event kernel's order.
+
+    The exact path for phases :func:`solve_phase_ex` refuses as
+    ``hp_unprovable``: on a saturated shared port the grant of a
+    same-cycle tie depends on which master the kernel runs first, so
+    instead of certifying order-independence this replays the order.
+    Each word-path process is a generator yielding opcodes, and a
+    two-queue loop runs their entries in ``(time, push order)`` exactly
+    like :class:`~repro.sim.kernel.Environment` (the rule list is in
+    DESIGN.md §8): a heap of timeout triggers due later, a FIFO of this
+    cycle's zero-delay entries, due heap entries first.  The driver
+    starts every actor at *t0* inside one step, then kicks each DMA from
+    the step its ``spec.kick - previous`` timeout resumes — for the
+    runtime one ``DRIVER_CALL_OVERHEAD`` apart, like ``cpu.call_driver``.
+
+    Returns a :class:`PhaseSolution` (no timelines: the prefix path never
+    uses a replay) whose ``high_water`` is exact, or ``None`` when a
+    process is still blocked or a FIFO still holds tokens at the end —
+    the word path then runs and raises its usual diagnostic.  *channels*
+    maps keys to capacities; the HP arguments are those of the solver.
+    """
+    kicks = [t0] + [d.kick for d in dmas]
+    if any(b < a for a, b in zip(kicks, kicks[1:])):
+        raise ValueError("DMA kicks must follow t0 in driver-call order")
+    if any(a.t0 != t0 for a in actors):
+        raise ValueError("every actor starts at the phase start")
+    fifos = {key: _Fifo(cap) for key, cap in channels.items()}
+    actor_gens = [_replay_actor(a, fifos) for a in actors]
+    dma_gens = [_replay_dma(d, fifos[d.chan]) for d in dmas]
+    heap: list = []  # (due, seq, process): a timeout's trigger
+    ready: deque = deque()  # (is_trigger, process), push order
+
+    def driver():
+        for gen in actor_gens:
+            ready.append((False, gen))
+        for (prev, kick), gen in zip(zip(kicks, kicks[1:]), dma_gens):
+            yield (_WAIT, kick - prev)
+            ready.append((False, gen))
+
+    ended: dict = {}
+    slot_time = hp_slot_time if hp_slot_time is not None else -1
+    slot_used, words, seq, now = hp_slot_used, 0, 0, t0
+    heappush, heappop = heapq.heappush, heapq.heappop
+    ready.append((False, driver()))
+    while True:
+        if ready and (not heap or heap[0][0] > now):
+            trigger, gen = ready.popleft()
+            if trigger:  # a timeout(0) fired: its waiter resumes next
+                ready.append((False, gen))
+                continue
+        elif heap:
+            now, _, gen = heappop(heap)
+            ready.append((False, gen))
+            continue
+        else:
+            break
+        try:
+            op, arg = next(gen)
+        except StopIteration:
+            ended[gen] = now
+            continue
+        if op == _PUT:
+            if arg.getters:  # direct handoff: the getter resumes first
+                arg.puts += 1
+                arg.gets += 1
+                ready.append((False, arg.getters.popleft()))
+                ready.append((False, gen))
+            elif arg.n < arg.cap:
+                arg.n += 1
+                arg.puts += 1
+                if arg.n > arg.high_water:
+                    arg.high_water = arg.n
+                ready.append((False, gen))
+            else:
+                arg.putters.append(gen)
+            continue
+        if op == _GET:
+            if arg.n:
+                arg.gets += 1
+                if arg.putters:  # admits the head putter, which resumes first
+                    arg.puts += 1  # occupancy back to n: high_water already >= n
+                    ready.append((False, arg.putters.popleft()))
+                else:
+                    arg.n -= 1
+                ready.append((False, gen))
+            else:
+                arg.getters.append(gen)
+            continue
+        if op == _ACQUIRE:  # HpPort.acquire at this cycle
+            if slot_time < now:
+                slot_time = now
+                slot_used = 0
+            if slot_used >= hp_wpc:
+                slot_time += 1
+                slot_used = 0
+            slot_used += 1
+            words += 1
+            arg = slot_time - now
+        if arg:
+            seq += 1
+            heappush(heap, (now + arg, seq, gen))
+        else:
+            ready.append((True, gen))
+
+    if len(ended) != 1 + len(actor_gens) + len(dma_gens):
+        return None  # a process is still blocked
+    if any(f.n for f in fifos.values()):
+        return None  # tokens left behind
+    return PhaseSolution(
+        finish=max(ended.values()),
+        actor_spans=[
+            (spec.name, t0, ended[gen]) for spec, gen in zip(actors, actor_gens)
+        ],
+        channels={
+            key: (f.puts, f.gets, f.high_water) for key, f in fifos.items()
+        },
+        hp_state=(slot_time, slot_used) if words else None,
+        hp_words=words,
+    )
+
+
 def phase_memo_key(
     t0: int,
     channels: dict,
@@ -561,7 +765,7 @@ def phase_memo_key(
 
 @dataclass(frozen=True)
 class _MemoEntry:
-    source: str  # "solve" | "word": the path that observed the outcome
+    source: str  # "solve" | "replay": the path that computed the outcome
     finish: int
     spans: tuple  # ((started, finished), ...) per actor, layout order
     channels: tuple  # ((puts, gets, high_water), ...) per channel index
@@ -573,16 +777,16 @@ class PhaseMemo:
     """Phase outcomes keyed by :func:`phase_memo_key`, all t0-relative.
 
     The word-path trajectory of a phase is a function of the key (see
-    DESIGN.md §8), so an outcome observed once — solved, or run word by
-    word after an ``hp_unprovable`` refusal — is rebased and committed
-    through the burst path at every later occurrence.  One memo serves
-    one campaign; it is never shared across campaigns.
+    DESIGN.md §8), so an outcome computed once — by the solver, or by
+    :func:`replay_phase` after an ``hp_unprovable`` refusal — is rebased
+    and committed through the burst path at every later occurrence.  One
+    memo serves one campaign; it is never shared across campaigns.
     """
 
     def __init__(self) -> None:
         self._entries: dict[tuple, _MemoEntry] = {}
         #: Hits served, by the path that filled the entry.
-        self.hits = {"solve": 0, "word": 0}
+        self.hits = {"solve": 0, "replay": 0}
 
     def __len__(self) -> int:
         return len(self._entries)

@@ -42,10 +42,10 @@ from repro.sim.burst import (
     ActorSpec,
     DmaSpec,
     PhaseMemo,
-    PhaseSolution,
     hw_serialized,
     phase_memo_key,
     replay_hp_state,
+    replay_phase,
     solve_phase_ex,
 )
 from repro.sim.prefix import (
@@ -357,7 +357,9 @@ class _Runtime:
         self.prefix_phases = 0
         #: Fallback accounting: reason -> count (a retried phase counts
         #: once per word-path attempt), phase name -> last reason, and
-        #: phase name -> (path, reason) for the obs span attributes.
+        #: phase name -> (path, detail) for the obs span attributes, where
+        #: detail is the fallback reason of a word phase or the source
+        #: ("memo" | "replay") of a burst phase not solved analytically.
         self.fallback_reasons: dict[str, int] = {}
         self.fallback_phases: dict[str, str] = {}
         self.phase_modes: dict[str, tuple[str, str | None]] = {}
@@ -365,8 +367,6 @@ class _Runtime:
         #: burst runs: with no fault plan and no ladder, neither the
         #: prefix path nor the watchdog budget can arise.
         self.phase_memo = None
-        #: Phases committed from the memo (their E span says so).
-        self.memo_phases: set[str] = set()
         #: AXI-Lite cores may charge their m_axi traffic as one burst
         #: grant only when nothing can interrupt the core mid-window:
         #: serialized hardware and no recovery ladder (a watchdog abandon
@@ -549,29 +549,24 @@ class _Runtime:
 
     def run_hw_phase(self, phase: Phase):
         assert self.p.system is not None and self.p.cpu is not None
-        channel_data = memo_fill = None
+        channel_data = None
         if self._burst_base:
             channel_data = self._dataflow_outputs(phase)
-            kind, payload = self._plan_burst_phase(phase, channel_data)
-            if kind == "burst":
-                self.phase_modes[phase.name] = ("burst", None)
+            path, detail, payload = self._plan_burst_phase(phase, channel_data)
+            self.phase_modes[phase.name] = (path, detail)
+            if path == "burst":
                 yield from self._run_hw_phase_burst(phase, channel_data, *payload)
                 return
-            if kind == "prefix":
-                self.phase_modes[phase.name] = ("prefix", None)
+            if path == "prefix":
                 yield from self._run_hw_phase_prefix(phase, channel_data, *payload)
                 return
-            reason, memo_fill = payload
-            self.fallback_reasons[reason] = self.fallback_reasons.get(reason, 0) + 1
-            self.fallback_phases[phase.name] = reason
-            self.phase_modes[phase.name] = ("word", reason)
-        yield from self._run_hw_phase_word(phase, channel_data, memo_fill)
+            self.fallback_reasons[detail] = self.fallback_reasons.get(detail, 0) + 1
+            self.fallback_phases[phase.name] = detail
+        yield from self._run_hw_phase_word(phase, channel_data)
 
-    def _run_hw_phase_word(self, phase: Phase, channel_data=None, memo_fill=None):
+    def _run_hw_phase_word(self, phase: Phase, channel_data=None):
         system = self.p.system
         start = self.p.env.now
-        hp = self.p.hp_port
-        hp_words0 = hp.total_words if hp is not None else 0
         if channel_data is None:
             channel_data = self._dataflow_outputs(phase)
 
@@ -636,40 +631,18 @@ class _Runtime:
                     f"hw:{sim.name}", "stream", sim.started_at, sim.finished_at
                 )
         self.p.trace.record(f"phase:{phase.name}", "hw-phase", start, self.p.env.now)
-        if memo_fill is not None:
-            self._memo_record_word(memo_fill, start, actors, hp_words0)
-
-    def _memo_record_word(self, memo_fill, t0: int, actors, hp_words0: int) -> None:
-        """Store what the word path observed for a first occurrence.
-
-        The planner hands over *memo_fill* — the key and the phase's
-        channels in key order — only for an ``hp_unprovable`` phase whose
-        channels were all untouched at entry, so the counters below are
-        this phase's own traffic.
-        """
-        key, channels = memo_fill
-        hp = self.p.hp_port
-        hp_words = hp.total_words - hp_words0 if hp is not None else 0
-        self.phase_memo.record(key, t0, "word", PhaseSolution(
-            finish=self.p.env.now,
-            actor_spans=[(a.name, a.started_at, a.finished_at) for a in actors],
-            channels={
-                ch: (ch.total_put, ch.total_got, ch.high_water) for ch in channels
-            },
-            hp_state=(hp._slot_time, hp._slot_used) if hp_words else None,
-            hp_words=hp_words,
-        ))
 
     # -- burst fast path (see repro.sim.burst for the equivalence argument) --
     def _plan_burst_phase(self, phase: Phase, channel_data):
-        """Solve *phase* analytically; returns ``(kind, payload)``.
+        """Plan *phase*; returns ``(path, detail, args)``.
 
-        ``("burst", args)`` runs the whole phase as one commit;
-        ``("prefix", args)`` burst-commits up to the cycle before the
-        earliest fault hazard and resumes the remainder on the live word
-        path; ``("fallback", (reason, memo_fill))`` — reason from
-        :data:`~repro.sim.burst.FALLBACK_REASONS` — runs the word path,
-        which fills the phase memo when *memo_fill* is not ``None``.
+        ``("burst", source, args)`` runs the whole phase as one commit of
+        an outcome the solver computed (*source* ``None``), the event-
+        order replay computed (``"replay"``) or the phase memo held
+        (``"memo"``); ``("prefix", None, args)`` burst-commits up to the
+        cycle before the earliest fault hazard and resumes the remainder
+        on the live word path; ``("word", reason, None)`` — reason from
+        :data:`~repro.sim.burst.FALLBACK_REASONS` — runs the word path.
         Pure apart from the idempotent capacity bump: nothing is staged,
         kicked or charged until the plan is accepted, so a fallback
         leaves the simulator exactly where the word path expects it.
@@ -709,7 +682,7 @@ class _Runtime:
                 targets.add(engine.name)
         except SimError:
             # Unmappable boundary: let the word path raise the error.
-            return ("fallback", ("no_convergence", None))
+            return ("word", "no_convergence", None)
 
         channels: dict[StreamChannel, int] = {}
         chan_tokens: dict[StreamChannel, list] = {}
@@ -745,17 +718,17 @@ class _Runtime:
             spent = p.injector.spent() if p.injector is not None else None
             hazard = p.fault_plan.earliest_hazard(targets, now=t0, spent=spent)
             if hazard is not None and hazard <= kick:
-                return ("fallback", ("fault_touches", None))
+                return ("word", "fault_touches", None)
         # The FIFOs must be idle and deep enough for burst algebra.
         for ch in channels:
             if ch.capacity < 2 or len(ch) or ch._getters or ch._putters:
-                return ("fallback", ("fifo_busy", None))
+                return ("word", "fifo_busy", None)
         for _, _, engine in in_ctx:
             if engine._mm2s_busy is not None and not engine._mm2s_busy.triggered:
-                return ("fallback", ("engine_busy", None))
+                return ("word", "engine_busy", None)
         for _, _, engine, _ in out_ctx:
             if engine._s2mm_busy is not None and not engine._s2mm_busy.triggered:
-                return ("fallback", ("engine_busy", None))
+                return ("word", "engine_busy", None)
 
         hp_args = dict(
             hp_wpc=p.hp_port.words_per_cycle if p.hp_port else None,
@@ -767,28 +740,29 @@ class _Runtime:
             key = phase_memo_key(t0, channels, dma_specs, actor_specs, **hp_args)
             solution = memo.lookup(key, t0, channels, actor_specs)
             if solution is not None:
-                self.memo_phases.add(phase.name)
-                return ("burst", (solution, in_ctx, out_ctx, chan_tokens))
+                return ("burst", "memo", (solution, in_ctx, out_ctx, chan_tokens))
         solution, reason = solve_phase_ex(channels, dma_specs, actor_specs, **hp_args)
+        source = None
+        if reason == "hp_unprovable" and hazard is None:
+            # The port's tie order is the kernel's: replay it.  A hazard
+            # would need the solver's timelines for a prefix cut.
+            solution = replay_phase(t0, channels, dma_specs, actor_specs, **hp_args)
+            source = "replay"
         if solution is None:
-            fill = None
-            if (key is not None and reason == "hp_unprovable"
-                    and all(ch.total_put == 0 for ch in channels)):
-                fill = (key, list(channels))
-            return ("fallback", (reason, fill))
+            return ("word", reason, None)
         if key is not None:
-            memo.record(key, t0, "solve", solution)
+            memo.record(key, t0, source or "solve", solution)
         # A watchdog that would expire mid-phase must see the word path
         # wedge word by word, not a single opaque timeout.
         if self._ladder and solution.finish - t0 >= self.policy.node_budget:
-            return ("fallback", ("watchdog_budget", None))
+            return ("word", "watchdog_budget", None)
         if hazard is not None and hazard <= solution.finish:
             return (
-                "prefix",
+                "prefix", None,
                 (solution, in_ctx, out_ctx, chan_tokens, dma_specs,
                  actor_specs, hazard - 1),
             )
-        return ("burst", (solution, in_ctx, out_ctx, chan_tokens))
+        return ("burst", source, (solution, in_ctx, out_ctx, chan_tokens))
 
     def _run_hw_phase_burst(self, phase: Phase, channel_data, solution,
                             in_ctx, out_ctx, chan_tokens):
@@ -1135,16 +1109,17 @@ class _Runtime:
                 if _BUS.enabled:
                     # Hardware phases also report which simulation path
                     # ran them (burst | prefix | word) and, for word
-                    # fallbacks, the taxonomy reason — the E span is the
-                    # per-phase view of ExecutionReport.burst_stats.
+                    # fallbacks, the taxonomy reason or, for a burst
+                    # phase not solved analytically, its source — the E
+                    # span is the per-phase view of burst_stats.
                     extra = {}
                     mode = self.phase_modes.get(name)
                     if mode is not None:
-                        extra["path"] = mode[0]
-                        if mode[1] is not None:
-                            extra["fallback_reason"] = mode[1]
-                        if name in self.memo_phases:
-                            extra["source"] = "memo"
+                        path, detail = mode
+                        extra["path"] = path
+                        if detail is not None:
+                            key = "fallback_reason" if path == "word" else "source"
+                            extra[key] = detail
                     _BUS.emit(
                         "sim.phase",
                         name,
@@ -1200,14 +1175,15 @@ def simulate_application(
     ``None`` (default) reads ``REPRO_SIM_BURST`` (on unless set to
     ``0``); a phase falls back to the word path automatically whenever
     exactness would require word granularity (an armed fault plan
-    touching it, shallow FIFOs, contended HP windows, parallel hardware
-    nodes).
+    touching it, shallow FIFOs, parallel hardware nodes).  A contended
+    HP window the solver cannot certify is replayed in kernel order
+    instead (``burst_stats["replay_phases"]`` counts those phases).
 
     *phase_memo* (a :class:`~repro.sim.burst.PhaseMemo`) lets runs that
     share it simulate each distinct hardware phase once: a phase whose
     t0-relative solver inputs were seen before is committed from the
     memo through the burst path, byte- and cycle-identical to solving
-    or word-simulating it again (``burst_stats["memo_hits"]`` counts
+    or replaying it again (``burst_stats["memo_hits"]`` counts
     them).  It is consulted only on the burst path with no *faults* and
     no *policy*; share one memo across the runs of one campaign, never
     across campaigns.
@@ -1235,6 +1211,7 @@ def simulate_application(
     )
     runtime.launch()
     cycles = platform.env.run()
+    sources = [detail for _path, detail in runtime.phase_modes.values()]
     if _BUS.enabled:
         # ``sim.*`` totals are *run-determined* — they mirror the fields
         # ExecutionReport.digest() covers, so the word and burst paths
@@ -1288,7 +1265,8 @@ def simulate_application(
             "burst_phases": runtime.burst_phases,
             "prefix_phases": runtime.prefix_phases,
             "word_phases": runtime.word_phases,
-            "memo_hits": len(runtime.memo_phases),
+            "memo_hits": sources.count("memo"),
+            "replay_phases": sources.count("replay"),
             "fallback_reasons": dict(runtime.fallback_reasons),
             "fallback_phases": dict(runtime.fallback_phases),
         },

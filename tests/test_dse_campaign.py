@@ -321,9 +321,9 @@ class TestPhaseMemo:
                 current.update(run=run, cid=cand.cid)
                 evaluate_candidate(cand, width=8, height=8, phase_memo=memo)
 
-        def word_phases(run):
+        def replay_phases(run):
             return sum(
-                reports[run, c.cid].burst_stats["word_phases"] for c in cands
+                reports[run, c.cid].burst_stats["replay_phases"] for c in cands
             )
 
         for cand in cands:
@@ -334,10 +334,11 @@ class TestPhaseMemo:
                 assert got.cycles == ref.cycles
                 assert got.channel_stats == ref.channel_stats
                 assert got.hp_words == ref.hp_words
+                assert got.burst_stats["word_phases"] == 0
         for memo in memos.values():
-            assert memo.hits["word"] >= 1
-        assert word_phases("forward") < word_phases("none")
-        assert word_phases("reverse") < word_phases("none")
+            assert memo.hits["replay"] >= 1
+        assert replay_phases("forward") < replay_phases("none")
+        assert replay_phases("reverse") < replay_phases("none")
 
     def test_memo_does_not_outlive_a_campaign(self):
         config = CampaignConfig(space=small_space(), width=8, height=8)

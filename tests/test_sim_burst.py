@@ -9,6 +9,7 @@ whenever it actually fast-pathed a phase.
 """
 
 import json
+import random
 from pathlib import Path
 
 import numpy as np
@@ -18,8 +19,10 @@ from hypothesis import strategies as st
 
 from repro.htg import HTG, Actor, Partition, Phase, StreamChannel as HtgChannel, Task
 from repro.sim import Environment, StreamChannel, hw_serialized, simulate_application, solve_phase_ex
-from repro.sim.burst import ActorSpec, DmaSpec, PhaseMemo, phase_memo_key
-from repro.sim.dma_engine import HpPort
+from repro.sim import Memory
+from repro.sim.accel import ActorTiming, StreamActorSim, StreamEndpoint
+from repro.sim.burst import ActorSpec, DmaSpec, PhaseMemo, phase_memo_key, replay_phase
+from repro.sim.dma_engine import DmaEngine, HpPort
 from repro.sim.faults import FaultPlan, RecoveryPolicy
 from repro.sim.runtime import Behavior
 from tests.test_sim import build_hw_system, build_pipeline_app
@@ -120,14 +123,18 @@ class TestOtsuArchitecturesDifferential:
         assert burst.kernel_events * 10 <= word.kernel_events
 
     def test_arch1_contended_port_falls_back(self, builds):
-        """mm2s saturates the HP port while s2mm drains: word-exact
-        arbitration is required and the solver must refuse."""
+        """mm2s saturates the HP port while s2mm drains: the grant order
+        is the kernel's, so the solver refuses and the phase is replayed
+        in kernel order — high_water included."""
         app, flow = builds[1]
-        _, burst = both_modes(
+        word, burst = both_modes(
             app.htg, app.partition, app.behaviors, flow.system
         )
-        assert burst.burst_stats["burst_phases"] == 0
-        assert burst.burst_stats["word_phases"] == 1
+        assert burst.burst_stats["burst_phases"] == 1
+        assert burst.burst_stats["replay_phases"] == 1
+        assert burst.burst_stats["word_phases"] == 0
+        assert burst.burst_stats["fallback_reasons"] == {}
+        assert_same_run(word, burst)
 
 
 class TestRandomGraphsDifferential:
@@ -447,6 +454,175 @@ class TestSolverGuards:
             **kw,
         )[0]
         assert sol is None
+
+
+def random_phase(seed):
+    """A random contended phase built twice: word-path objects and specs.
+
+    2-4 DMA masters share one HP port (``wpc`` 1, 2 or 4, reset or busy
+    at entry) and kick at random offsets; 1-3 actors with random depth,
+    II and rate/bulk ports hang off a chain of FIFOs 2-64 deep.
+    """
+    rng = random.Random(seed)
+    env = Environment()
+    memory = Memory()
+    t0 = rng.randint(1, 400)
+    wpc = rng.choice((1, 2, 4))
+    port = HpPort(env, words_per_cycle=wpc)
+    if rng.random() < 0.5:
+        port._slot_time = t0 + rng.randint(0, 3)
+        port._slot_used = rng.randint(1, wpc)
+    hp = dict(hp_wpc=wpc, hp_slot_time=port._slot_time,
+              hp_slot_used=port._slot_used)
+    n_actors = rng.randint(1, 3)
+    base = rng.randint(2, 40)
+
+    def count():
+        return base if rng.random() < 0.75 else rng.randint(1, base - 1)
+
+    links = [(("actor", i), ("actor", i + 1), count()) for i in range(n_actors - 1)]
+    directions = ["mm2s", "s2mm"] + [
+        rng.choice(("mm2s", "s2mm")) for _ in range(rng.randint(0, 2))
+    ]
+    rng.shuffle(directions)
+    for j, d in enumerate(directions):
+        actor = ("actor", rng.randrange(n_actors))
+        links.append((("dma", j), actor, count()) if d == "mm2s"
+                     else (actor, ("dma", j), count()))
+    chans = [StreamChannel(env, f"c{k}", capacity=rng.randint(2, 64))
+             for k in range(len(links))]
+
+    ports = [([], []) for _ in range(n_actors)]  # (ins, outs) per actor
+    dma_of = {}
+    for ch, (src, dst, n) in zip(chans, links):
+        data = np.arange(n, dtype=np.int32)
+        if src[0] == "actor":
+            ports[src[1]][1].append(StreamEndpoint(ch.name, ch, data))
+        if dst[0] == "actor":
+            ports[dst[1]][0].append(StreamEndpoint(ch.name, ch, data))
+        dma = src if src[0] == "dma" else dst
+        if dma[0] == "dma":
+            dma_of[dma[1]] = (ch, n)
+
+    sims, actor_specs = [], []
+    for i, (ins, outs) in enumerate(ports):
+        timing = ActorTiming(ii=rng.randint(1, 3), depth=rng.randint(1, 12))
+        sims.append(StreamActorSim(env, f"a{i}", inputs=ins, outputs=outs,
+                                   timing=timing))
+        firings = max([len(e.data) for e in (*ins, *outs)] or [1])
+        spec = ActorSpec(name=f"a{i}", t0=t0, firings=firings,
+                         depth=timing.depth, ii=timing.ii)
+        for e in ins:
+            if len(e.data) == firings:
+                spec.rate_ins.append(e.channel)
+            else:
+                spec.bulk_ins.append((e.channel, len(e.data)))
+        for e in outs:
+            if len(e.data) == firings:
+                spec.rate_outs.append(e.channel)
+            else:
+                spec.bulk_outs.append((e.channel, len(e.data)))
+        actor_specs.append(spec)
+
+    kick, kicks, dma_specs = t0, [], []
+    for j, d in enumerate(directions):
+        kick += rng.choice((0, 1, 2, rng.randint(3, 60), 150))
+        ch, n = dma_of[j]
+        buf = memory.allocate(f"b{j}", np.arange(n, dtype=np.int32))
+        engine = DmaEngine(env, f"dma{j}", memory, hp_port=port,
+                           **{d: ch})
+        start = engine.mm2s_transfer if d == "mm2s" else engine.s2mm_transfer
+        kicks.append((kick, start, buf))
+        dma_specs.append(DmaSpec(kick, n, ch, d))
+
+    def word():
+        """Run the phase on the kernel: the runtime's driver order."""
+        ended = {}
+
+        def driver():
+            yield env.timeout(t0)
+            procs = [sim.start() for sim in sims]
+            for at, start, buf in kicks:
+                yield env.timeout(at - env.now)
+                procs.append(start(buf.base, buf.nbytes))
+            yield env.all_of(procs)
+            ended["finish"] = env.now
+
+        env.process(driver())
+        env.run()
+        return (
+            ended["finish"],
+            [(s.name, s.started_at, s.finished_at) for s in sims],
+            {ch: (ch.total_put, ch.total_got, ch.high_water) for ch in chans},
+            (port._slot_time, port._slot_used),
+            port.total_words,
+        )
+
+    specs = (t0, {ch: ch.capacity for ch in chans}, dma_specs, actor_specs)
+    return specs, hp, word
+
+
+class TestReplayPhase:
+    """replay_phase runs a phase's entries exactly as the kernel does."""
+
+    def test_random_phases_match_word_path(self):
+        unprovable = 0
+        for seed in range(240):
+            (t0, caps, dmas, actors), hp, word = random_phase(seed)
+            got = replay_phase(t0, caps, dmas, actors, **hp)
+            assert got is not None, seed
+            assert (got.finish, got.actor_spans, got.channels, got.hp_state,
+                    got.hp_words) == word(), seed
+            if solve_phase_ex(caps, dmas, actors, **hp)[1] == "hp_unprovable":
+                unprovable += 1
+        assert unprovable >= 120  # the contended regime the replay exists for
+
+    def test_drained_fifo_required(self):
+        env = Environment()
+        ch = StreamChannel(env, "c", capacity=8)
+        actor = ActorSpec(name="a", t0=0, firings=3, depth=1, ii=1,
+                          rate_ins=[ch])
+        args = ({ch: 8}, [DmaSpec(150, 4, ch, "mm2s")], [actor])
+        assert replay_phase(0, *args, hp_wpc=2) is None  # a token left over
+        actor.firings = 5
+        assert replay_phase(0, *args, hp_wpc=2) is None  # the actor starves
+
+    def test_kicks_in_driver_order(self):
+        env = Environment()
+        a, b = StreamChannel(env, "a"), StreamChannel(env, "b")
+        dmas = [DmaSpec(300, 4, a, "mm2s"), DmaSpec(150, 4, b, "s2mm")]
+        with pytest.raises(ValueError):
+            replay_phase(0, {a: 8, b: 8}, dmas, [], hp_wpc=2)
+
+    def test_otsu_space_replays_equal_word_path(self, monkeypatch):
+        """Every contended-port phase of the 8x8 Otsu space with HP widths
+        1, 2 and 4 is replayed, and equals the word path exactly."""
+        import repro.dse.evaluate as evaluate
+        from repro.dse.evaluate import evaluate_candidate
+        from repro.dse.space import otsu_space
+
+        reports = []
+        inner = evaluate.simulate_application
+
+        def spy(*args, **kwargs):
+            reports.append(inner(*args, **kwargs))
+            return reports[-1]
+
+        monkeypatch.setattr(evaluate, "simulate_application", spy)
+        monkeypatch.delenv("REPRO_SIM_BURST", raising=False)
+        replayed = []
+        for cand in sorted(otsu_space(hp_words=(1, 2, 4)), key=lambda c: c.cid):
+            evaluate_candidate(cand, width=8, height=8)
+            stats = reports[-1].burst_stats
+            assert stats["word_phases"] == 0, cand.label()
+            if stats["replay_phases"]:
+                replayed.append((cand, reports[-1]))
+        assert sum(r.burst_stats["replay_phases"] for _, r in replayed) == 8
+        monkeypatch.setenv("REPRO_SIM_BURST", "0")
+        for cand, got in replayed:
+            evaluate_candidate(cand, width=8, height=8)
+            assert_same_run(reports[-1], got)
+            assert got.node_spans == reports[-1].node_spans
 
 
 class TestHwSerialized:
@@ -875,6 +1051,23 @@ class TestPhaseSpanAttributes:
         assert fields["path"] == "prefix"
         assert "fallback_reason" not in fields
 
+    def test_replay_source_attribute(self):
+        from repro.obs import capture
+
+        app, system = build_otsu_candidate({"binarization", "otsuMethod"})
+        with capture() as (bus, _reg):
+            simulate_application(app.htg, app.partition, app.behaviors, {},
+                                 system=system, burst_mode=True)
+        fields = [
+            f for f in (dict(e.fields) for e in bus.events()
+                        if e.category == "sim.phase" and e.phase == "E")
+            if f["kind"] == "hw"
+        ]
+        assert [(f["path"], f.get("source")) for f in fields] == [
+            ("burst", "replay")
+        ]
+        assert "fallback_reason" not in fields[0]
+
     def test_word_path_reason_attribute(self):
         plan = FaultPlan.single(
             "stream_flip", "GAUSS.out->EDGE.in", at_cycle=0, bit=4
@@ -926,7 +1119,7 @@ class TestPhaseMemo:
     @pytest.fixture(scope="class")
     def contended(self):
         # Per-stream DMAs on one saturated HP port: the certificate
-        # refuses this phase, so the word path fills the memo.
+        # refuses this phase, so the kernel-order replay fills the memo.
         return build_otsu_candidate({"binarization", "otsuMethod"})
 
     @staticmethod
@@ -940,7 +1133,8 @@ class TestPhaseMemo:
         app, system = contended
         memo = PhaseMemo()
         first = self.run_otsu(app, system, phase_memo=memo)
-        assert first.burst_stats["fallback_reasons"] == {"hp_unprovable": 1}
+        assert first.burst_stats["fallback_reasons"] == {}
+        assert first.burst_stats["replay_phases"] == 1
         assert first.burst_stats["memo_hits"] == 0
         assert len(memo) == 1
         # A slower readImage moves the phase to a later t0.
@@ -953,8 +1147,9 @@ class TestPhaseMemo:
         assert hit.burst_stats["memo_hits"] == 1
         assert hit.burst_stats["word_phases"] == 0
         assert hit.burst_stats["burst_phases"] == 1
-        assert hit.kernel_events < first.kernel_events
-        assert memo.hits == {"solve": 0, "word": 1}
+        assert hit.burst_stats["replay_phases"] == 0
+        assert hit.kernel_events == first.kernel_events
+        assert memo.hits == {"solve": 0, "replay": 1}
         for burst_mode in (False, True):
             assert_same_run(
                 self.run_otsu(app, system, slow, burst_mode=burst_mode), hit
@@ -970,7 +1165,7 @@ class TestPhaseMemo:
             for _ in range(2)
         ]
         assert [r.burst_stats["memo_hits"] for r in runs] == [0, 1]
-        assert memo.hits == {"solve": 1, "word": 0}
+        assert memo.hits == {"solve": 1, "replay": 0}
         assert_same_run(runs[0], runs[1])
         word = simulate_application(htg, part, behaviors, {}, system=system,
                                     burst_mode=False)
@@ -992,7 +1187,7 @@ class TestPhaseMemo:
         part2, system2 = build_hw_system(htg2)
         assert run(htg2, part2, behaviors2, system2).burst_stats["memo_hits"] == 0
         assert len(memo) == 3
-        assert memo.hits == {"solve": 0, "word": 0}
+        assert memo.hits == {"solve": 0, "replay": 0}
 
     @staticmethod
     def key(*, t0=100, cap=8, ii=1, depth=3, count=16, wpc=2,
