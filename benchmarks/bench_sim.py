@@ -132,11 +132,9 @@ def test_prefix_burst_on_faulted_phase(arch4_build):
 def test_word_fallback_reason_for_contended_port(arch4_build):
     """Arch1 at 16x16 saturates the HP port (mm2s at full width while
     s2mm concurrently drains the histogram, which at npix == 256 fires
-    token-per-firing) so the interleaving certificate must refuse; the
-    phase is then replayed in kernel order instead of word-simulated,
-    and both paths must agree.  At other sizes the histogram output is
-    bulk, the grant schedule is order-independent, and the solver
-    fast-paths the phase."""
+    token-per-firing), so the grants follow the kernel's tie order; the
+    replay runs that order instead of word-simulating the phase, and
+    both paths must agree."""
     app = build_otsu_app(1, width=16, height=16)
     flow = run_flow(
         app.dsl_graph(), app.c_sources, extra_directives=app.extra_directives

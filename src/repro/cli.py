@@ -16,7 +16,8 @@ Commands
 ``otsu``         build + simulate one Table-I architecture
 ``simbench``     word-path vs burst-path simulator benchmark: runs every
                  Table-I architecture both ways, requires cycle- and
-                 digest-identical results, reports events/speedup
+                 digest-identical results and equal channel_stats,
+                 reports events/speedup
 ``experiments``  regenerate every table and figure into a directory
 ``faultcheck``   seeded fault-injection campaign over the Table-I
                  architectures; every scenario must recover or raise a
@@ -306,7 +307,7 @@ def _cmd_otsu(args: argparse.Namespace) -> int:
 
 
 def _fmt_fallback_reasons(reasons: dict) -> str:
-    """``hp_unprovable x1, fifo_busy x2`` -- or ``none``."""
+    """``fault_touches x1, fifo_busy x2`` -- or ``none``."""
     if not reasons:
         return "none"
     return ", ".join(f"{k} x{v}" for k, v in sorted(reasons.items()))
@@ -365,6 +366,7 @@ def _cmd_simbench(args: argparse.Namespace) -> int:
         identical = (
             word.cycles == burst.cycles
             and word.digest() == burst.digest()
+            and word.channel_stats == burst.channel_stats
             and np.array_equal(
                 burst.of("binImage"), np.asarray(app.golden["binary"])
             )
@@ -423,6 +425,7 @@ def _cmd_simbench(args: argparse.Namespace) -> int:
             f_identical = (
                 f_word.cycles == f_burst.cycles
                 and f_word.digest() == f_burst.digest()
+                and f_word.channel_stats == f_burst.channel_stats
             )
             hw_phases = (
                 f_stats["burst_phases"]

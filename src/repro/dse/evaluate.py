@@ -147,7 +147,7 @@ def evaluate_candidate(
 
     *phase_memo* is the campaign's :class:`~repro.sim.burst.PhaseMemo`:
     a hardware phase another candidate of the same campaign already
-    solved or replayed is committed from it instead (same cycles
+    replayed is committed from it instead (same cycles
     and bytes; see :func:`~repro.sim.runtime.simulate_application`).
     ``None`` simulates every phase afresh.
     """

@@ -22,7 +22,6 @@ from repro.sim.burst import (
     PhaseMemo,
     PhaseSolution,
     hw_serialized,
-    solve_phase_ex,
 )
 from repro.sim.faults import (
     Fault,
@@ -58,5 +57,4 @@ __all__ = [
     "campaign_digest",
     "hw_serialized",
     "simulate_application",
-    "solve_phase_ex",
 ]

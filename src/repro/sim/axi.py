@@ -343,10 +343,10 @@ class StreamChannel:
         Used by the burst fast path (:mod:`repro.sim.burst`) and the
         prefix-burst commit (:mod:`repro.sim.prefix`): burst-put
         *items*, burst-get the first *gets* of them, then pin
-        ``high_water`` to the solver's occupancy estimate — a
-        whole-slice burst would otherwise overstate the word path's
-        peak.  Leaves ``len(items) - gets`` tokens buffered, exactly
-        the committed occupancy.
+        ``high_water`` to *high_water*, the replay's exact peak for the
+        slice — a whole-slice burst would otherwise overstate the word
+        path's peak.  Leaves ``len(items) - gets`` tokens buffered,
+        exactly the committed occupancy.
         """
         before = self.high_water
         self.put_burst(items)

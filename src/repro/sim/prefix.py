@@ -4,44 +4,48 @@ When a fault plan can fire *inside* a hardware phase, the whole phase
 used to fall back to the word path.  But the injected fault has a
 well-defined earliest cycle it can possibly fire
 (:meth:`~repro.sim.faults.FaultPlan.earliest_hazard`), and everything
-strictly before that cycle is fault-free — exactly the regime the burst
-solver (:mod:`repro.sim.burst`) reproduces cycle-for-cycle.  This module
-computes, from a solved :class:`~repro.sim.burst.PhaseSolution` and a
-cut cycle ``C`` (the hazard cycle minus one), how to
+strictly before that cycle is fault-free — exactly the regime the
+event-order replay (:func:`repro.sim.burst.replay_phase`) reproduces
+cycle for cycle.  Run with a cut cycle ``C`` (the hazard cycle minus
+one), the replay records the phase's timelines and its state at the end
+of cycle ``C``; this module computes from that
+:class:`~repro.sim.burst.PhaseSolution` how to
 
-* **commit** the prefix: which FIFO tokens have been put/got by the end
-  of cycle ``C``, how many DRAM words each S2MM wrote, and where each
-  DMA transfer and stream actor stands in its program; and
+* **commit** the prefix: how many DRAM words each S2MM wrote, and where
+  each DMA transfer and stream actor stands in its program (the FIFO
+  counters and ``high_water`` at ``C`` come straight from the replay's
+  snapshot); and
 * **resume** the remainder on the live word path, so every injection
   point from the hazard cycle onwards behaves exactly as it would have
   in a full word-path run.
 
 Why the handoff is exact
 ------------------------
-The solver's per-channel ``P``/``G`` completion-time lists are the word
-path's own timestamps (the burst equivalence argument), and each list is
-monotone — a channel has one producer and one consumer process.  Cutting
-at ``C`` therefore splits every component's program at a well-defined
-op: all ops completing at or before ``C`` are committed; the first op
-completing after ``C`` is, in the word path at the end of cycle ``C``,
-either
+The replay's per-channel ``P``/``G`` completion-cycle lists are the word
+path's own timestamps (the replay runs the kernel's order), and each
+list is monotone — a channel has one producer and one consumer process.
+Cutting at ``C`` therefore splits every component's program at a
+well-defined op: all ops completing at or before ``C`` are committed;
+the first op completing after ``C`` is, in the word path at the end of
+cycle ``C``, either
 
 * a **sleep** (pipeline fill, ``II`` spacing, a granted-but-future HP
   beat, ``CYCLES_PER_WORD`` pacing) — resumed as one absolute-corrected
-  timeout to the op's solved end cycle; or
+  timeout to the op's recorded end cycle; or
 * a **blocked channel handshake** — a put against a full FIFO or a get
-  against an empty one.  The commit reconstructs exactly that FIFO
-  state (``n_put - n_got`` is the capacity for a blocked put and zero
-  for a blocked get, by the max-plus recurrences), so re-issuing the
-  handshake at ``C`` parks it in the same queue and it completes
-  organically at the identical solved cycle when the peer's resumed
-  process reaches it.
+  against an empty one.  The commit reproduces exactly that FIFO state
+  (the snapshot's puts minus gets), so re-issuing the handshake at
+  ``C`` parks it in the same queue and it completes organically when
+  the peer's resumed process reaches it.
 
-After its first resumed op, each process runs the *unmodified* relative
-word-path code, so post-hazard timing (including injected stalls, drops
-and truncations) evolves identically to a full word-path run.  HP-port
-calls mutate the port automaton at call time, so a call at or before
-``C`` with a grant after ``C`` is part of the committed port state
+The sleepers are started in the order the kernel would wake their
+same-cycle ties (the snapshot's ``cut_sleepers``), so their timeouts are
+queued in the word run's relative order.  After its first resumed op,
+each process runs the *unmodified* relative word-path code, so
+post-hazard timing (including injected stalls, drops and truncations)
+evolves identically to a full word-path run.  HP-port calls mutate the
+port automaton at call time, so a call at or before ``C`` with a grant
+after ``C`` is part of the committed port state
 (:func:`~repro.sim.burst.replay_hp_state`) and the resumed process only
 sleeps to the grant — it must not re-issue the call.
 
@@ -58,17 +62,8 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 
-from repro.sim.burst import ActorSpec, DmaSpec, _high_water_estimate
+from repro.sim.burst import ActorSpec, DmaSpec
 from repro.sim.memory import CYCLES_PER_WORD, READ_LATENCY, WRITE_LATENCY
-
-
-def channel_commit_spec(
-    P: list[int], G: list[int], cap: int, cut: int
-) -> tuple[int, int, int]:
-    """``(n_put, n_got, high_water)`` of one channel's committed prefix."""
-    n_put = bisect_right(P, cut)
-    n_got = bisect_right(G, cut)
-    return n_put, n_got, _high_water_estimate(P[:n_put], G[:n_got], cap)
 
 
 @dataclass
@@ -143,13 +138,13 @@ def plan_s2mm_resume(
 
 
 def _actor_ops(spec: ActorSpec, timeline: dict, tokens_of: dict):
-    """The actor's blocking ops in program order, with solved end cycles.
+    """The actor's blocking ops in program order, with recorded end cycles.
 
     Yields ``(kind, channel, end, dur, token)`` tuples mirroring
     :class:`~repro.sim.accel.StreamActorSim` op for op: bulk-input
     drains, the ``depth`` fill, per-firing rate gets / ``II`` wait /
     rate puts, then paced bulk-output puts.  ``end`` comes from the
-    solver's completion-time lists (each channel's index equals the
+    replay's completion-cycle lists (each channel's index equals the
     actor-local index — one producer, one consumer per channel);
     ``dur`` is the word path's relative sleep for ``wait`` ops.
     """
@@ -180,16 +175,11 @@ def _actor_ops(spec: ActorSpec, timeline: dict, tokens_of: dict):
             yield ("put", key, t, 0, tokens_of[key][k])
 
 
-def actor_committed(spec: ActorSpec, finish: int, cut: int) -> bool:
-    """True when the actor's whole program completed inside the prefix."""
-    return finish <= cut
-
-
 def resume_actor(env, spec: ActorSpec, timeline: dict, tokens_of: dict,
                  cut: int, span: dict):
     """Generator resuming one stream actor from the cut.
 
-    Ops whose solved end is at or before *cut* are already committed and
+    Ops whose recorded end is at or before *cut* are already committed and
     are skipped; the first open op is re-issued with absolute-time
     correction (a sleep's remaining duration, or the blocked handshake
     itself), and every later op runs as plain relative word-path code so
@@ -215,3 +205,16 @@ def resume_actor(env, spec: ActorSpec, timeline: dict, tokens_of: dict,
         else:
             yield key.put(token)
     span["finish"] = env.now
+
+
+def start_resumes(env, resumes: dict, sleepers: list) -> dict:
+    """Start the resumed processes; returns index -> process.
+
+    *resumes* maps an index into ``dmas + actors`` to ``(generator,
+    name)``.  The *sleepers* (a cut replay's ``cut_sleepers``) start
+    first, in the order the kernel would wake their same-cycle ties, so
+    each queues its timeout in the word run's relative order; the
+    blocked rest only park on their FIFOs.
+    """
+    order = sleepers + [i for i in resumes if i not in sleepers]
+    return {i: env.process(resumes[i][0], name=resumes[i][1]) for i in order}

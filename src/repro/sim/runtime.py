@@ -45,14 +45,13 @@ from repro.sim.burst import (
     hw_serialized,
     phase_memo_key,
     replay_hp_state,
-    replay_phase,
     solve_phase_ex,
 )
 from repro.sim.prefix import (
-    channel_commit_spec,
     plan_mm2s_resume,
     plan_s2mm_resume,
     resume_actor,
+    start_resumes,
 )
 from repro.sim.cpu import CpuModel, DRIVER_CALL_OVERHEAD
 from repro.sim.devfs import DevFs
@@ -137,9 +136,11 @@ class ExecutionReport:
         Covers cycles, per-node spans, output bytes, trace spans, FIFO
         token totals, HP-port words and fault/recovery logs — the burst
         and word paths must agree on all of it.  A FIFO's ``high_water``
-        is deliberately excluded: it depends on same-cycle
-        handoff-vs-queue races that are invisible to timing and data,
-        and the burst path only estimates it.  ``kernel_events`` and
+        is excluded: it depends on same-cycle handoff-vs-queue order,
+        which is invisible to timing and data.  Every path reproduces it
+        exactly (``channel_stats`` carries it, and the differential
+        suites compare it), but every pinned report digest was taken
+        without it.  ``kernel_events`` and
         ``burst_stats`` are excluded too — they describe the simulator's
         own effort, not the simulated run.
         """
@@ -350,7 +351,7 @@ class _Runtime:
         #: Burst fast path: only meaningful when no two hardware nodes
         #: can overlap (the commit-at-phase-end model assumes sole
         #: ownership of the HP port and DMA engines).  Per-phase checks
-        #: (fault-plan targets, FIFO depths, HP contention) come later.
+        #: (fault hazards, idle FIFOs and engines) come later.
         self._burst_base = platform.burst_enabled and hw_serialized(htg, partition)
         self.burst_phases = 0
         self.word_phases = 0
@@ -359,10 +360,10 @@ class _Runtime:
         #: once per word-path attempt), phase name -> last reason, and
         #: phase name -> (path, detail) for the obs span attributes, where
         #: detail is the fallback reason of a word phase or the source
-        #: ("memo" | "replay") of a burst phase not solved analytically.
+        #: ("replay" | "memo") of a burst or prefix phase.
         self.fallback_reasons: dict[str, int] = {}
         self.fallback_phases: dict[str, str] = {}
-        self.phase_modes: dict[str, tuple[str, str | None]] = {}
+        self.phase_modes: dict[str, tuple[str, str]] = {}
         #: The phase memo (repro.sim.burst.PhaseMemo) serves only plain
         #: burst runs: with no fault plan and no ladder, neither the
         #: prefix path nor the watchdog budget can arise.
@@ -637,11 +638,11 @@ class _Runtime:
         """Plan *phase*; returns ``(path, detail, args)``.
 
         ``("burst", source, args)`` runs the whole phase as one commit of
-        an outcome the solver computed (*source* ``None``), the event-
-        order replay computed (``"replay"``) or the phase memo held
-        (``"memo"``); ``("prefix", None, args)`` burst-commits up to the
-        cycle before the earliest fault hazard and resumes the remainder
-        on the live word path; ``("word", reason, None)`` — reason from
+        an outcome the event-order replay computed (*source*
+        ``"replay"``) or the phase memo held (``"memo"``);
+        ``("prefix", "replay", args)`` burst-commits up to the cycle
+        before the earliest fault hazard and resumes the remainder on
+        the live word path; ``("word", reason, None)`` — reason from
         :data:`~repro.sim.burst.FALLBACK_REASONS` — runs the word path.
         Pure apart from the idempotent capacity bump: nothing is staged,
         kicked or charged until the plan is accepted, so a fallback
@@ -719,7 +720,7 @@ class _Runtime:
             hazard = p.fault_plan.earliest_hazard(targets, now=t0, spent=spent)
             if hazard is not None and hazard <= kick:
                 return ("word", "fault_touches", None)
-        # The FIFOs must be idle and deep enough for burst algebra.
+        # The FIFOs must be idle and at least two words deep.
         for ch in channels:
             if ch.capacity < 2 or len(ch) or ch._getters or ch._putters:
                 return ("word", "fifo_busy", None)
@@ -741,32 +742,30 @@ class _Runtime:
             solution = memo.lookup(key, t0, channels, actor_specs)
             if solution is not None:
                 return ("burst", "memo", (solution, in_ctx, out_ctx, chan_tokens))
-        solution, reason = solve_phase_ex(channels, dma_specs, actor_specs, **hp_args)
-        source = None
-        if reason == "hp_unprovable" and hazard is None:
-            # The port's tie order is the kernel's: replay it.  A hazard
-            # would need the solver's timelines for a prefix cut.
-            solution = replay_phase(t0, channels, dma_specs, actor_specs, **hp_args)
-            source = "replay"
+        # Under a hazard the replay also records the state at the cut.
+        cut = hazard - 1 if hazard is not None else None
+        solution, reason = solve_phase_ex(
+            t0, channels, dma_specs, actor_specs, cut=cut, **hp_args
+        )
         if solution is None:
             return ("word", reason, None)
         if key is not None:
-            memo.record(key, t0, source or "solve", solution)
+            memo.record(key, t0, solution)
         # A watchdog that would expire mid-phase must see the word path
         # wedge word by word, not a single opaque timeout.
         if self._ladder and solution.finish - t0 >= self.policy.node_budget:
             return ("word", "watchdog_budget", None)
         if hazard is not None and hazard <= solution.finish:
             return (
-                "prefix", None,
+                "prefix", "replay",
                 (solution, in_ctx, out_ctx, chan_tokens, dma_specs,
-                 actor_specs, hazard - 1),
+                 actor_specs, cut),
             )
-        return ("burst", source, (solution, in_ctx, out_ctx, chan_tokens))
+        return ("burst", "replay", (solution, in_ctx, out_ctx, chan_tokens))
 
     def _run_hw_phase_burst(self, phase: Phase, channel_data, solution,
                             in_ctx, out_ctx, chan_tokens):
-        """Replay the phase's CPU work, sleep to the solved end, commit."""
+        """Replay the phase's CPU work, sleep to the replayed end, commit."""
         p = self.p
         env = p.env
         start = env.now
@@ -802,7 +801,7 @@ class _Runtime:
         for dst_port, buf, _ref, _eng in out_bufs:
             self.data[dst_port] = buf.data.copy()
         # The phase's traffic crosses each FIFO as one burst event pair;
-        # high_water is pinned to the solver's occupancy estimate (a
+        # high_water is pinned to the replay's exact peak (a
         # whole-transfer burst would overstate the word path's peak).
         for ch, (puts, gets, high_water) in solution.channels.items():
             if not puts:
@@ -821,9 +820,9 @@ class _Runtime:
         """Burst-commit the phase up to *cut*, run the rest word by word.
 
         The cut is the cycle before the earliest fault hazard, so the
-        committed prefix is provably fault-free and cycle-identical to
-        the word path (the burst equivalence argument), and every
-        injection point from the hazard cycle on runs live — see
+        committed prefix is provably fault-free and is the word path's
+        own state at the end of the cut (the replay's snapshot), and
+        every injection point from the hazard cycle on runs live — see
         :mod:`repro.sim.prefix` for the state-handoff argument.
         """
         p = self.p
@@ -852,21 +851,20 @@ class _Runtime:
         # The whole fault-free prefix is one kernel event.
         yield env.timeout(max(0, cut - env.now))
         # ---- commit: the exact word-path state at the end of the cut ----
-        for ch, (P, G) in solution.timeline.items():
-            n_put, n_got, high_water = channel_commit_spec(
-                P, G, ch.capacity, cut
-            )
+        for ch, (n_put, n_got, high_water) in solution.cut_channels.items():
             if n_put:
                 ch.commit_burst(chan_tokens[ch][:n_put], n_got, high_water)
-        if p.hp_port is not None and solution.hp_events:
+        if p.hp_port is not None and solution.hp_calls:
             state, done = replay_hp_state(
-                solution.hp_events, p.hp_port.words_per_cycle,
+                solution.hp_calls, p.hp_port.words_per_cycle,
                 solution.hp_init, cut,
             )
             p.hp_port._slot_time, p.hp_port._slot_used = state
             p.hp_port.total_words += done
         # ---- spawn the live remainder ----
-        procs: list = []
+        # Resumes keyed by index into dma_specs + actor_specs.
+        resumes: dict[int, tuple] = {}  # index -> (generator, name)
+        busy: dict[int, tuple] = {}  # DMA index -> (engine, busy attribute)
         used_channels = set(solution.timeline)
         used_engines = set()
         for i, (src_port, arr, engine) in enumerate(in_ctx):
@@ -881,13 +879,12 @@ class _Runtime:
                 engine.regs[MM2S_DMASR] = _SR_IDLE | SR_IOC_IRQ
                 engine._mm2s_busy = None
                 continue
-            proc = env.process(
+            resumes[i] = (
                 engine.resume_mm2s(buf.base, buf.nbytes, plan.first,
                                    plan.mode, plan.wake),
-                name=f"{engine.name}.mm2s",
+                f"{engine.name}.mm2s",
             )
-            engine._mm2s_busy = proc
-            procs.append(proc)
+            busy[i] = (engine, "_mm2s_busy")
         n_in = len(in_ctx)
         for j, (dst_port, buf, ref, engine) in enumerate(out_bufs):
             spec = dma_specs[n_in + j]
@@ -904,27 +901,30 @@ class _Runtime:
                 engine.regs[S2MM_DMASR] = _SR_IDLE | SR_IOC_IRQ
                 engine._s2mm_busy = None
                 continue
-            proc = env.process(
+            resumes[n_in + j] = (
                 engine.resume_s2mm(buf.base, buf.nbytes, plan.first,
                                    plan.mode, plan.wake),
-                name=f"{engine.name}.s2mm",
+                f"{engine.name}.s2mm",
             )
-            engine._s2mm_busy = proc
-            procs.append(proc)
+            busy[n_in + j] = (engine, "_s2mm_busy")
         actor_states: list[tuple[str, int, int | None, dict]] = []
-        for spec, (name, started, finished) in zip(
-            actor_specs, solution.actor_spans
+        for k, (spec, (name, started, finished)) in enumerate(
+            zip(actor_specs, solution.actor_spans)
         ):
             if finished <= cut:
                 actor_states.append((name, started, finished, {}))
                 continue
             span: dict = {}
-            procs.append(env.process(
+            resumes[len(dma_specs) + k] = (
                 resume_actor(env, spec, solution.timeline, chan_tokens,
                              cut, span),
-                name=f"actor.{name}",
-            ))
+                f"actor.{name}",
+            )
             actor_states.append((name, started, None, span))
+        started = start_resumes(env, resumes, solution.cut_sleepers)
+        for i, (engine, attr) in busy.items():
+            setattr(engine, attr, started[i])
+        procs = list(started.values())
 
         # Register what a watchdog recovery must clean up, then wait.
         self._phase_state[phase.name] = {
@@ -1108,18 +1108,16 @@ class _Runtime:
             finally:
                 if _BUS.enabled:
                     # Hardware phases also report which simulation path
-                    # ran them (burst | prefix | word) and, for word
-                    # fallbacks, the taxonomy reason or, for a burst
-                    # phase not solved analytically, its source — the E
-                    # span is the per-phase view of burst_stats.
+                    # ran them (burst | prefix | word) and either the
+                    # fallback reason of a word phase or the source
+                    # (replay | memo) of the others — the E span is the
+                    # per-phase view of burst_stats.
                     extra = {}
                     mode = self.phase_modes.get(name)
                     if mode is not None:
                         path, detail = mode
-                        extra["path"] = path
-                        if detail is not None:
-                            key = "fallback_reason" if path == "word" else "source"
-                            extra[key] = detail
+                        key = "fallback_reason" if path == "word" else "source"
+                        extra = {"path": path, key: detail}
                     _BUS.emit(
                         "sim.phase",
                         name,
@@ -1169,22 +1167,20 @@ def simulate_application(
     processes instead of returning silently.
 
     *burst_mode* controls the burst fast path (see :mod:`repro.sim.burst`):
-    hardware phases whose timing is provably reproducible by the
-    analytic solver run as a single kernel timeout instead of one event
-    per word — cycle- and byte-identical, ~10-100x fewer events.
-    ``None`` (default) reads ``REPRO_SIM_BURST`` (on unless set to
-    ``0``); a phase falls back to the word path automatically whenever
-    exactness would require word granularity (an armed fault plan
-    touching it, shallow FIFOs, parallel hardware nodes).  A contended
-    HP window the solver cannot certify is replayed in kernel order
-    instead (``burst_stats["replay_phases"]`` counts those phases).
+    each hardware phase is computed by an event-order replay and runs as
+    a single kernel timeout instead of one event per word — cycle- and
+    byte-identical, ~10-100x fewer events (``burst_stats
+    ["replay_phases"]`` counts the phases replayed).  ``None`` (default)
+    reads ``REPRO_SIM_BURST`` (on unless set to ``0``); a phase falls
+    back to the word path automatically whenever exactness would require
+    word granularity (an armed fault plan touching it before its last
+    driver call, shallow or busy FIFOs, parallel hardware nodes).
 
     *phase_memo* (a :class:`~repro.sim.burst.PhaseMemo`) lets runs that
     share it simulate each distinct hardware phase once: a phase whose
-    t0-relative solver inputs were seen before is committed from the
-    memo through the burst path, byte- and cycle-identical to solving
-    or replaying it again (``burst_stats["memo_hits"]`` counts
-    them).  It is consulted only on the burst path with no *faults* and
+    t0-relative replay inputs were seen before is committed from the
+    memo through the burst path, byte- and cycle-identical to replaying
+    it again (``burst_stats["memo_hits"]`` counts them).  It is consulted only on the burst path with no *faults* and
     no *policy*; share one memo across the runs of one campaign, never
     across campaigns.
     """

@@ -336,7 +336,7 @@ class TestPhaseMemo:
                 assert got.hp_words == ref.hp_words
                 assert got.burst_stats["word_phases"] == 0
         for memo in memos.values():
-            assert memo.hits["replay"] >= 1
+            assert memo.hits >= 1
         assert replay_phases("forward") < replay_phases("none")
         assert replay_phases("reverse") < replay_phases("none")
 

@@ -3,9 +3,10 @@
 The burst engine must be *invisible* except for speed: every test here
 runs the same system twice — word-granular and burst — and requires the
 ``ExecutionReport`` digests (cycles, per-node spans, output bytes,
-trace spans, FIFO counters, HP-port words, fault/recovery logs) to be
-identical, while the burst run spends strictly fewer kernel events
-whenever it actually fast-pathed a phase.
+trace spans, FIFO counters, HP-port words, fault/recovery logs) and the
+``channel_stats`` (FIFO high_water included) to be identical, while the
+burst run spends strictly fewer kernel events whenever it actually
+fast-pathed a phase.
 """
 
 import json
@@ -18,12 +19,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.htg import HTG, Actor, Partition, Phase, StreamChannel as HtgChannel, Task
-from repro.sim import Environment, StreamChannel, hw_serialized, simulate_application, solve_phase_ex
+from repro.sim import Environment, StreamChannel, hw_serialized, simulate_application
 from repro.sim import Memory
 from repro.sim.accel import ActorTiming, StreamActorSim, StreamEndpoint
-from repro.sim.burst import ActorSpec, DmaSpec, PhaseMemo, phase_memo_key, replay_phase
+from repro.sim.burst import (
+    ActorSpec,
+    DmaSpec,
+    PhaseMemo,
+    phase_memo_key,
+    replay_hp_state,
+    replay_phase,
+    solve_phase_ex,
+)
 from repro.sim.dma_engine import DmaEngine, HpPort
 from repro.sim.faults import FaultPlan, RecoveryPolicy
+from repro.sim.prefix import (
+    plan_mm2s_resume,
+    plan_s2mm_resume,
+    resume_actor,
+    start_resumes,
+)
 from repro.sim.runtime import Behavior
 from tests.test_sim import build_hw_system, build_pipeline_app
 
@@ -43,11 +58,8 @@ def assert_identical(word, burst):
     assert word.digest() == burst.digest()
     assert word.node_spans == burst.node_spans
     assert word.hp_words == burst.hp_words
-    # Token totals must match exactly; high_water is only estimated on
-    # the fast path, so it is compared loosely (bounded by capacity).
-    for name, (moved_w, _hw_w) in word.channel_stats.items():
-        moved_b, _hw_b = burst.channel_stats[name]
-        assert moved_w == moved_b
+    # Token totals and high_water: the replay reproduces both exactly.
+    assert word.channel_stats == burst.channel_stats
 
 
 class TestPipelineDifferential:
@@ -124,8 +136,8 @@ class TestOtsuArchitecturesDifferential:
 
     def test_arch1_contended_port_falls_back(self, builds):
         """mm2s saturates the HP port while s2mm drains: the grant order
-        is the kernel's, so the solver refuses and the phase is replayed
-        in kernel order — high_water included."""
+        is the kernel's tie order, which the replay runs — so the phase
+        stays off the word path, high_water included."""
         app, flow = builds[1]
         word, burst = both_modes(
             app.htg, app.partition, app.behaviors, flow.system
@@ -135,6 +147,31 @@ class TestOtsuArchitecturesDifferential:
         assert burst.burst_stats["word_phases"] == 0
         assert burst.burst_stats["fallback_reasons"] == {}
         assert_same_run(word, burst)
+
+    @pytest.mark.parametrize("arch", [1, 2, 3, 4])
+    def test_mid_phase_flip_prefix_bursts(self, builds, arch):
+        """A DRAM flip at 90 % of the hardware phase: the fault-free head
+        is replayed and committed, the rest runs live — Arch1's phase on
+        a saturated HP port included."""
+        from repro.sim import Fault
+
+        app, flow = builds[arch]
+        clean = simulate_application(app.htg, app.partition, app.behaviors,
+                                     {}, system=flow.system, burst_mode=False)
+        start, end = max(
+            (clean.node_spans[n] for n in app.partition.hw_nodes()),
+            key=lambda span: span[1] - span[0],
+        )
+        plan = FaultPlan((Fault("dram_flip", "*", bit=3, word=5,
+                                at_cycle=start + (end - start) * 9 // 10),))
+        word, burst = both_modes(
+            app.htg, app.partition, app.behaviors, flow.system, faults=plan
+        )
+        assert burst.burst_stats["prefix_phases"] == 1
+        assert burst.burst_stats["word_phases"] == 0
+        assert_identical(word, burst)
+        if arch == 1:
+            assert burst.kernel_events * 8 < word.kernel_events
 
 
 class TestRandomGraphsDifferential:
@@ -158,6 +195,7 @@ class TestRandomGraphsDifferential:
         burst = autosimulate(flow, seed=seed, burst_mode=True)
         assert word.report.cycles == burst.report.cycles
         assert word.report.digest() == burst.report.digest()
+        assert word.report.channel_stats == burst.report.channel_stats
         for name, arr in word.outputs.items():
             assert np.array_equal(arr, burst.outputs[name])
 
@@ -407,73 +445,86 @@ class TestHpBurstAcquire:
 
 
 class TestSolverGuards:
-    def test_shallow_fifo_rejected(self):
-        env = Environment()
-        ch = StreamChannel(env, "c", capacity=1)
-        sol = solve_phase_ex(
-            {ch: 1}, [DmaSpec(0, 4, ch, "mm2s")],
-            [ActorSpec(name="a", t0=0, firings=4, depth=1, ii=1,
-                       rate_ins=[ch])],
-        )[0]
-        assert sol is None
+    """What the phase engine refuses, and the contended ports it computes."""
+
+    def test_shallow_fifo_rejected(self, monkeypatch):
+        # The runtime keeps a FIFO shallower than two words on the word
+        # path as fifo_busy, before the replay is ever asked.
+        import functools
+
+        import repro.sim.runtime as runtime
+
+        monkeypatch.setattr(runtime, "StreamChannel",
+                            functools.partial(StreamChannel, capacity=1))
+        htg, behaviors, _ = build_pipeline_app(n=64)
+        part, system = build_hw_system(htg)
+        word, burst = both_modes(htg, part, behaviors, system)
+        assert burst.burst_stats["word_phases"] == 1
+        assert burst.burst_stats["fallback_reasons"] == {"fifo_busy": 1}
+        assert_identical(word, burst)
 
     def test_count_mismatch_rejected(self):
         env = Environment()
         ch = StreamChannel(env, "c", capacity=8)
-        sol = solve_phase_ex(
-            {ch: 8}, [DmaSpec(0, 4, ch, "mm2s")],
+        sol, reason = solve_phase_ex(
+            0, {ch: 8}, [DmaSpec(0, 4, ch, "mm2s")],
             [ActorSpec(name="a", t0=0, firings=3, depth=1, ii=1,
                        rate_ins=[ch])],
-        )[0]
-        assert sol is None  # 4 produced, 3 consumed: leftover token
+        )
+        assert (sol, reason) == (None, "no_convergence")  # a leftover token
 
-    def test_saturated_shared_port_rejected(self):
+    def test_saturated_shared_port_replayed(self):
         # Two mm2s masters at full rate on a 2-word port: every cycle
-        # carries 4 wanted words -> arbitration order matters.
-        env = Environment()
-        a, b = (StreamChannel(env, n, capacity=64) for n in "ab")
-        sol = solve_phase_ex(
-            {a: 64, b: 64},
-            [DmaSpec(0, 32, a, "mm2s"), DmaSpec(0, 32, b, "mm2s")],
-            [ActorSpec(name="x", t0=0, firings=32, depth=0, ii=1,
-                       rate_ins=[a]),
-             ActorSpec(name="y", t0=0, firings=32, depth=0, ii=1,
-                       rate_ins=[b])],
-            hp_wpc=2, hp_slot_time=-1,
-        )[0]
-        assert sol is None
+        # carries 4 wanted words, so the grants follow the kernel's tie
+        # order — which the replay runs.
+        phases = [random_phase(seed) for seed in range(40)]
+        contended = [
+            (specs, hp, word) for specs, hp, word, _prefix in phases
+            if sum(d.direction == "mm2s" for d in specs[2]) >= 2
+            and len({d.kick for d in specs[2]}) < len(specs[2])
+        ]
+        assert contended
+        for (t0, caps, dmas, actors), hp, word in contended:
+            got = replay_phase(t0, caps, dmas, actors, **hp)
+            assert _outcome(got) == word()
 
-    def test_busy_port_at_entry_rejected(self):
+    def test_busy_port_at_entry_replayed(self):
+        # A port booked up to cycle 1000: the four words are granted in
+        # pairs at 1001 and 1002, and the II-1 actor drains one a cycle.
         env = Environment()
         ch = StreamChannel(env, "c", capacity=64)
-        kw = dict(hp_wpc=2, hp_slot_time=10**9)
-        sol = solve_phase_ex(
-            {ch: 64}, [DmaSpec(0, 4, ch, "mm2s")],
+        sol, reason = solve_phase_ex(
+            0, {ch: 64}, [DmaSpec(0, 4, ch, "mm2s")],
             [ActorSpec(name="a", t0=0, firings=4, depth=0, ii=1,
                        rate_ins=[ch])],
-            **kw,
-        )[0]
-        assert sol is None
+            hp_wpc=2, hp_slot_time=1000, hp_slot_used=2,
+        )
+        assert reason is None
+        assert sol.hp_state == (1002, 2)
+        assert sol.finish == 1004
 
 
-def random_phase(seed):
-    """A random contended phase built twice: word-path objects and specs.
+def random_phase(seed, *, port=True):
+    """A random phase built twice: word-path objects and specs.
 
     2-4 DMA masters share one HP port (``wpc`` 1, 2 or 4, reset or busy
-    at entry) and kick at random offsets; 1-3 actors with random depth,
-    II and rate/bulk ports hang off a chain of FIFOs 2-64 deep.
+    at entry) — or, with ``port=False``, are paced at ``CYCLES_PER_WORD``
+    without one — and kick at random offsets; 1-3 actors with random
+    depth, II and rate/bulk ports hang off a chain of FIFOs 2-64 deep.
     """
     rng = random.Random(seed)
     env = Environment()
     memory = Memory()
     t0 = rng.randint(1, 400)
     wpc = rng.choice((1, 2, 4))
-    port = HpPort(env, words_per_cycle=wpc)
+    hp_port = HpPort(env, words_per_cycle=wpc)
     if rng.random() < 0.5:
-        port._slot_time = t0 + rng.randint(0, 3)
-        port._slot_used = rng.randint(1, wpc)
-    hp = dict(hp_wpc=wpc, hp_slot_time=port._slot_time,
-              hp_slot_used=port._slot_used)
+        hp_port._slot_time = t0 + rng.randint(0, 3)
+        hp_port._slot_used = rng.randint(1, wpc)
+    hp = dict(hp_wpc=wpc, hp_slot_time=hp_port._slot_time,
+              hp_slot_used=hp_port._slot_used)
+    if not port:
+        hp, hp_port = {}, None
     n_actors = rng.randint(1, 3)
     base = rng.randint(2, 40)
 
@@ -524,19 +575,25 @@ def random_phase(seed):
                 spec.bulk_outs.append((e.channel, len(e.data)))
         actor_specs.append(spec)
 
-    kick, kicks, dma_specs = t0, [], []
+    kick, kicks, dma_specs, engines = t0, [], [], []
     for j, d in enumerate(directions):
         kick += rng.choice((0, 1, 2, rng.randint(3, 60), 150))
         ch, n = dma_of[j]
         buf = memory.allocate(f"b{j}", np.arange(n, dtype=np.int32))
-        engine = DmaEngine(env, f"dma{j}", memory, hp_port=port,
+        engine = DmaEngine(env, f"dma{j}", memory, hp_port=hp_port,
                            **{d: ch})
         start = engine.mm2s_transfer if d == "mm2s" else engine.s2mm_transfer
         kicks.append((kick, start, buf))
+        engines.append((engine, buf))
         dma_specs.append(DmaSpec(kick, n, ch, d))
 
-    def word():
-        """Run the phase on the kernel: the runtime's driver order."""
+    def word(cuts=()):
+        """Run the phase on the kernel: the runtime's driver order.
+
+        Also returns, for every cycle in *cuts* (ascending), each FIFO's
+        ``(puts, gets, high_water)`` and the port's
+        ``((_slot_time, _slot_used), total_words)`` at its end.
+        """
         ended = {}
 
         def driver():
@@ -549,33 +606,171 @@ def random_phase(seed):
             ended["finish"] = env.now
 
         env.process(driver())
+        at_cuts = []
+        for cut in cuts:
+            env.run(until=cut)
+            at_cuts.append((
+                {ch: (ch.total_put, ch.total_got, ch.high_water) for ch in chans},
+                ((hp_port._slot_time, hp_port._slot_used), hp_port.total_words)
+                if hp_port else None,
+            ))
         env.run()
-        return (
+        outcome = (
             ended["finish"],
             [(s.name, s.started_at, s.finished_at) for s in sims],
             {ch: (ch.total_put, ch.total_got, ch.high_water) for ch in chans},
-            (port._slot_time, port._slot_used),
-            port.total_words,
+            (hp_port._slot_time, hp_port._slot_used) if hp_port else None,
+            hp_port.total_words if hp_port else 0,
         )
+        return (outcome, at_cuts) if cuts else outcome
 
     specs = (t0, {ch: ch.capacity for ch in chans}, dma_specs, actor_specs)
-    return specs, hp, word
+
+    def prefix(cut):
+        """Run the phase as the runtime's prefix path does: replay with
+        *cut*, commit the snapshot at the end of that cycle, then resume
+        every unfinished process live.  Returns word()'s outcome."""
+        sol = replay_phase(*specs, cut=cut, **hp)
+        ended, spans = {}, {}
+
+        def driver():
+            yield env.timeout(cut)
+            for ch, (puts, gets, high_water) in sol.cut_channels.items():
+                if puts:
+                    ch.commit_burst(list(range(puts)), gets, high_water)
+            if hp_port:
+                state, hp_port.total_words = replay_hp_state(
+                    sol.hp_calls, wpc, sol.hp_init, cut
+                )
+                hp_port._slot_time, hp_port._slot_used = state
+            resumes = {}
+            for j, (d, (engine, buf)) in enumerate(zip(dma_specs, engines)):
+                if d.direction == "mm2s":
+                    plan = plan_mm2s_resume(
+                        d, sol.dma_calls[j], sol.timeline[d.chan][0], cut
+                    )
+                    resume = engine.resume_mm2s
+                else:
+                    plan = plan_s2mm_resume(
+                        d, sol.dma_calls[j], sol.timeline[d.chan][1], cut
+                    )
+                    resume = engine.resume_s2mm
+                if plan.mode != "done":
+                    resumes[j] = (resume(buf.base, buf.nbytes, plan.first,
+                                         plan.mode, plan.wake), f"dma{j}")
+            tokens = {ch: list(range(puts))
+                      for ch, (puts, _gets, _hw) in sol.channels.items()}
+            for k, (spec, (name, _t0, finish)) in enumerate(
+                zip(actor_specs, sol.actor_spans)
+            ):
+                spans[name] = {"finish": finish}
+                if finish > cut:
+                    resumes[len(dma_specs) + k] = (
+                        resume_actor(env, spec, sol.timeline, tokens, cut,
+                                     spans[name]),
+                        name,
+                    )
+            started = start_resumes(env, resumes, sol.cut_sleepers)
+            yield env.all_of(list(started.values()))
+            ended["finish"] = env.now
+
+        env.process(driver())
+        env.run()
+        return (
+            ended["finish"],
+            [(s.name, t0, spans[s.name]["finish"]) for s in sims],
+            {ch: (ch.total_put, ch.total_got, ch.high_water) for ch in chans},
+            (hp_port._slot_time, hp_port._slot_used) if hp_port else None,
+            hp_port.total_words if hp_port else 0,
+        )
+
+    return specs, hp, word, prefix
+
+
+def _outcome(sol):
+    return (sol.finish, sol.actor_spans, sol.channels, sol.hp_state,
+            sol.hp_words)
 
 
 class TestReplayPhase:
     """replay_phase runs a phase's entries exactly as the kernel does."""
 
     def test_random_phases_match_word_path(self):
-        unprovable = 0
         for seed in range(240):
-            (t0, caps, dmas, actors), hp, word = random_phase(seed)
+            (t0, caps, dmas, actors), hp, word, _prefix = random_phase(
+                seed, port=seed % 4 != 3
+            )
             got = replay_phase(t0, caps, dmas, actors, **hp)
             assert got is not None, seed
-            assert (got.finish, got.actor_spans, got.channels, got.hp_state,
-                    got.hp_words) == word(), seed
-            if solve_phase_ex(caps, dmas, actors, **hp)[1] == "hp_unprovable":
-                unprovable += 1
-        assert unprovable >= 120  # the contended regime the replay exists for
+            assert _outcome(got) == word(), seed
+
+    def test_random_cuts_match_live_state(self):
+        """At a random cut the replay's snapshot is the live word run's
+        state at the end of that cycle, and its timelines agree."""
+        from bisect import bisect_right
+
+        rng = random.Random(20261017)
+        for seed in range(160):
+            (t0, caps, dmas, actors), hp, word, _prefix = random_phase(
+                seed, port=seed % 4 != 3
+            )
+            full = replay_phase(t0, caps, dmas, actors, **hp)
+            cut = rng.randint(dmas[-1].kick, full.finish)
+            got = replay_phase(t0, caps, dmas, actors, cut=cut, **hp)
+            outcome, [(channels, port)] = word([cut])
+            assert _outcome(got) == _outcome(full) == outcome, seed
+            assert got.cut_channels == channels, (seed, cut)
+            for ch, (P, G) in got.timeline.items():
+                puts, gets, _hw = got.cut_channels[ch]
+                assert (bisect_right(P, cut), bisect_right(G, cut)) == (puts, gets)
+            if hp:
+                assert replay_hp_state(
+                    got.hp_calls, hp["hp_wpc"], got.hp_init, cut
+                ) == port, (seed, cut)
+            else:
+                assert got.hp_calls == [] and got.dma_calls == [None] * len(dmas)
+
+    def test_replay_hp_state_matches_live_prefix(self):
+        """The recorded HP calls rebuild the live port at every cycle
+        from the last kick to the finish."""
+        for seed in range(8):
+            (t0, caps, dmas, actors), hp, word, _prefix = random_phase(seed)
+            kick = dmas[-1].kick
+            got = replay_phase(t0, caps, dmas, actors, cut=kick, **hp)
+            cuts = range(kick, got.finish + 1)
+            _outcome_w, at_cuts = word(cuts)
+            for cut, (_channels, port) in zip(cuts, at_cuts):
+                assert replay_hp_state(
+                    got.hp_calls, hp["hp_wpc"], got.hp_init, cut
+                ) == port, (seed, cut)
+
+    def test_random_prefix_resumes_match_word_path(self):
+        """Commit the replay's snapshot at a random cut and resume every
+        process live, as the runtime's prefix path does: the run ends
+        exactly like the word run, high_water and port included."""
+        def named(outcome):  # each build has its own channel objects
+            finish, spans, channels, *port = outcome
+            return finish, spans, {ch.name: v for ch, v in channels.items()}, port
+
+        rng = random.Random(7)
+        for seed in range(300):
+            port = seed % 4 != 3
+            (t0, caps, dmas, actors), hp, word, _ = random_phase(seed, port=port)
+            finish = replay_phase(t0, caps, dmas, actors, **hp).finish
+            want = named(word())
+            for _ in range(2):
+                cut = rng.randint(dmas[-1].kick, finish)
+                *_, prefix = random_phase(seed, port=port)
+                assert named(prefix(cut)) == want, (seed, cut)
+
+    def test_cut_before_a_kick_rejected(self):
+        env = Environment()
+        ch = StreamChannel(env, "c", capacity=8)
+        actor = ActorSpec(name="a", t0=0, firings=4, depth=1, ii=1,
+                          rate_ins=[ch])
+        with pytest.raises(ValueError):
+            replay_phase(0, {ch: 8}, [DmaSpec(150, 4, ch, "mm2s")], [actor],
+                         hp_wpc=2, cut=149)
 
     def test_drained_fifo_required(self):
         env = Environment()
@@ -595,8 +790,8 @@ class TestReplayPhase:
             replay_phase(0, {a: 8, b: 8}, dmas, [], hp_wpc=2)
 
     def test_otsu_space_replays_equal_word_path(self, monkeypatch):
-        """Every contended-port phase of the 8x8 Otsu space with HP widths
-        1, 2 and 4 is replayed, and equals the word path exactly."""
+        """Every hardware phase of the 8x8 Otsu space with HP widths 1, 2
+        and 4 is replayed, and equals the word path exactly."""
         import repro.dse.evaluate as evaluate
         from repro.dse.evaluate import evaluate_candidate
         from repro.dse.space import otsu_space
@@ -617,7 +812,9 @@ class TestReplayPhase:
             assert stats["word_phases"] == 0, cand.label()
             if stats["replay_phases"]:
                 replayed.append((cand, reports[-1]))
-        assert sum(r.burst_stats["replay_phases"] for _, r in replayed) == 8
+        # One hardware phase per candidate except the all-software one.
+        assert len(replayed) == 186
+        assert all(r.burst_stats["replay_phases"] == 1 for _, r in replayed)
         monkeypatch.setenv("REPRO_SIM_BURST", "0")
         for cand, got in replayed:
             evaluate_candidate(cand, width=8, height=8)
@@ -665,180 +862,6 @@ class TestHwSerialized:
         htg = self._htg(parallel=True)
         part = Partition.from_hw_set(htg, {"p1"})
         assert hw_serialized(htg, part)
-
-
-class TestHpInterleavingCertificate:
-    """The merged-replay certificate against real word-path arbitration.
-
-    Accepted schedules must be interleaving-invariant: replaying the
-    merged calls through one shared automaton — in *any* same-cycle
-    arbitration order the kernel could pick — reproduces every master's
-    solo grants.  Schedules where orders disagree must be refused.
-    """
-
-    @staticmethod
-    def _step(state, t, wpc):
-        """One ``HpPort.acquire`` call at cycle *t*: state -> (state, grant)."""
-        slot_time, slot_used = state
-        if slot_time < t:
-            slot_time, slot_used = t, 0
-        if slot_used >= wpc:
-            slot_time, slot_used = slot_time + 1, 0
-        return (slot_time, slot_used + 1), slot_time
-
-    def _solo(self, master, wpc):
-        """Master alone on a reset port (mirrors the solver's _SoloHp)."""
-        t0, gaps = master
-        state, t, calls = (-1, 0), t0, []
-        for i in range(len(gaps) + 1):
-            if i:
-                t = calls[-1][1] + gaps[i - 1]
-            state, grant = self._step(state, t, wpc)
-            calls.append((t, grant))
-        return calls
-
-    @staticmethod
-    def _merged(solos):
-        events = []
-        for m, calls in enumerate(solos):
-            events.extend((c, m, g) for c, g in calls)
-        events.sort(key=lambda e: e[0])  # stable: program order survives
-        return events
-
-    def _shared(self, masters, wpc, init, pick, history=None):
-        """Word-path reference: one live automaton; *pick* is the
-        kernel's arbitration order inside each same-cycle tie group."""
-        state = init
-        grants = [[] for _ in masters]
-        nxt = {m: (t0, 0) for m, (t0, _gaps) in enumerate(masters)}
-        while nxt:
-            tmin = min(t for t, _ in nxt.values())
-            group = sorted(m for m in nxt if nxt[m][0] == tmin)
-            for m in pick(group):
-                state, grant = self._step(state, tmin, wpc)
-                grants[m].append(grant)
-                if history is not None:
-                    history.append((tmin, state))
-                idx = nxt[m][1]
-                gaps = masters[m][1]
-                if idx < len(gaps):
-                    nxt[m] = (grant + gaps[idx], idx + 1)
-                else:
-                    del nxt[m]
-        return grants, state
-
-    def _check(self, masters, wpc, init, rng):
-        """Returns (accepted, all_orders_agree)."""
-        from repro.sim.burst import _hp_certificate
-
-        solos = [self._solo(m, wpc) for m in masters]
-        events = self._merged(solos)
-        final = _hp_certificate(events, wpc, init)
-        picks = [lambda g: g, lambda g: list(reversed(g))]
-        picks += [
-            (lambda r: (lambda g: r.sample(g, len(g))))(
-                __import__("random").Random(rng.randrange(1 << 30))
-            )
-            for _ in range(4)
-        ]
-        runs = [self._shared(masters, wpc, init, pick) for pick in picks]
-        agree = all(r[0] == runs[0][0] for r in runs)
-        if final is not None:
-            expect = [[g for _c, g in calls] for calls in solos]
-            for grants, state in runs:
-                assert grants == expect
-                assert state == final
-        return final is not None, agree
-
-    def test_randomized_schedules(self):
-        import random
-
-        rng = random.Random(20260807)
-        accepted = rejected = 0
-        for _ in range(300):
-            wpc = rng.randint(1, 3)
-            init = rng.choice(
-                [(-1, 0), (-1, 0), (rng.randint(-1, 2), rng.randint(0, wpc - 1))]
-            )
-            masters = [
-                (
-                    rng.randint(0, 5),
-                    [rng.randint(0, 3) for _ in range(rng.randint(0, 3))],
-                )
-                for _ in range(rng.randint(1, 3))
-            ]
-            ok, _agree = self._check(masters, wpc, init, rng)
-            accepted += ok
-            rejected += not ok
-        # The property is vacuous unless both outcomes occur.
-        assert accepted > 0 and rejected > 0
-
-    def test_exhaustive_two_masters(self):
-        import itertools
-        import random
-
-        rng = random.Random(7)
-        accepted = rejected = divergent = 0
-        for t0a, gapa, t0b, gapb, wpc in itertools.product(
-            (0, 1), (0, 1, 2), (0, 1), (0, 1, 2), (1, 2)
-        ):
-            masters = [(t0a, [gapa]), (t0b, [gapb])]
-            ok, agree = self._check(masters, wpc, (-1, 0), rng)
-            accepted += ok
-            rejected += not ok
-            if not agree:
-                divergent += 1
-                # Order-dependent grants MUST have been refused.
-                assert not ok
-        assert accepted > 0 and rejected > 0 and divergent > 0
-
-    def test_saturated_tie_group_is_refused(self):
-        # Two masters, two back-to-back calls each, all in one cycle,
-        # wpc=2: solo each pair fits its own slot; shared, the port can
-        # serve only one pair per cycle, so the grant assignment depends
-        # on kernel order — the contended-HP shape that must word-path.
-        from repro.sim.burst import _hp_certificate
-
-        masters = [(5, [0]), (5, [0])]
-        solos = [self._solo(m, 2) for m in masters]
-        assert [g for _c, g in solos[0]] == [5, 5]
-        assert _hp_certificate(self._merged(solos), 2, (-1, 0)) is None
-
-    def test_busy_port_entry_state_certified(self):
-        # A port mid-slot at phase entry: the certificate starts from
-        # the real (slot_time, slot_used) and still proves the schedule
-        # when the solo grants already account for the occupancy.
-        from repro.sim.burst import _hp_certificate
-
-        # One master calling at cycle 3 while the port holds slot_time=3
-        # with 2/2 words used: the call spills to cycle 4 — so a solo
-        # schedule computed from reset (grant 3) must be refused ...
-        solos = [self._solo((3, []), 2)]
-        assert _hp_certificate(self._merged(solos), 2, (3, 2)) is None
-        # ... while the true spilled schedule is certified.
-        assert _hp_certificate([(3, 0, 4)], 2, (3, 2)) == (4, 1)
-
-    def test_replay_hp_state_matches_live_prefix(self):
-        import random
-
-        from repro.sim.burst import _hp_certificate, replay_hp_state
-
-        masters = [(0, [2, 2]), (1, [3])]
-        wpc, init = 2, (-1, 0)
-        solos = [self._solo(m, wpc) for m in masters]
-        events = self._merged(solos)
-        assert _hp_certificate(events, wpc, init) is not None
-        history: list = []
-        self._shared(masters, wpc, init, lambda g: g, history=history)
-        last_call = max(c for c, _m, _g in events)
-        for cut in range(-1, last_call + 2):
-            upto = [(c, s) for c, s in history if c <= cut]
-            want_state = upto[-1][1] if upto else init
-            want_done = len(upto)
-            assert replay_hp_state(events, wpc, init, cut) == (
-                want_state,
-                want_done,
-            ), cut
 
 
 class TestFaultPrefixDifferential:
@@ -961,8 +984,8 @@ class TestFaultPrefixDifferential:
 class TestTable1FallbackRates:
     """Tier-1 fallback budget: at 128x128 every Table-I architecture
     must full-burst — zero word-fallback phases per reason.  Any new
-    solver bail (shallow_fifo, hp_unprovable, ...) shows up here as an
-    explicit diff against the pinned (empty) reason map."""
+    bail (fifo_busy, no_convergence, ...) shows up here as an explicit
+    diff against the pinned (empty) reason map."""
 
     PINNED: dict[int, dict] = {1: {}, 2: {}, 3: {}, 4: {}}
 
@@ -1041,6 +1064,7 @@ class TestPhaseSpanAttributes:
     def test_burst_path_attribute(self):
         fields = self._phase_fields()
         assert fields["path"] == "burst"
+        assert fields["source"] == "replay"
         assert "fallback_reason" not in fields
 
     def test_prefix_path_attribute(self):
@@ -1049,6 +1073,7 @@ class TestPhaseSpanAttributes:
         )
         fields = self._phase_fields(plan)
         assert fields["path"] == "prefix"
+        assert fields["source"] == "replay"
         assert "fallback_reason" not in fields
 
     def test_replay_source_attribute(self):
@@ -1118,8 +1143,8 @@ class TestPhaseMemo:
 
     @pytest.fixture(scope="class")
     def contended(self):
-        # Per-stream DMAs on one saturated HP port: the certificate
-        # refuses this phase, so the kernel-order replay fills the memo.
+        # Per-stream DMAs on one saturated HP port: the grants follow
+        # the kernel's tie order, which the replay fills the memo with.
         return build_otsu_candidate({"binarization", "otsuMethod"})
 
     @staticmethod
@@ -1149,7 +1174,7 @@ class TestPhaseMemo:
         assert hit.burst_stats["burst_phases"] == 1
         assert hit.burst_stats["replay_phases"] == 0
         assert hit.kernel_events == first.kernel_events
-        assert memo.hits == {"solve": 0, "replay": 1}
+        assert memo.hits == 1
         for burst_mode in (False, True):
             assert_same_run(
                 self.run_otsu(app, system, slow, burst_mode=burst_mode), hit
@@ -1165,7 +1190,7 @@ class TestPhaseMemo:
             for _ in range(2)
         ]
         assert [r.burst_stats["memo_hits"] for r in runs] == [0, 1]
-        assert memo.hits == {"solve": 1, "replay": 0}
+        assert memo.hits == 1
         assert_same_run(runs[0], runs[1])
         word = simulate_application(htg, part, behaviors, {}, system=system,
                                     burst_mode=False)
@@ -1187,7 +1212,7 @@ class TestPhaseMemo:
         part2, system2 = build_hw_system(htg2)
         assert run(htg2, part2, behaviors2, system2).burst_stats["memo_hits"] == 0
         assert len(memo) == 3
-        assert memo.hits == {"solve": 0, "replay": 0}
+        assert memo.hits == 0
 
     @staticmethod
     def key(*, t0=100, cap=8, ii=1, depth=3, count=16, wpc=2,
@@ -1267,5 +1292,4 @@ class TestPhaseMemo:
                 and e.name == "pipe"
             ]
         assert [f["path"] for f in fields] == ["burst", "burst"]
-        assert "source" not in fields[0]
-        assert fields[1]["source"] == "memo"
+        assert [f["source"] for f in fields] == ["replay", "memo"]
