@@ -1,37 +1,49 @@
 """X3 — design-space exploration over the Otsu partitions (future work).
 
 Exhaustively evaluates every buildable partition (real flow + simulated
-execution), extracts the area/latency Pareto front and checks the greedy
-heuristic ends on it.  The second leg runs the full campaign engine —
-partitions × PIPELINE subsets × DMA policies through a process pool
-sharing one per-function HLS store — and requires the frontier to
-dominate the SDSoC one-DMA-per-stream baseline.
+execution, one :func:`~repro.dse.space.partition_candidate` each through
+``evaluate_candidate``), extracts the area/latency Pareto front and
+checks the greedy heuristic ends on it.  The second leg runs the full
+campaign engine — partitions × PIPELINE subsets × DMA policies through a
+process pool sharing one per-function HLS store — and requires the
+frontier to dominate the SDSoC one-DMA-per-stream baseline.
 """
 
 import tempfile
 
 from conftest import save_artifact
 
+from repro.apps.otsu.app import buildable_hw_sets
 from repro.dse import (
     CampaignConfig,
-    explore,
+    evaluate_candidate,
     frontier_dominates,
     greedy_partition,
     otsu_space,
     pareto_front,
+    partition_candidate,
     run_campaign,
     sdsoc_baseline_point,
 )
 from repro.util.text import format_table
 
 
+def _partition_label(point):
+    return "+".join(sorted(point.hw)) or "all-sw"
+
+
 def test_dse_pareto(benchmark):
     points = benchmark.pedantic(
-        lambda: explore(width=16, height=16), rounds=1, iterations=1
+        lambda: [
+            evaluate_candidate(partition_candidate(hw), width=16, height=16)
+            for hw in buildable_hw_sets()
+        ],
+        rounds=1,
+        iterations=1,
     )
     front = pareto_front(points)
     rows = [
-        (p.label(), p.lut, p.dsp, p.cycles, "front" if p in front else "")
+        (_partition_label(p), p.lut, p.dsp, p.cycles, "front" if p in front else "")
         for p in sorted(points, key=lambda p: p.lut)
     ]
     text = format_table(
@@ -47,9 +59,8 @@ def test_dse_pareto(benchmark):
     # The all-software point anchors the front's low-area end.
     assert front[0].lut == 0
 
-    trajectory = greedy_partition(
-        evaluator=lambda hw: next(p for p in points if p.hw == hw)
-    )
+    by_hw = {p.hw: p for p in points}
+    trajectory = greedy_partition(evaluator=by_hw.__getitem__)
     final = trajectory[-1]
     from repro.dse.pareto import dominates
 

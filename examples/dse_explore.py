@@ -9,16 +9,24 @@ trajectory against it.
 Run:  python examples/dse_explore.py
 """
 
-from repro.dse import explore, greedy_partition, pareto_front
+from repro.apps.otsu.app import buildable_hw_sets
+from repro.dse import evaluate_candidate, greedy_partition, pareto_front, partition_candidate
 from repro.util.text import format_table
+
+
+def label(point) -> str:
+    return "+".join(sorted(point.hw)) or "all-sw"
 
 
 def main() -> None:
     print("evaluating every buildable partition (flow + simulation) ...\n")
-    points = explore(width=24, height=24)
+    points = [
+        evaluate_candidate(partition_candidate(hw), width=24, height=24)
+        for hw in buildable_hw_sets()
+    ]
 
     rows = [
-        [p.label(), p.lut, p.ff, p.bram18, p.dsp, p.cycles]
+        [label(p), p.lut, p.ff, p.bram18, p.dsp, p.cycles]
         for p in sorted(points, key=lambda p: p.cycles)
     ]
     print(
@@ -32,12 +40,12 @@ def main() -> None:
     front = pareto_front(points)
     print("\nPareto front (minimize LUT, minimize cycles):")
     for p in front:
-        print(f"  {p.label():<40} LUT={p.lut:<6} cycles={p.cycles}")
+        print(f"  {label(p):<40} LUT={p.lut:<6} cycles={p.cycles}")
 
     print("\nGreedy heuristic trajectory (best cycles-per-LUT step):")
     trajectory = greedy_partition(width=24, height=24)
     for step, p in enumerate(trajectory):
-        print(f"  step {step}: {p.label():<40} LUT={p.lut:<6} cycles={p.cycles}")
+        print(f"  step {step}: {label(p):<40} LUT={p.lut:<6} cycles={p.cycles}")
 
     final = trajectory[-1]
     on_front = any(

@@ -16,6 +16,7 @@ cost more).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -227,6 +228,27 @@ def _build_phase(hw_funcs: list[str], npix: int) -> Phase:
     )
 
 
+@lru_cache(maxsize=8)
+def _synthetic_inputs(
+    width: int, height: int, seed: int
+) -> tuple[np.ndarray, dict[str, np.ndarray | int]]:
+    """The packed synthetic scene and its golden pipeline, shared by
+    every app built with the same ``(width, height, seed)``.
+
+    All three steps are pure functions of those three numbers, and a DSE
+    campaign builds one app per candidate from the same scene.  The
+    arrays are read-only: ``readImage`` hands ``packed`` straight to the
+    simulator, so a write through any alias raises instead of corrupting
+    the next app's input.
+    """
+    packed = pack_rgb(synthetic_scene(width, height, seed=seed)).astype(np.int32)
+    golden = golden_pipeline(packed)
+    for value in (packed, *golden.values()):
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+    return packed, golden
+
+
 def _hw_is_contiguous(hw: frozenset[str]) -> bool:
     idx = sorted(_CHAIN.index(f) for f in hw if f != "binarization")
     core = [i for i in idx]
@@ -312,13 +334,12 @@ def build_otsu_custom(
         if rgb.ndim != 3 or rgb.shape[2] != 3:
             raise ReproError("rgb image must be (H, W, 3)")
         height, width = rgb.shape[:2]
-        scene = rgb.astype(np.uint8)
+        packed = pack_rgb(rgb.astype(np.uint8)).astype(np.int32)
+        golden = golden_pipeline(packed)
     else:
-        scene = synthetic_scene(width, height, seed=seed)
+        packed, shared = _synthetic_inputs(width, height, seed)
+        golden = dict(shared)  # each app owns its dict; the arrays are shared
     npix = width * height
-
-    packed = pack_rgb(scene).astype(np.int32)
-    golden = golden_pipeline(packed)
 
     htg = HTG(f"otsuArch{arch}")
     htg.add(Task("readImage", outputs=("rgbImage",), io=True,

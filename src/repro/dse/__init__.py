@@ -27,14 +27,7 @@ from repro.dse.directives import (
     evaluate_directive_config,
     explore_directives,
 )
-from repro.dse.evaluate import (
-    DsePoint,
-    EvalPoint,
-    dse_flow_config,
-    evaluate_candidate,
-    evaluate_hw_set,
-    explore,
-)
+from repro.dse.evaluate import EvalPoint, dse_flow_config, evaluate_candidate
 from repro.dse.heuristics import greedy_partition
 from repro.dse.pareto import ParetoFront, dominates, pareto_front
 from repro.dse.space import (
@@ -42,6 +35,7 @@ from repro.dse.space import (
     SearchSpace,
     otsu_directives_space,
     otsu_space,
+    partition_candidate,
     sdsoc_baseline_candidate,
 )
 
@@ -50,7 +44,6 @@ __all__ = [
     "CampaignResult",
     "Candidate",
     "DirectivePoint",
-    "DsePoint",
     "EvalPoint",
     "ParetoFront",
     "SearchSpace",
@@ -58,14 +51,13 @@ __all__ = [
     "dse_flow_config",
     "evaluate_candidate",
     "evaluate_directive_config",
-    "evaluate_hw_set",
-    "explore",
     "explore_directives",
     "frontier_dominates",
     "greedy_partition",
     "otsu_directives_space",
     "otsu_space",
     "pareto_front",
+    "partition_candidate",
     "run_campaign",
     "sdsoc_baseline_candidate",
     "sdsoc_baseline_point",

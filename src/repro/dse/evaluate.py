@@ -1,12 +1,9 @@
 """Candidate evaluation: run the flow + simulator per candidate.
 
-Two evaluation surfaces live here:
-
-* the PR 0 partition-only helpers (:class:`DsePoint`,
-  :func:`evaluate_hw_set`, :func:`explore`) kept for back-compat; and
-* the campaign evaluator (:func:`evaluate_candidate`) over full
-  :class:`~repro.dse.space.Candidate` points — partition × PIPELINE
-  subset × DMA policy × HP-port bandwidth.
+:func:`evaluate_candidate` is the one evaluation surface: every
+:class:`~repro.dse.space.Candidate` — partition × PIPELINE subset × DMA
+policy × HP-port bandwidth — goes through it, campaign points and the
+partition sweep (:func:`~repro.dse.space.partition_candidate`) alike.
 
 Every flow config a DSE evaluation uses comes from one factory,
 :func:`dse_flow_config`, which pins the cache routing **explicitly**:
@@ -26,13 +23,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.apps.otsu.app import build_otsu_custom, buildable_hw_sets
+from repro.apps.otsu.app import build_otsu_custom
 from repro.dse.space import Candidate
 from repro.flow.orchestrator import FlowConfig, run_flow
 from repro.sim.burst import PhaseMemo
 from repro.sim.runtime import simulate_application
 from repro.soc.integrator import IntegrationConfig
-from repro.util.errors import ReproError
 
 
 def dse_flow_config(
@@ -56,25 +52,6 @@ def dse_flow_config(
 
 
 @dataclass(frozen=True)
-class DsePoint:
-    """One evaluated partition."""
-
-    hw: frozenset[str]
-    lut: int
-    ff: int
-    bram18: int
-    dsp: int
-    cycles: int
-    correct: bool
-
-    def objectives(self) -> tuple[int, int, int, int, int]:
-        return (self.lut, self.ff, self.bram18, self.dsp, self.cycles)
-
-    def label(self) -> str:
-        return "+".join(sorted(self.hw)) if self.hw else "all-sw"
-
-
-@dataclass(frozen=True)
 class EvalPoint:
     """One evaluated search-space candidate."""
 
@@ -94,6 +71,11 @@ class EvalPoint:
     @property
     def cid(self) -> str:
         return self.candidate.cid
+
+    @property
+    def hw(self) -> frozenset[str]:
+        """The functions this candidate maps to hardware."""
+        return frozenset(self.candidate.get("hw", ()))
 
     def objectives(self) -> tuple[int, int, int, int, int]:
         return (self.lut, self.ff, self.bram18, self.dsp, self.cycles)
@@ -215,59 +197,3 @@ def evaluate_candidate(
         fn_cache_misses=fn_misses,
         memo_hits=report.burst_stats["memo_hits"],
     )
-
-
-def evaluate_hw_set(
-    hw: frozenset[str] | set[str],
-    *,
-    width: int = 32,
-    height: int = 32,
-    config: FlowConfig | None = None,
-) -> DsePoint:
-    """Build, synthesize and simulate one candidate partition."""
-    hw = frozenset(hw)
-    app = build_otsu_custom(hw, width=width, height=height)
-    if hw:
-        flow = run_flow(
-            app.dsl_graph(),
-            app.c_sources,
-            extra_directives=app.extra_directives,
-            config=config or dse_flow_config(),
-        )
-        system = flow.system
-        usage = flow.bitstream.utilization
-    else:
-        system = None
-        from repro.hls.resources import ResourceUsage
-
-        usage = ResourceUsage()
-    report = simulate_application(
-        app.htg, app.partition, app.behaviors, {}, system=system
-    )
-    correct = bool(
-        np.array_equal(report.of("binImage"), np.asarray(app.golden["binary"]))
-    )
-    return DsePoint(
-        hw=hw,
-        lut=usage.lut,
-        ff=usage.ff,
-        bram18=usage.bram18,
-        dsp=usage.dsp,
-        cycles=report.cycles,
-        correct=correct,
-    )
-
-
-def explore(
-    *,
-    width: int = 32,
-    height: int = 32,
-    candidates: list[frozenset[str]] | None = None,
-) -> list[DsePoint]:
-    """Evaluate every buildable partition (or the given *candidates*)."""
-    candidates = candidates if candidates is not None else buildable_hw_sets()
-    points = [evaluate_hw_set(hw, width=width, height=height) for hw in candidates]
-    wrong = [p.label() for p in points if not p.correct]
-    if wrong:
-        raise ReproError(f"candidates produced wrong output: {wrong}")
-    return points

@@ -13,7 +13,8 @@ from __future__ import annotations
 from typing import Callable
 
 from repro.apps.otsu.app import buildable_hw_sets
-from repro.dse.evaluate import DsePoint, evaluate_hw_set
+from repro.dse.evaluate import EvalPoint, evaluate_candidate
+from repro.dse.space import partition_candidate
 
 
 def greedy_partition(
@@ -21,25 +22,25 @@ def greedy_partition(
     width: int = 32,
     height: int = 32,
     lut_budget: int | None = None,
-    evaluator: Callable[[frozenset[str]], DsePoint] | None = None,
+    evaluator: Callable[[frozenset[str]], EvalPoint] | None = None,
     fn_cache_dir: str | None = None,
-) -> list[DsePoint]:
+) -> list[EvalPoint]:
     """Greedy trajectory from all-software; returns the visited points.
 
     The last element is the heuristic's chosen solution.  *evaluator*
-    can replace the full flow+simulation (for tests); *lut_budget* caps
-    the area; *fn_cache_dir* shares one per-function memo store across
-    the trajectory's flow runs.
+    maps a hardware set to its point and can replace the full
+    flow+simulation of :func:`~repro.dse.space.partition_candidate`
+    (for tests); *lut_budget* caps the area; *fn_cache_dir* shares one
+    per-function memo store across the trajectory's flow runs.
     """
     if evaluator is None:
-        from repro.dse.evaluate import dse_flow_config
 
-        def evaluator(hw: frozenset[str]) -> DsePoint:  # noqa: F811
-            return evaluate_hw_set(
-                hw,
+        def evaluator(hw: frozenset[str]) -> EvalPoint:  # noqa: F811
+            return evaluate_candidate(
+                partition_candidate(hw),
                 width=width,
                 height=height,
-                config=dse_flow_config(fn_cache_dir=fn_cache_dir),
+                fn_cache_dir=fn_cache_dir,
             )
 
     buildable = set(buildable_hw_sets())
@@ -48,7 +49,7 @@ def greedy_partition(
     remaining = {"grayScale", "histogram", "otsuMethod", "binarization"}
 
     while remaining:
-        best: DsePoint | None = None
+        best: EvalPoint | None = None
         best_gain = 0.0
         for func in sorted(remaining):
             candidate_set = frozenset(current.hw | {func})

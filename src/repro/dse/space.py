@@ -21,6 +21,7 @@ The Otsu case study gets two factory presets:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import product
 from typing import Callable, Iterator
 
@@ -82,7 +83,7 @@ class Candidate:
         """JSON-canonical dict — the journaled form; also the cid input."""
         return {k: _canon_value(v) for k, v in self.values}
 
-    @property
+    @cached_property
     def cid(self) -> str:
         """Stable content id of this candidate (order-independent)."""
         return stable_digest(self.as_dict())[:16]
@@ -285,6 +286,16 @@ def otsu_directives_space(
     )
 
 
+def partition_candidate(hw: frozenset[str] | set[str] | tuple[str, ...]) -> Candidate:
+    """The partition-sweep point for hardware set *hw*: every actor it
+    instantiates pipelined, paired DMAs, two HP words per cycle — the
+    Table-I build of that partition."""
+    hw = tuple(sorted(hw))
+    return Candidate.make(
+        {"hw": hw, "pipelined": actors_of(hw), "dma": "paired", "hp_words": 2}
+    )
+
+
 def sdsoc_baseline_candidate(
     space_hp_words: int = 2,
 ) -> Candidate:
@@ -313,5 +324,6 @@ __all__ = [
     "actors_of",
     "otsu_directives_space",
     "otsu_space",
+    "partition_candidate",
     "sdsoc_baseline_candidate",
 ]

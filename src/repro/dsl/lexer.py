@@ -12,12 +12,18 @@ Token kinds:
 
 Scala-style line comments (``//``) are skipped so example files can be
 annotated.
+
+The scanner runs one precompiled alternation (:data:`_TOKEN_RE`) over
+each line: one regex step per token with the blanks before it, the
+column read off the match, and tokens built as plain tuples — the shape
+of the C lexer (:mod:`repro.hls.clex`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
 from enum import Enum
+from typing import NamedTuple
 
 from repro.util.errors import DslSyntaxError, SourceLocation
 
@@ -53,8 +59,7 @@ class TokKind(Enum):
     EOF = "eof"
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: TokKind
     value: str
     loc: SourceLocation
@@ -66,73 +71,79 @@ class Token:
         return self.kind is TokKind.PUNCT and self.value == ch
 
 
+#: One token, after the blanks before it, per match; :func:`tokenize`
+#: runs it over one line at a time.  ``\s`` is exactly ``str.isspace``
+#: and ``\w`` exactly ``str.isalnum`` plus ``_``; a word must still
+#: start with a letter or ``_``, which :func:`tokenize` checks
+#: (``[^\W\d]`` would accept non-decimal digits such as ``²``).  A quote
+#: with no closing quote on its line is ``badstring``; ``ws`` only
+#: matches the blanks that end a line, so ``bad`` never sees a blank.
+_TOKEN_RE = re.compile(
+    r"\s*(?:"
+    + "|".join(
+        (
+            r"(?P<word>\w+)",
+            r'(?P<string>"[^"]*")',
+            "(?P<punct>[" + re.escape("".join(sorted(PUNCT))) + "])",
+            r"(?P<comment>//)",
+            r"(?P<symbol>'\w*)",
+            r'(?P<badstring>")',
+            r"(?P<bad>\S)",
+            r"(?P<ws>\s)",
+        )
+    )
+    + ")"
+)
+
+
 def tokenize(text: str, filename: str = "<dsl>") -> list[Token]:
-    """Tokenize *text*; raises :class:`DslSyntaxError` on illegal input."""
+    """Tokenize *text*; raises :class:`DslSyntaxError` on illegal input.
+
+    Only ``\\n`` ends a line, and every other character, whitespace
+    included, is one column.  A comment runs to the end of its line and
+    occupies no columns: the end token after a trailing comment sits
+    where the comment starts.
+    """
     tokens: list[Token] = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-
-    def loc() -> SourceLocation:
-        return SourceLocation(line, col, filename)
-
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if c.isspace():
-            i += 1
-            col += 1
-            continue
-        if text.startswith("//", i):
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if c in PUNCT:
-            tokens.append(Token(TokKind.PUNCT, c, loc()))
-            i += 1
-            col += 1
-            continue
-        if c == '"':
-            start = loc()
-            j = i + 1
-            while j < n and text[j] != '"':
-                if text[j] == "\n":
-                    raise DslSyntaxError("unterminated string literal", start)
-                j += 1
-            if j >= n:
-                raise DslSyntaxError("unterminated string literal", start)
-            value = text[i + 1 : j]
-            tokens.append(Token(TokKind.STRING, value, start))
-            col += j + 1 - i
-            i = j + 1
-            continue
-        if c == "'":
-            start = loc()
-            j = i + 1
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            value = text[i + 1 : j]
-            if not value:
-                raise DslSyntaxError("empty symbol after quote", start)
-            tokens.append(Token(TokKind.SYMBOL, value, start))
-            col += j - i
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            start = loc()
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            kind = TokKind.KEYWORD if word in KEYWORDS else TokKind.IDENT
-            tokens.append(Token(kind, word, start))
-            col += j - i
-            i = j
-            continue
-        raise DslSyntaxError(f"illegal character {c!r}", loc())
-
-    tokens.append(Token(TokKind.EOF, "", loc()))
+    append = tokens.append
+    # ``tuple.__new__`` builds a token without a Python-level __new__ frame.
+    new = tuple.__new__
+    KEYWORD, IDENT, STRING, PUNCT_ = (
+        TokKind.KEYWORD, TokKind.IDENT, TokKind.STRING, TokKind.PUNCT
+    )
+    finditer = _TOKEN_RE.finditer
+    line = 0
+    for text_line in text.split("\n"):
+        line += 1
+        eof_col = len(text_line) + 1
+        for m in finditer(text_line):
+            kind = m.lastgroup
+            if kind == "ws":
+                continue
+            start, end = m.span(kind)
+            if kind == "comment":
+                eof_col = start + 1
+                break
+            loc = SourceLocation(line, start + 1, filename)
+            if kind == "word":
+                word = text_line[start:end]
+                if word in KEYWORDS:
+                    append(new(Token, (KEYWORD, word, loc)))
+                elif word[0] == "_" or word[0].isalpha():
+                    append(new(Token, (IDENT, word, loc)))
+                else:
+                    raise DslSyntaxError(f"illegal character {word[0]!r}", loc)
+            elif kind == "string":
+                append(new(Token, (STRING, text_line[start + 1 : end - 1], loc)))
+            elif kind == "punct":
+                append(new(Token, (PUNCT_, text_line[start], loc)))
+            elif kind == "symbol":
+                if end - start == 1:
+                    raise DslSyntaxError("empty symbol after quote", loc)
+                append(new(Token, (TokKind.SYMBOL, text_line[start + 1 : end], loc)))
+            elif kind == "badstring":
+                raise DslSyntaxError("unterminated string literal", loc)
+            else:  # bad
+                raise DslSyntaxError(f"illegal character {text_line[start]!r}", loc)
+    append(Token(TokKind.EOF, "", SourceLocation(line, eof_col, filename)))
     return tokens

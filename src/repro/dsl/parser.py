@@ -48,28 +48,33 @@ class _Parser:
             self.pos += 1
         return tok
 
+    # The expect/accept helpers read the token in place and step past it
+    # directly: a token they match is never the end-of-input token.
     def expect_kw(self, word: str) -> Token:
-        tok = self.peek()
-        if not tok.is_kw(word):
+        tok = self.tokens[self.pos]
+        if tok.kind is not TokKind.KEYWORD or tok.value != word:
             raise DslSyntaxError(f"expected keyword {word!r}, found {tok.value!r}", tok.loc)
-        return self.advance()
+        self.pos += 1
+        return tok
 
     def expect_punct(self, ch: str) -> Token:
-        tok = self.peek()
-        if not tok.is_punct(ch):
+        tok = self.tokens[self.pos]
+        if tok.kind is not TokKind.PUNCT or tok.value != ch:
             raise DslSyntaxError(f"expected {ch!r}, found {tok.value!r}", tok.loc)
-        return self.advance()
+        self.pos += 1
+        return tok
 
     def expect_string(self, what: str) -> str:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok.kind is not TokKind.STRING:
             raise DslSyntaxError(f"expected quoted {what}, found {tok.value!r}", tok.loc)
-        self.advance()
+        self.pos += 1
         return tok.value
 
     def accept_punct(self, ch: str) -> bool:
-        if self.peek().is_punct(ch):
-            self.advance()
+        tok = self.tokens[self.pos]
+        if tok.kind is TokKind.PUNCT and tok.value == ch:
+            self.pos += 1
             return True
         return False
 

@@ -22,22 +22,25 @@ Rules (each violation raises :class:`DslValidationError`):
 
 from __future__ import annotations
 
-from repro.dsl.ast import LinkEdge, PortKind, TgGraph
+from repro.dsl.ast import PortKind, TgGraph
 from repro.util.errors import DslValidationError
 
 
-def _check_endpoint(graph: TgGraph, edge: LinkEdge, end: object, role: str) -> None:
+def _check_endpoint(
+    port_kinds: dict[str, dict[str, PortKind]], end: object, role: str
+) -> None:
     if not isinstance(end, tuple):
         return  # 'soc — always fine
     node_name, port_name = end
-    if not graph.has_node(node_name):
+    kinds = port_kinds.get(node_name)
+    if kinds is None:
         raise DslValidationError(f"link {role} references unknown node {node_name!r}")
-    node = graph.node(node_name)
-    if not node.has_port(port_name):
+    kind = kinds.get(port_name)
+    if kind is None:
         raise DslValidationError(
             f"link {role} references unknown port {port_name!r} of node {node_name!r}"
         )
-    if node.port(port_name).kind is not PortKind.STREAM:
+    if kind is not PortKind.STREAM:
         raise DslValidationError(
             f"link {role} uses AXI-Lite port {node_name}.{port_name}; "
             "links require 'is' (AXI-Stream) ports"
@@ -47,25 +50,26 @@ def _check_endpoint(graph: TgGraph, edge: LinkEdge, end: object, role: str) -> N
 def validate_graph(graph: TgGraph) -> None:
     """Validate *graph*; raises :class:`DslValidationError` on violation."""
     # --- nodes --------------------------------------------------------------
-    seen_nodes: set[str] = set()
+    #: node name -> port name -> kind: every later lookup is one probe.
+    port_kinds: dict[str, dict[str, PortKind]] = {}
     for node in graph.nodes:
-        if node.name in seen_nodes:
+        if node.name in port_kinds:
             raise DslValidationError(f"duplicate node name {node.name!r}")
-        seen_nodes.add(node.name)
-        seen_ports: set[str] = set()
+        kinds = port_kinds[node.name] = {}
         for p in node.ports:
-            if p.name in seen_ports:
+            if p.name in kinds:
                 raise DslValidationError(
                     f"node {node.name!r}: duplicate port name {p.name!r}"
                 )
-            seen_ports.add(p.name)
+            kinds[p.name] = p.kind
 
     # --- connect edges --------------------------------------------------------
     connected: set[str] = set()
     for edge in graph.connects():
-        if not graph.has_node(edge.node):
+        kinds = port_kinds.get(edge.node)
+        if kinds is None:
             raise DslValidationError(f"connect references unknown node {edge.node!r}")
-        if not graph.node(edge.node).lite_ports():
+        if PortKind.LITE not in kinds.values():
             raise DslValidationError(
                 f"connect on node {edge.node!r} which has no AXI-Lite port"
             )
@@ -77,8 +81,8 @@ def validate_graph(graph: TgGraph) -> None:
     used_src: set[tuple[str, str]] = set()
     used_dst: set[tuple[str, str]] = set()
     for edge in graph.links():
-        _check_endpoint(graph, edge, edge.src, "source")
-        _check_endpoint(graph, edge, edge.dst, "destination")
+        _check_endpoint(port_kinds, edge.src, "source")
+        _check_endpoint(port_kinds, edge.dst, "destination")
         if edge.from_soc() and edge.to_soc():
             raise DslValidationError("link from 'soc to 'soc is meaningless")
         if (

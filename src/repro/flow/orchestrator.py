@@ -36,7 +36,6 @@ from repro.dsl.actions import ActionHooks
 from repro.dsl.ast import NodeDecl, PortDecl, PortKind, TgGraph
 from repro.dsl.codegen import emit_dsl
 from repro.dsl.parser import parse_dsl
-from repro.dsl.validate import validate_graph
 from repro.hls import fncache
 from repro.hls.interfaces import Directive, InterfaceMode, interface
 from repro.hls.project import HlsProject, SynthesisResult
@@ -48,7 +47,7 @@ from repro.tcl.backends import VivadoBackend, Vivado2015_3
 from repro.tcl.generate import generate_hls_tcl, generate_system_tcl
 from repro.tcl.runner import TclRunner
 from repro.tcl.script import TclScript
-from repro.flow.buildcache import ENGINE_VERSION, BuildCache
+from repro.flow.buildcache import ENGINE_VERSION, BuildCache, cache_key
 from repro.flow.crashpoints import crashpoint
 from repro.flow.journal import RunJournal, stable_digest
 from repro.flow.timing import CoreTrace, FlowTiming, TimingModel
@@ -200,7 +199,11 @@ class FlowHooks(ActionHooks):
         project = self._project
         assert project is not None
         self._project = None
-        key = project.content_key(self.config.backend.version)
+        # ``project.content_key`` with the directives rendered once: the
+        # core build keeps the same text.
+        source = "\n".join(project.sources)
+        directives_tcl = project.directives_tcl()
+        key = cache_key(project.top, source, directives_tcl, self.config.backend.version)
 
         step = f"hls:{node.name}"
         if self.build_cache is not None:
@@ -229,7 +232,7 @@ class FlowHooks(ActionHooks):
                 raise FlowError(
                     f"HLS synthesis of core {node.name!r} failed: {exc}"
                 ) from exc
-        self._finish_core(node.name, result, project, key)
+        self._finish_core(node.name, result, source, directives_tcl, key)
 
     def _journal_commit(self, step: str, digest: str) -> None:
         """Record a committed step once (idempotent across resumes)."""
@@ -257,7 +260,8 @@ class FlowHooks(ActionHooks):
         self,
         name: str,
         result: SynthesisResult,
-        project: HlsProject,
+        source: str,
+        directives_tcl: str,
         key: str,
     ) -> None:
         seconds = self.config.timing_model.hls_core_s(result)
@@ -269,9 +273,9 @@ class FlowHooks(ActionHooks):
             name=name,
             result=result,
             hls_tcl=generate_hls_tcl(name, result),
-            directives_tcl=project.directives_tcl(),
+            directives_tcl=directives_tcl,
             modeled_seconds=seconds,
-            c_source="\n".join(project.sources),
+            c_source=source,
             key=key,
         )
         self.cores[name] = build
@@ -290,24 +294,27 @@ class FlowHooks(ActionHooks):
     # -- edges section: integration -----------------------------------------------
     def on_edges_end(self, graph: TgGraph) -> None:
         # Step 8: execute the project tcl up to the bitstream, then the
-        # software layer.
-        validate_graph(graph)
+        # software layer.  ``integrate`` validates the graph first.
         results = {name: build.result for name, build in self.cores.items()}
 
         # Integration is cheap and deterministic, so a resume re-executes
         # it from the (cache-served) cores; the journal boundary still
         # exists so the crash harness can kill the flow exactly here.
-        integrate_digest = stable_digest(
-            {
-                "cores": {name: build.key for name, build in self.cores.items()},
-                "backend": self.config.backend.version,
-                "integration": repr(self.config.integration),
-                "check_tcl": self.config.check_tcl,
-            }
-        )
+        # The step digests only label journal records.
+        journal = self.journal
+        integrate_digest = swgen_digest = ""
+        if journal is not None:
+            integrate_digest = stable_digest(
+                {
+                    "cores": {name: build.key for name, build in self.cores.items()},
+                    "backend": self.config.backend.version,
+                    "integration": repr(self.config.integration),
+                    "check_tcl": self.config.check_tcl,
+                }
+            )
         with _BUS.span("flow.step", "integrate"):
-            if self.journal is not None:
-                self.journal.step_start("integrate", integrate_digest)
+            if journal is not None:
+                journal.step_start("integrate", integrate_digest)
             crashpoint("integrate:start")
             system = integrate(graph, results, self.config.integration)
             system_tcl = generate_system_tcl(system, self.config.backend)
@@ -335,12 +342,13 @@ class FlowHooks(ActionHooks):
                 _METRICS.counter("flow.steps", "flow steps executed").inc()
         crashpoint("integrate:commit")
 
-        swgen_digest = stable_digest(
-            {"integrate": integrate_digest, "bitstream": bitstream.digest}
-        )
+        if journal is not None:
+            swgen_digest = stable_digest(
+                {"integrate": integrate_digest, "bitstream": bitstream.digest}
+            )
         with _BUS.span("flow.step", "swgen"):
-            if self.journal is not None:
-                self.journal.step_start("swgen", swgen_digest)
+            if journal is not None:
+                journal.step_start("swgen", swgen_digest)
             crashpoint("swgen:start")
             image = assemble_image(
                 system,
@@ -352,14 +360,15 @@ class FlowHooks(ActionHooks):
                 _METRICS.counter("flow.steps", "flow steps executed").inc()
         crashpoint("swgen:commit")
 
+        dsl_text = emit_dsl(graph)
         model = self.config.timing_model
-        self.timing.scala_s = model.scala_compile_s(count_lines(emit_dsl(graph)))
+        self.timing.scala_s = model.scala_compile_s(count_lines(dsl_text))
         self.timing.project_s = model.project_generation_s(system.design)
         self.timing.synth_s = model.synthesis_s(system.design)
 
         self.result = FlowResult(
             graph=graph,
-            dsl_text=emit_dsl(graph),
+            dsl_text=dsl_text,
             cores=self.cores,
             system=system,
             system_tcl=system_tcl,

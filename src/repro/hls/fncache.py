@@ -47,6 +47,7 @@ import os
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
+from functools import lru_cache
 
 from repro.hls.ir import Function
 from repro.obs.events import BUS as _BUS
@@ -66,7 +67,10 @@ def _engine_version() -> str:
     return ENGINE_VERSION
 
 
+@lru_cache(maxsize=1024)
 def _digest_fields(*parts: str) -> str:
+    """Length-prefixed SHA-256 of *parts*.  Memoized: a DSE campaign asks
+    for the same few keys once per candidate."""
     h = hashlib.sha256()
     for part in parts:
         data = part.encode()

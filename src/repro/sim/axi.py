@@ -17,6 +17,8 @@ untouched.
 from __future__ import annotations
 
 from collections import deque
+from itertools import repeat, starmap
+
 from repro.sim.kernel import Environment, Event
 from repro.soc.address_map import AddressMap
 from repro.util.errors import FaultInjectionError, SimError
@@ -323,7 +325,8 @@ class StreamChannel:
                 items.extend(self._admit_run(k))
             else:
                 k = min(count - len(taken), len(items))
-            taken.extend(items.popleft() for _ in range(k))
+            # k pops from the left, looped in C.
+            taken.extend(starmap(items.popleft, repeat((), k)))
             self.total_got += k
         while len(taken) < count and putters:
             k = min(count - len(taken), putters[0].remaining)

@@ -335,6 +335,8 @@ class _Runtime:
         self.p = platform
         self.data: dict[str, np.ndarray] = {k: np.asarray(v) for k, v in inputs.items()}
         self.node_spans: dict[str, tuple[int, int]] = {}
+        #: ``("src" | "dst", endpoint) -> link``, built on first use.
+        self._link_index: dict | None = None
         self.policy = policy or RecoveryPolicy()
         #: The retry ladder wraps hardware nodes only when a fault plan
         #: or an explicit policy asks for it — the unguarded path stays
@@ -955,13 +957,18 @@ class _Runtime:
         raise SimError(f"no /dev node for DMA {cell!r}")
 
     def _find_link(self, *, src=None, dst=None):
+        """The first stream link leaving *src* (or entering *dst*)."""
         assert self.p.system is not None
-        for link in self.p.system.graph.links():
-            if src is not None and link.src == src:
-                return link
-            if dst is not None and link.dst == dst:
-                return link
-        raise SimError(f"no stream link matching src={src} dst={dst}")
+        index = self._link_index
+        if index is None:
+            index = self._link_index = {}
+            for link in self.p.system.graph.links():
+                index.setdefault(("src", link.src), link)
+                index.setdefault(("dst", link.dst), link)
+        link = index.get(("src", src) if src is not None else ("dst", dst))
+        if link is None:
+            raise SimError(f"no stream link matching src={src} dst={dst}")
+        return link
 
     # -- functional dataflow execution ----------------------------------------------
     def _dataflow_outputs(self, phase: Phase) -> dict[tuple[str, str], np.ndarray]:

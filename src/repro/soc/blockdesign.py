@@ -63,11 +63,11 @@ class BlockDesign:
         """Connect a driver pin to a compatible sink pin (type-checked)."""
         src = self.cell(src_cell).pin(src_pin)
         dst = self.cell(dst_cell).pin(dst_pin)
-        if not src.is_driver():
+        expected = MATING.get(src.kind)
+        if expected is None:
             raise IntegrationError(
                 f"{src_cell}.{src_pin} ({src.kind.value}) cannot drive a connection"
             )
-        expected = MATING[src.kind]
         if dst.kind is not expected:
             raise IntegrationError(
                 f"cannot connect {src_cell}.{src_pin} ({src.kind.value}) to "
@@ -102,11 +102,13 @@ class BlockDesign:
 
     # -- queries ----------------------------------------------------------------
     def total_resources(self) -> ResourceUsage:
-        total = ResourceUsage()
-        for core in self.cells.values():
-            if not core.is_hard:
-                total = total + core.resources
-        return total
+        soft = [core.resources for core in self.cells.values() if not core.is_hard]
+        return ResourceUsage(
+            sum([r.lut for r in soft]),
+            sum([r.ff for r in soft]),
+            sum([r.bram18 for r in soft]),
+            sum([r.dsp for r in soft]),
+        )
 
     # -- presentation (Fig. 10 analogue) ---------------------------------------
     def to_diagram(self) -> str:

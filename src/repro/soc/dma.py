@@ -12,6 +12,8 @@ is expressed by instantiating cores with only one direction enabled.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from repro.hls.resources import ResourceUsage
 from repro.soc.ip import InterfacePin, IpCore, PinKind
 from repro.util.errors import IntegrationError
@@ -21,17 +23,11 @@ _CHANNEL_COST = ResourceUsage(lut=630, ff=880, bram18=2)
 _BASE_COST = ResourceUsage(lut=210, ff=260)
 
 
-def axi_dma(
-    name: str,
-    *,
-    mm2s: bool = True,
-    s2mm: bool = True,
-    mm2s_width: int = 32,
-    s2mm_width: int = 32,
-) -> IpCore:
-    """Build an AXI DMA cell with the requested channels and stream widths."""
-    if not (mm2s or s2mm):
-        raise IntegrationError(f"DMA {name!r} must enable at least one channel")
+@lru_cache(maxsize=64)
+def _dma_parts(
+    mm2s: bool, s2mm: bool, mm2s_width: int, s2mm_width: int
+) -> tuple[tuple[InterfacePin, ...], ResourceUsage]:
+    """Pins and cost of one DMA configuration (immutable, so shared)."""
     pins = [
         InterfacePin("s_axi_lite_aclk", PinKind.CLOCK_IN),
         InterfacePin("axi_resetn", PinKind.RESET_IN),
@@ -48,10 +44,25 @@ def axi_dma(
         pins.append(InterfacePin("S_AXIS_S2MM", PinKind.AXIS_SLAVE, s2mm_width))
         pins.append(InterfacePin("s2mm_introut", PinKind.INTERRUPT_OUT))
         resources = resources + _CHANNEL_COST
+    return tuple(pins), resources
+
+
+def axi_dma(
+    name: str,
+    *,
+    mm2s: bool = True,
+    s2mm: bool = True,
+    mm2s_width: int = 32,
+    s2mm_width: int = 32,
+) -> IpCore:
+    """Build an AXI DMA cell with the requested channels and stream widths."""
+    if not (mm2s or s2mm):
+        raise IntegrationError(f"DMA {name!r} must enable at least one channel")
+    pins, resources = _dma_parts(mm2s, s2mm, mm2s_width, s2mm_width)
     return IpCore(
         name=name,
         vlnv="xilinx.com:ip:axi_dma:7.1",
-        pins=pins,
+        pins=list(pins),
         resources=resources,
         params={
             "c_include_mm2s": int(mm2s),

@@ -84,17 +84,31 @@ class IpCore:
         return [p for p in self.pins if p.kind is kind]
 
 
+# Pins are immutable, so the cell factories share them between cells
+# (each cell still gets its own ``pins`` list).
+_RESET_PINS = (
+    InterfacePin("slowest_sync_clk", PinKind.CLOCK_IN),
+    InterfacePin("ext_reset_in", PinKind.RESET_IN),
+    InterfacePin("peripheral_aresetn", PinKind.RESET_OUT),
+)
+_RESET_COST = ResourceUsage(lut=19, ff=33)
+_HLS_CONTROL_PINS = (
+    InterfacePin("ap_clk", PinKind.CLOCK_IN),
+    InterfacePin("ap_rst_n", PinKind.RESET_IN),
+)
+_HLS_LITE_PINS = (
+    InterfacePin("s_axi_ctrl", PinKind.AXI_LITE_SLAVE),
+    InterfacePin("interrupt", PinKind.INTERRUPT_OUT),
+)
+
+
 def proc_sys_reset(name: str = "rst_ps7_0_100M") -> IpCore:
     """Processor system reset block (one per clock domain)."""
     return IpCore(
         name=name,
         vlnv="xilinx.com:ip:proc_sys_reset:5.0",
-        pins=[
-            InterfacePin("slowest_sync_clk", PinKind.CLOCK_IN),
-            InterfacePin("ext_reset_in", PinKind.RESET_IN),
-            InterfacePin("peripheral_aresetn", PinKind.RESET_OUT),
-        ],
-        resources=ResourceUsage(lut=19, ff=33),
+        pins=list(_RESET_PINS),
+        resources=_RESET_COST,
     )
 
 
@@ -106,13 +120,9 @@ def hls_core(name: str, vlnv_name: str, synthesis_result) -> IpCore:
     per ``m_axi`` array port, plus clock/reset/interrupt.
     """
     iface = synthesis_result.iface
-    pins = [
-        InterfacePin("ap_clk", PinKind.CLOCK_IN),
-        InterfacePin("ap_rst_n", PinKind.RESET_IN),
-    ]
+    pins = list(_HLS_CONTROL_PINS)
     if iface.has_lite():
-        pins.append(InterfacePin("s_axi_ctrl", PinKind.AXI_LITE_SLAVE))
-        pins.append(InterfacePin("interrupt", PinKind.INTERRUPT_OUT))
+        pins.extend(_HLS_LITE_PINS)
     for s in iface.streams:
         kind = PinKind.AXIS_SLAVE if s.direction == "in" else PinKind.AXIS_MASTER
         pins.append(InterfacePin(s.name, kind, data_width=s.width))

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 from repro.hls.resources import ResourceUsage
 from repro.soc.blockdesign import BlockDesign
+from repro.soc.ip import PinKind
 from repro.util.errors import SocError
 
 
@@ -56,18 +57,30 @@ class Bitstream:
         }
 
 
+#: pin kind -> its digest spelling (``Enum.value`` is a property lookup).
+_KIND_TAG = {kind: kind.value for kind in PinKind}
+
+
 def _design_digest(bd: BlockDesign) -> str:
-    h = hashlib.sha256()
+    """SHA-256 of the design's canonical text: cells and their pins by
+    name, connections by key, address ranges by base — hashed as one
+    string."""
+    tag = _KIND_TAG
+    parts: list[str] = []
     for name in sorted(bd.cells):
         cell = bd.cells[name]
-        h.update(f"cell {name} {cell.vlnv} {sorted(cell.params.items())!r}\n".encode())
-        for pin in cell.pins:
-            h.update(f"  pin {pin.name} {pin.kind.value} {pin.data_width}\n".encode())
-    for conn in sorted(bd.connections, key=lambda c: c.key()):
-        h.update(f"conn {conn.key()}\n".encode())
-    for rng in sorted(bd.address_map.ranges, key=lambda r: r.base):
-        h.update(f"addr {rng.name} {rng.base:#x} {rng.size:#x}\n".encode())
-    return h.hexdigest()
+        parts.append(f"cell {name} {cell.vlnv} {sorted(cell.params.items())!r}\n")
+        parts.extend(
+            [f"  pin {pin.name} {tag[pin.kind]} {pin.data_width}\n" for pin in cell.pins]
+        )
+    parts.extend([f"conn {key}\n" for key in sorted([c.key() for c in bd.connections])])
+    parts.extend(
+        [
+            f"addr {rng.name} {rng.base:#x} {rng.size:#x}\n"
+            for rng in sorted(bd.address_map.ranges, key=lambda r: r.base)
+        ]
+    )
+    return hashlib.sha256("".join(parts).encode()).hexdigest()
 
 
 def run_synthesis(

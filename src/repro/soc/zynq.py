@@ -9,6 +9,7 @@ enables the High Performance I/O ports to transfer data via DMA"
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from repro.hls.resources import ResourceUsage
 from repro.soc.ip import InterfacePin, IpCore, PinKind
@@ -37,19 +38,26 @@ class ZynqConfig:
             raise IntegrationError("FCLK frequency must be positive")
 
 
-def zynq_ps7(config: ZynqConfig, name: str = "processing_system7_0") -> IpCore:
-    """Build the PS7 cell for *config*."""
+@lru_cache(maxsize=None)
+def _ps7_pins(gp_masters: int, hp_slaves: int) -> tuple[InterfacePin, ...]:
+    """The PS7's pins (immutable, so shared by every PS7 cell)."""
     pins = [
         InterfacePin("FCLK_CLK0", PinKind.CLOCK_OUT),
         InterfacePin("FCLK_RESET0_N", PinKind.RESET_OUT),
         InterfacePin("IRQ_F2P", PinKind.INTERRUPT_IN),
     ]
-    for i in range(config.gp_masters):
+    for i in range(gp_masters):
         pins.append(InterfacePin(f"M_AXI_GP{i}", PinKind.AXI_LITE_MASTER))
         pins.append(InterfacePin(f"M_AXI_GP{i}_ACLK", PinKind.CLOCK_IN))
-    for i in range(config.hp_slaves):
+    for i in range(hp_slaves):
         pins.append(InterfacePin(f"S_AXI_HP{i}", PinKind.AXI_FULL_SLAVE, data_width=64))
         pins.append(InterfacePin(f"S_AXI_HP{i}_ACLK", PinKind.CLOCK_IN))
+    return tuple(pins)
+
+
+def zynq_ps7(config: ZynqConfig, name: str = "processing_system7_0") -> IpCore:
+    """Build the PS7 cell for *config*."""
+    pins = list(_ps7_pins(config.gp_masters, config.hp_slaves))
     params: dict[str, object] = {
         "PCW_FPGA0_PERIPHERAL_FREQMHZ": config.fclk_mhz,
         "preset": "ZedBoard",

@@ -23,18 +23,21 @@ annotated with its offset and width, instead of a ``0 /* TODO */``.
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 
 from repro.soc.integrator import IntegratedSystem
 
 _CTRL_NAMES = {"CTRL", "GIE", "IER", "ISR"}
 
 
+@lru_cache(maxsize=64)
 def _golden_source(name: str, source: str) -> str:
     """The core's C source with its top function renamed ``<name>_golden``.
 
     The rename is token-exact (word boundaries), so recursive calls keep
     pointing at the golden copy and unrelated identifiers that merely
-    contain the name are untouched.
+    contain the name are untouched.  Memoized: every candidate of a DSE
+    campaign embeds the same few cores.
     """
     renamed = re.sub(rf"\b{re.escape(name)}\b", f"{name}_golden", source)
     return (

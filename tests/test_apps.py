@@ -247,6 +247,72 @@ class TestOtsuStreamDiscipline:
             half_probability_src(1 << 16)
 
 
+class TestSharedSceneInputs:
+    """Apps built from the same synthetic scene share its read-only
+    inputs; each app still owns its ``golden`` dict."""
+
+    def test_same_scene_shares_arrays(self):
+        a = build_otsu_custom({"histogram"}, width=12, height=10, seed=5)
+        b = build_otsu_app(4, width=12, height=10, seed=5)
+        assert a.packed_scene is b.packed_scene
+        for key in ("gray", "hist", "binary"):
+            assert a.golden[key] is b.golden[key]
+
+    def test_other_scene_gets_other_arrays(self):
+        a = build_otsu_app(1, width=12, height=10, seed=5)
+        b = build_otsu_app(1, width=12, height=10, seed=6)
+        assert a.packed_scene is not b.packed_scene
+        assert not np.array_equal(a.packed_scene, b.packed_scene)
+
+    def test_shared_arrays_are_read_only(self):
+        app = build_otsu_app(2, width=12, height=10, seed=5)
+        with pytest.raises(ValueError):
+            app.packed_scene[0] = 1
+        for key in ("gray", "hist", "binary"):
+            with pytest.raises(ValueError):
+                app.golden[key][0] = 1
+        # readImage hands the packed scene to the simulator unchanged.
+        scene = app.behaviors["readImage"].func()
+        assert scene is app.packed_scene
+        with pytest.raises(ValueError):
+            scene += 1
+
+    def test_golden_dict_is_per_app(self):
+        a = build_otsu_app(3, width=12, height=10, seed=5)
+        b = build_otsu_app(3, width=12, height=10, seed=5)
+        threshold = b.golden["threshold"]
+        a.golden["threshold"] = -1
+        a.golden["extra"] = 0
+        del a.golden["binary"]
+        assert b.golden["threshold"] == threshold
+        assert "extra" not in b.golden and "binary" in b.golden
+
+    def test_rgb_apps_are_not_shared(self):
+        from repro.apps.image import synthetic_scene
+
+        rgb = synthetic_scene(12, 10, seed=5)
+        a = build_otsu_app(1, rgb=rgb)
+        b = build_otsu_app(1, rgb=rgb)
+        memo = build_otsu_app(1, width=12, height=10, seed=5)
+        assert a.packed_scene is not b.packed_scene
+        assert a.packed_scene is not memo.packed_scene
+        assert a.golden["gray"] is not b.golden["gray"]
+        assert a.packed_scene.flags.writeable
+        np.testing.assert_array_equal(a.packed_scene, memo.packed_scene)
+
+    def test_shared_golden_equals_a_fresh_pipeline(self):
+        from repro.apps.image import pack_rgb, synthetic_scene
+
+        app = build_otsu_app(4, width=12, height=10, seed=5)
+        fresh_packed = pack_rgb(synthetic_scene(12, 10, seed=5))
+        fresh = golden_pipeline(fresh_packed)
+        np.testing.assert_array_equal(app.packed_scene, fresh_packed)
+        assert app.packed_scene.dtype == np.int32
+        assert app.golden.keys() == fresh.keys()
+        for key, value in fresh.items():
+            np.testing.assert_array_equal(app.golden[key], value)
+
+
 class TestOtsuArchitectures:
     def test_table1_sets(self):
         assert ARCHITECTURES[1] == {"histogram"}

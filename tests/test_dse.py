@@ -5,14 +5,41 @@ import random
 import pytest
 
 from repro.apps.otsu.app import buildable_hw_sets
-from repro.dse import DsePoint, evaluate_hw_set, explore, greedy_partition, pareto_front
-from repro.dse.pareto import ParetoFront, dominates, dominates_vec, point_objectives
+from repro.dse import (
+    EvalPoint,
+    evaluate_candidate,
+    greedy_partition,
+    pareto_front,
+    partition_candidate,
+)
+from repro.dse.pareto import (
+    ParetoFront,
+    dominates,
+    dominates_vec,
+    point_ident,
+    point_objectives,
+)
+from repro.dse.space import Candidate
+
+
+def point(hw, lut, ff, bram18, dsp, cycles):
+    """A synthetic evaluated point for hardware set *hw*."""
+    return EvalPoint(
+        candidate=Candidate.make({"hw": tuple(sorted(hw))}),
+        lut=lut,
+        ff=ff,
+        bram18=bram18,
+        dsp=dsp,
+        cycles=cycles,
+        correct=True,
+        dma_cells=0,
+        fn_cache_hits=0,
+        fn_cache_misses=0,
+    )
 
 
 def P(hw, lut, cycles):
-    return DsePoint(
-        hw=frozenset(hw), lut=lut, ff=0, bram18=0, dsp=0, cycles=cycles, correct=True
-    )
+    return point(hw, lut, 0, 0, 0, cycles)
 
 
 def random_cloud(seed, n, *, spread=6):
@@ -23,14 +50,13 @@ def random_cloud(seed, n, *, spread=6):
     """
     rng = random.Random(seed)
     return [
-        DsePoint(
-            hw=frozenset({f"p{i:03d}"}),
-            lut=rng.randrange(spread),
-            ff=rng.randrange(spread),
-            bram18=rng.randrange(spread),
-            dsp=rng.randrange(spread),
-            cycles=rng.randrange(spread),
-            correct=True,
+        point(
+            {f"p{i:03d}"},
+            rng.randrange(spread),
+            rng.randrange(spread),
+            rng.randrange(spread),
+            rng.randrange(spread),
+            rng.randrange(spread),
         )
         for i in range(n)
     ]
@@ -55,8 +81,7 @@ class TestPareto:
             P({"e"}, 120, 10),  # dominated by c
         ]
         front = pareto_front(pts)
-        labels = {p.label() for p in front}
-        assert labels == {"a", "b", "c"}
+        assert {p.hw for p in front} == {frozenset({"a"}), frozenset({"b"}), frozenset({"c"})}
 
     def test_front_sorted_and_deduped(self):
         pts = [P({"a"}, 10, 5), P({"b"}, 10, 5), P({"c"}, 5, 10)]
@@ -64,8 +89,8 @@ class TestPareto:
         assert [p.lut for p in front] == [5, 10]
 
     def test_dominates_all_five_objectives(self):
-        a = DsePoint(frozenset({"a"}), 1, 1, 1, 1, 1, True)
-        b = DsePoint(frozenset({"b"}), 1, 1, 2, 1, 1, True)
+        a = point({"a"}, 1, 1, 1, 1, 1)
+        b = point({"b"}, 1, 1, 2, 1, 1)
         assert dominates(a, b)
         assert not dominates(b, a)
         assert not dominates(a, a)
@@ -109,10 +134,11 @@ class TestParetoProperties:
 
     def test_duplicates_collapse_to_min_identity(self):
         pts = [P({"zz"}, 1, 1), P({"aa"}, 1, 1), P({"mm"}, 1, 1)]
+        smallest = min(pts, key=lambda p: p.cid)
         for order in (pts, pts[::-1], [pts[2], pts[0], pts[1]]):
             front = pareto_front(order)
             assert len(front) == 1
-            assert front[0].label() == "aa"
+            assert front[0] is smallest
 
     def test_streaming_equals_batch_any_order(self):
         for seed in self.SEEDS:
@@ -136,11 +162,13 @@ class TestParetoProperties:
         assert stream.evicted == 1
 
     def test_streaming_tie_keeps_min_identity_both_orders(self):
+        pts = {name: P({name}, 3, 3) for name in ("zz", "aa")}
+        smallest = min(pts.values(), key=lambda p: p.cid)
         for order in (("zz", "aa"), ("aa", "zz")):
             stream = ParetoFront()
             for name in order:
-                stream.add(P({name}, 3, 3))
-            assert [p.label() for p in stream.front()] == ["aa"]
+                stream.add(pts[name])
+            assert stream.front() == [smallest]
 
     def test_single_and_empty_inputs(self):
         assert pareto_front([]) == []
@@ -151,17 +179,27 @@ class TestParetoProperties:
         class Bare:
             lut, ff, dsp, cycles = 4, 3, 2, 1  # no bram18, no objectives()
 
+        class Labelled(Bare):
+            def label(self):
+                return "labelled"
+
         assert point_objectives(Bare()) == (4, 3, 0, 2, 1)
+        # Identity falls back from cid to label() to repr().
+        assert point_ident(Labelled()) == "labelled"
+        bare = Bare()
+        assert point_ident(bare) == repr(bare)
 
     def test_streaming_front_emits_events_and_counters(self):
         from repro.obs.events import capture
 
+        # The two tied points in identity order: the second one loses.
+        c, c2 = sorted((P({"c"}, 5, 5), P({"c2"}, 5, 5)), key=lambda p: p.cid)
         with capture() as (bus, registry):
             stream = ParetoFront()
             stream.add(P({"a"}, 10, 10))
             stream.add(P({"b"}, 11, 11))  # pruned as dominated
-            stream.add(P({"c"}, 5, 5))  # admitted, evicts a
-            stream.add(P({"c2"}, 5, 5))  # tie, loses to c
+            stream.add(c)  # admitted, evicts a
+            stream.add(c2)  # tie, loses to c
             cats = [e.category for e in bus.events()]
             assert cats.count("dse.point") == 2
             assert cats.count("dse.prune") == 3
@@ -175,16 +213,16 @@ class TestParetoProperties:
 
 class TestEvaluate:
     def test_all_sw_point(self):
-        point = evaluate_hw_set(frozenset(), width=8, height=8)
-        assert point.lut == 0 and point.dsp == 0
-        assert point.correct
-        assert point.label() == "all-sw"
+        p = evaluate_candidate(partition_candidate(frozenset()), width=8, height=8)
+        assert p.lut == 0 and p.dsp == 0
+        assert p.correct
+        assert p.hw == frozenset()
 
     def test_hw_point(self):
-        point = evaluate_hw_set(frozenset({"histogram"}), width=8, height=8)
-        assert point.lut > 0
-        assert point.correct
-        assert point.label() == "histogram"
+        p = evaluate_candidate(partition_candidate({"histogram"}), width=8, height=8)
+        assert p.lut > 0
+        assert p.correct
+        assert p.hw == frozenset({"histogram"})
 
     def test_explore_small_space(self):
         candidates = [
@@ -192,12 +230,24 @@ class TestEvaluate:
             frozenset({"histogram"}),
             frozenset({"histogram", "otsuMethod"}),
         ]
-        points = explore(width=8, height=8, candidates=candidates)
-        assert len(points) == 3
+        points = [
+            evaluate_candidate(partition_candidate(hw), width=8, height=8)
+            for hw in candidates
+        ]
         assert all(p.correct for p in points)
         # More hardware -> more area.
-        by_label = {p.label(): p for p in points}
-        assert by_label["histogram+otsuMethod"].lut > by_label["histogram"].lut
+        by_hw = {p.hw: p for p in points}
+        assert by_hw[candidates[2]].lut > by_hw[candidates[1]].lut
+
+    def test_partition_candidate_pipelines_every_instantiated_actor(self):
+        c = partition_candidate({"otsuMethod", "histogram"})
+        assert c.as_dict() == {
+            "dma": "paired",
+            "hp_words": 2,
+            "hw": ["histogram", "otsuMethod"],
+            "pipelined": ["computeHistogram"],
+        }
+        assert partition_candidate(()).get("pipelined") == ()
 
 
 class TestGreedy:
@@ -212,8 +262,7 @@ class TestGreedy:
         def evaluator(hw):
             lut = sum(lut_cost[f] for f in hw)
             cycles = base - sum(cycle_gain[f] for f in hw)
-            return DsePoint(hw=frozenset(hw), lut=lut, ff=0, bram18=0, dsp=0,
-                            cycles=cycles, correct=True)
+            return P(hw, lut, cycles)
 
         return evaluator
 
@@ -237,7 +286,7 @@ class TestGreedy:
 
     def test_default_evaluator_routes_shared_fn_store(self, tmp_path):
         traj = greedy_partition(width=8, height=8, fn_cache_dir=str(tmp_path / "fn"))
-        assert traj[0].label() == "all-sw"
+        assert traj[0].hw == frozenset()
         assert len(traj) >= 2
         assert (tmp_path / "fn").is_dir()
 

@@ -259,3 +259,59 @@ class TestTimingModel:
                       extra_directives=big.extra_directives, config=cold)
         assert model.synthesis_s(rb.design) > model.synthesis_s(rs.design)
         assert rb.timing.hls_s > rs.timing.hls_s
+
+
+class TestValidateOnce:
+    """A flow validates its DSL graph once, in ``integrate``."""
+
+    @staticmethod
+    def count_validations(monkeypatch):
+        """Route every module-level ``validate_graph`` through a counter
+        keyed by the validated graph object."""
+        import sys
+
+        from repro.dsl.validate import validate_graph
+
+        calls: dict[int, int] = {}
+
+        def counting(graph):
+            calls[id(graph)] = calls.get(id(graph), 0) + 1
+            return validate_graph(graph)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("repro") and getattr(module, "validate_graph", None) is validate_graph:
+                monkeypatch.setattr(module, "validate_graph", counting)
+        return calls
+
+    def test_flow_validates_its_graph_once(self, monkeypatch):
+        g, srcs, dirs = build_fig4_flow_inputs(64)
+        calls = self.count_validations(monkeypatch)
+        flow = run_flow(g, srcs, extra_directives=dirs, config=FlowConfig(cache_dir=None))
+        assert calls[id(flow.graph)] == 1
+
+    def test_invalid_description_keeps_its_error(self):
+        from repro.dsl import emit_dsl
+        from repro.util.errors import DslValidationError
+
+        g, srcs, dirs = build_fig4_flow_inputs(64)
+        text = "".join(
+            line + "\n" for line in emit_dsl(g).splitlines() if '("EDGE", "out")' not in line
+        )
+        with pytest.raises(DslValidationError) as info:
+            run_flow(text, srcs, extra_directives=dirs, config=FlowConfig(cache_dir=None))
+        assert str(info.value) == "stream port EDGE.out is never linked"
+
+    def test_direct_integrate_validates(self):
+        from repro.dsl.ast import NodeDecl, PortDecl, PortKind, TgGraph
+        from repro.soc.integrator import integrate
+        from repro.util.errors import DslValidationError
+
+        graph = TgGraph("dangling")
+        graph.nodes.append(NodeDecl("A", (PortDecl("in", PortKind.STREAM),)))
+        with pytest.raises(DslValidationError, match="never linked"):
+            integrate(graph, {})
+
+    def test_sdsoc_baseline_validates(self, monkeypatch):
+        calls = self.count_validations(monkeypatch)
+        sdsoc_flow({"vecop": TestSdsocBaseline.SRC}, {"vecop"})
+        assert sum(calls.values()) == 1
