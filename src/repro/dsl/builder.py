@@ -182,6 +182,36 @@ class TaskGraphBuilder:
             return self
         raise DslSyntaxError("'end' with no open node or link")
 
+    # -- executing an existing graph -------------------------------------------
+    @classmethod
+    def execute(cls, graph: TgGraph, hooks: ActionHooks | None = None) -> TgGraph:
+        """Run *graph* keyword by keyword through a builder firing *hooks*.
+
+        The walk issues the keywords ``emit_dsl(graph)`` would print, in
+        the same order, so *hooks* see the call sequence (and the partly
+        built graph) that parsing that text fires — without printing or
+        lexing it.  Returns the rebuilt graph, not validated.
+        """
+        tg = cls(graph.name, hooks=hooks)
+        tg.nodes()
+        for node in graph.nodes:
+            tg.node(node.name)
+            for port in node.ports:
+                if port.kind is PortKind.LITE:
+                    tg.i(port.name)
+                else:
+                    tg.is_(port.name)
+            tg.end()
+        tg.end_nodes()
+        tg.edges()
+        for edge in graph.edges:
+            if isinstance(edge, ConnectEdge):
+                tg.connect(edge.node)
+            elif isinstance(edge, LinkEdge):
+                tg.link(edge.src).to(edge.dst).end()
+        tg.end_edges()
+        return tg.graph(validate=False)
+
     # -- result ---------------------------------------------------------------
     def graph(self, *, validate: bool = True) -> TgGraph:
         """Return the finished graph (after ``end_edges``)."""

@@ -21,7 +21,10 @@ be omitted for fragments (the graph is then named ``anonymous``).
 Parsing also drives an optional :class:`~repro.dsl.actions.ActionHooks`
 instance, firing the same callbacks as the embedded builder, so that
 "executing" a textual description coordinates the tool-flow exactly as
-the Scala original does.
+the Scala original does.  The flow parses only descriptions given as
+text: an already-built :class:`TgGraph` is executed through the embedded
+builder (:meth:`~repro.dsl.builder.TaskGraphBuilder.execute`) instead of
+being printed and parsed back.
 """
 
 from __future__ import annotations

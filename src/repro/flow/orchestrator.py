@@ -13,6 +13,14 @@ DSL keyword is an executable function:
 8. ``tg end_edges`` → integration, tcl generation, the (simulated)
    implementation up to the bitstream, then API/boot generation.
 
+:func:`run_flow` executes either kind of description with the front end
+made for it: DSL text through the textual parser
+(:func:`~repro.dsl.parser.parse_dsl`), an already-built :class:`TgGraph`
+through the embedded builder (:meth:`TaskGraphBuilder.execute`), which
+fires the same hooks keyword by keyword without printing and lexing the
+graph first.  Either way the graph is printed once, for
+:attr:`FlowResult.dsl_text`, and validated once, by ``integrate``.
+
 Step 4 is the only place a core is synthesized, in declaration order,
 and whole-core reuse has one path: the content-addressed
 :class:`~repro.flow.buildcache.BuildCache`.  A core is reused only when
@@ -34,6 +42,7 @@ from pathlib import Path
 
 from repro.dsl.actions import ActionHooks
 from repro.dsl.ast import NodeDecl, PortDecl, PortKind, TgGraph
+from repro.dsl.builder import TaskGraphBuilder
 from repro.dsl.codegen import emit_dsl
 from repro.dsl.parser import parse_dsl
 from repro.hls import fncache
@@ -422,10 +431,12 @@ def run_flow(
     """Execute a task-graph description through the full tool-chain.
 
     *description* is DSL text (parsed and executed keyword by keyword) or
-    an already-built :class:`TgGraph` (re-emitted and executed, so the
-    hook sequence is identical either way).  *build_cache* shares one
-    in-process :class:`BuildCache` across runs; otherwise
-    ``config.cache_dir`` (or ``REPRO_FLOW_CACHE_DIR``) opens one per run.
+    an already-built :class:`TgGraph` (executed keyword by keyword
+    through :meth:`TaskGraphBuilder.execute`, never printed and
+    re-parsed).  The hooks fire in the same sequence either way.
+    *build_cache* shares one in-process :class:`BuildCache` across runs;
+    otherwise ``config.cache_dir`` (or ``REPRO_FLOW_CACHE_DIR``) opens
+    one per run.
 
     *journal* (a :class:`RunJournal` or a path for one) makes the run
     crash-safe: every step is recorded write-ahead, so a killed run can
@@ -434,10 +445,11 @@ def run_flow(
     re-executes.
     """
     config = config or FlowConfig()
-    text = description if isinstance(description, str) else emit_dsl(description)
     if journal is not None and not isinstance(journal, RunJournal):
         journal = RunJournal(journal)
     if journal is not None:
+        # The header digests the DSL text; a graph is printed only here.
+        text = description if isinstance(description, str) else emit_dsl(description)
         journal.begin(flow_run_digest(text, c_sources, extra_directives, config))
     hooks = FlowHooks(
         c_sources,
@@ -446,8 +458,11 @@ def run_flow(
         build_cache=build_cache,
         journal=journal,
     )
-    parse_dsl(text, hooks=hooks)
-    if hooks.result is None:  # pragma: no cover - parse_dsl raises first
+    if isinstance(description, str):
+        parse_dsl(description, hooks=hooks)
+    else:
+        TaskGraphBuilder.execute(description, hooks)
+    if hooks.result is None:  # pragma: no cover - both front ends raise first
         raise FlowError("flow did not complete")
     return hooks.result
 

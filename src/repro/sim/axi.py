@@ -16,6 +16,7 @@ untouched.
 
 from __future__ import annotations
 
+import weakref
 from collections import deque
 from itertools import repeat, starmap
 
@@ -178,7 +179,7 @@ class StreamChannel:
         #: Tokens lost to injected drops / discarded by reset().
         self.dropped = 0
         self.flushed = 0
-        env.watched_fifos.append(self)
+        env.watched_fifos.append(weakref.ref(self))
 
     def __len__(self) -> int:
         return len(self._items)
@@ -356,6 +357,23 @@ class StreamChannel:
         if gets:
             self.get_burst(gets)
         self.high_water = max(before, high_water)
+
+    def commit_drained(self, count: int, high_water: int) -> bool:
+        """Commit *count* tokens that crossed this FIFO and all left it.
+
+        The counter effect of ``commit_burst(items, count, high_water)``
+        with ``len(items) == count`` — the FIFO ends as empty as it
+        started — without moving a token.  Only an idle FIFO without an
+        injector qualifies (an injector acts on each token); otherwise
+        nothing changes and the result is False, and the caller commits
+        the tokens.
+        """
+        if self.injector is not None or self._items or self._getters or self._putters:
+            return False
+        self.total_put += count
+        self.total_got += count
+        self.high_water = max(self.high_water, high_water)
+        return True
 
     def reset(self) -> None:
         """Soft reset: discard buffered tokens and pending handshakes.

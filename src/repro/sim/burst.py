@@ -196,7 +196,7 @@ class _Fifo:
     """A phase FIFO as :func:`replay_phase` sees it: counts, no tokens."""
 
     __slots__ = ("cap", "n", "puts", "gets", "high_water", "getters", "putters",
-                 "put_op", "get_op", "P", "G")
+                 "P", "G")
 
     def __init__(self, cap: int, record: bool) -> None:
         self.cap = cap
@@ -204,8 +204,6 @@ class _Fifo:
         self.puts = self.gets = self.high_water = 0
         self.getters: deque = deque()  # blocked consumers, arrival order
         self.putters: deque = deque()  # blocked producers, arrival order
-        self.put_op = (_PUT, self)
-        self.get_op = (_GET, self)
         # Put/get completion cycles, kept only by a cut replay.
         self.P: list[int] | None = [] if record else None
         self.G: list[int] | None = [] if record else None
@@ -215,29 +213,33 @@ def _replay_dma(spec: DmaSpec, f: _Fifo, pace: tuple):
     """``DmaEngine._run_mm2s`` / ``_run_s2mm``, as opcodes.
 
     *pace* is what each word waits on: an HP acquire, or a
-    ``CYCLES_PER_WORD`` wait when the engine has no HP port.
+    ``CYCLES_PER_WORD`` wait when the engine has no HP port.  The op
+    tuples live in the generator, not on the FIFO, so a finished replay
+    leaves no FIFO-to-itself reference cycle behind.
     """
     if spec.direction == "mm2s":
+        put = (_PUT, f)
         yield (_WAIT, READ_LATENCY)
         for _ in range(spec.count):
             yield pace
-            yield f.put_op
+            yield put
     else:
+        get = (_GET, f)
         yield (_WAIT, WRITE_LATENCY)
         for _ in range(spec.count):
-            yield f.get_op
+            yield get
             yield pace
 
 
 def _replay_actor(spec: ActorSpec, fifos: dict):
     """``StreamActorSim._run``, as opcodes."""
     for key, n in spec.bulk_ins:
-        op = fifos[key].get_op
+        op = (_GET, fifos[key])
         for _ in range(n):
             yield op
     yield (_WAIT, spec.depth)
-    gets = [fifos[k].get_op for k in spec.rate_ins]
-    puts = [fifos[k].put_op for k in spec.rate_outs]
+    gets = [(_GET, fifos[k]) for k in spec.rate_ins]
+    puts = [(_PUT, fifos[k]) for k in spec.rate_outs]
     if spec.firings:
         yield from gets + puts  # the first firing waits no II
     firing = gets + [(_WAIT, spec.ii)] + puts
@@ -245,7 +247,7 @@ def _replay_actor(spec: ActorSpec, fifos: dict):
         yield from firing
     word = (_WAIT, CYCLES_PER_WORD)
     for key, n in spec.bulk_outs:
-        op = fifos[key].put_op
+        op = (_PUT, fifos[key])
         for _ in range(n):
             yield word
             yield op

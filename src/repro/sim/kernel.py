@@ -38,6 +38,7 @@ Robustness machinery on top of the basic queue:
 from __future__ import annotations
 
 import heapq
+import weakref
 from collections import deque
 from typing import Callable, Generator
 
@@ -222,8 +223,12 @@ class Environment:
         self.events_processed = 0
         #: Live (started, not finished, not abandoned) processes.
         self._processes: dict[int, Process] = {}
-        #: Objects reported on deadlock (anything with name/capacity/len).
-        self.watched_fifos: list = []
+        #: Weak references to the objects reported on deadlock (anything
+        #: with name/capacity/len), in registration order.  Weak, so the
+        #: FIFOs and this environment (which each FIFO references) are
+        #: freed by reference counting when a simulation ends instead of
+        #: waiting as cyclic garbage for a full collection.
+        self.watched_fifos: list[weakref.ref] = []
         #: When True, run() raises SimDeadlockError if the queue drains
         #: while processes remain blocked (instead of returning quietly).
         self.detect_deadlock = False
@@ -381,7 +386,8 @@ class Environment:
         blocked = tuple(sorted(p.name for p in self._processes.values()))
         fifos = {
             ch.name: (len(ch), ch.capacity)
-            for ch in self.watched_fifos
+            for ch in (ref() for ref in self.watched_fifos)
+            if ch is not None
         }
         occupancy = ", ".join(
             f"{name}={occ}/{cap}" for name, (occ, cap) in sorted(fifos.items())

@@ -688,7 +688,7 @@ class _Runtime:
             return ("word", "no_convergence", None)
 
         channels: dict[StreamChannel, int] = {}
-        chan_tokens: dict[StreamChannel, list] = {}
+        chan_tokens: dict[StreamChannel, np.ndarray] = {}
         actor_specs: list[ActorSpec] = []
         for actor, ins, outs, firings, timing in layout:
             spec = ActorSpec(
@@ -697,14 +697,14 @@ class _Runtime:
             )
             for e in ins:
                 channels[e.channel] = e.channel.capacity
-                chan_tokens.setdefault(e.channel, e.data.tolist())
+                chan_tokens.setdefault(e.channel, e.data)
                 if len(e.data) == firings:
                     spec.rate_ins.append(e.channel)
                 else:
                     spec.bulk_ins.append((e.channel, len(e.data)))
             for e in outs:
                 channels[e.channel] = e.channel.capacity
-                chan_tokens.setdefault(e.channel, e.data.tolist())
+                chan_tokens.setdefault(e.channel, e.data)
                 if len(e.data) == firings:
                     spec.rate_outs.append(e.channel)
                 else:
@@ -802,13 +802,16 @@ class _Runtime:
             )
         for dst_port, buf, _ref, _eng in out_bufs:
             self.data[dst_port] = buf.data.copy()
-        # The phase's traffic crosses each FIFO as one burst event pair;
-        # high_water is pinned to the replay's exact peak (a
-        # whole-transfer burst would overstate the word path's peak).
+        # The phase drains every FIFO it fills, so an idle, fault-free
+        # FIFO only moves its counters; any other crosses as one burst
+        # event pair.  Either way high_water is pinned to the replay's
+        # exact peak (a whole-transfer burst would overstate the word
+        # path's peak).
         for ch, (puts, gets, high_water) in solution.channels.items():
             if not puts:
                 continue
-            ch.commit_burst(chan_tokens[ch], gets, high_water)
+            if puts != gets or not ch.commit_drained(puts, high_water):
+                ch.commit_burst(chan_tokens[ch].tolist(), gets, high_water)
         if p.hp_port is not None and solution.hp_state is not None:
             p.hp_port._slot_time, p.hp_port._slot_used = solution.hp_state
             p.hp_port.total_words += solution.hp_words
@@ -853,6 +856,8 @@ class _Runtime:
         # The whole fault-free prefix is one kernel event.
         yield env.timeout(max(0, cut - env.now))
         # ---- commit: the exact word-path state at the end of the cut ----
+        # Tokens as Python ints: an injector flips only ``int`` tokens.
+        chan_tokens = {ch: data.tolist() for ch, data in chan_tokens.items()}
         for ch, (n_put, n_got, high_water) in solution.cut_channels.items():
             if n_put:
                 ch.commit_burst(chan_tokens[ch][:n_put], n_got, high_water)

@@ -1293,3 +1293,114 @@ class TestPhaseMemo:
             ]
         assert [f["path"] for f in fields] == ["burst", "burst"]
         assert [f["source"] for f in fields] == ["replay", "memo"]
+
+
+def _fifo_state(ch):
+    return (ch.total_put, ch.total_got, ch.high_water, len(ch), ch.conserved())
+
+
+def _shadow_token_commit(ch, count, high_water):
+    """The token path's result for a drained commit of *count* tokens on
+    a FIFO in *ch*'s state: a fresh FIFO with the same counters."""
+    shadow = StreamChannel(Environment(), ch.name, capacity=ch.capacity)
+    shadow.total_put, shadow.total_got = ch.total_put, ch.total_got
+    shadow.high_water, shadow.flushed = ch.high_water, ch.flushed
+    shadow.commit_burst(list(range(count)), count, high_water)
+    return _fifo_state(shadow)
+
+
+class TestDrainedCommit:
+    """A burst phase ends with every FIFO drained, so its commit moves
+    counters instead of tokens; the counters, ``high_water`` and
+    ``conserved()`` must equal what pushing and popping the tokens gives."""
+
+    @pytest.fixture
+    def checked(self, monkeypatch):
+        real = StreamChannel.commit_drained
+        calls = []
+
+        def commit_drained(ch, count, high_water):
+            expected = _shadow_token_commit(ch, count, high_water)
+            done = real(ch, count, high_water)
+            if done:
+                assert _fifo_state(ch) == expected, ch.name
+                calls.append(ch.name)
+            return done
+
+        monkeypatch.setattr(StreamChannel, "commit_drained", commit_drained)
+        return calls
+
+    @pytest.mark.parametrize("arch", [1, 2, 3, 4])
+    def test_table1_architectures(self, arch, checked, monkeypatch):
+        from repro.apps.otsu import build_otsu_app
+        from repro.flow import FlowConfig, run_flow
+
+        app = build_otsu_app(arch, width=16, height=16)
+        flow = run_flow(app.dsl_graph(), app.c_sources,
+                        extra_directives=app.extra_directives,
+                        config=FlowConfig(cache_dir=None, check_tcl=False))
+        args = (app.htg, app.partition, app.behaviors, {})
+        fast = simulate_application(*args, system=flow.system, burst_mode=True)
+        assert checked, "no burst phase committed through the counters"
+        monkeypatch.setattr(StreamChannel, "commit_drained", lambda *_a: False)
+        tokens = simulate_application(*args, system=flow.system, burst_mode=True)
+        assert_same_run(tokens, fast)
+        assert fast.kernel_events == tokens.kernel_events
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_random_phase(self, seed):
+        (t0, caps, dmas, actors), hp, word, _prefix = random_phase(seed)
+        sol = replay_phase(t0, caps, dmas, actors, **hp)
+        assert sol is not None
+        _finish, _spans, counters, _hp_state, _hp_words = word()
+        for ch, (puts, gets, high_water) in sol.channels.items():
+            assert puts == gets == counters[ch][0] == counters[ch][1]
+            fresh = StreamChannel(Environment(), ch.name, capacity=ch.capacity)
+            expected = _shadow_token_commit(fresh, puts, high_water)
+            assert fresh.commit_drained(puts, high_water)
+            assert _fifo_state(fresh) == expected
+            assert _fifo_state(fresh)[:3] == counters[ch]
+
+    def test_injector_or_busy_fifo_keeps_the_token_path(self):
+        env = Environment()
+        faulty = StreamChannel(env, "f", capacity=4, injector=object())
+        assert not faulty.commit_drained(3, 2)
+        busy = StreamChannel(env, "b", capacity=4)
+        busy.put(7)
+        assert not busy.commit_drained(3, 2)
+        assert (faulty.total_put, busy.total_put, len(busy)) == (0, 1, 1)
+
+
+class TestNoCyclicGarbage:
+    """A finished simulation or replay is freed by reference counting:
+    nothing is left for the cycle collector, which would keep it (the
+    whole platform, in the case of a simulation) alive until a full
+    collection."""
+
+    @staticmethod
+    def _cyclic_garbage(run):
+        import gc
+
+        gc.collect()
+        gc.disable()
+        try:
+            run()
+            return gc.collect()
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("burst", [True, False])
+    def test_simulation(self, burst):
+        htg, behaviors, _ = build_pipeline_app()
+        part, system = build_hw_system(htg)
+
+        def run():
+            simulate_application(htg, part, behaviors, {}, system=system,
+                                 burst_mode=burst)
+
+        assert self._cyclic_garbage(run) == 0
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_replay(self, seed):
+        specs, hp, _word, _prefix = random_phase(seed)
+        assert self._cyclic_garbage(lambda: replay_phase(*specs, **hp)) == 0
