@@ -23,7 +23,7 @@ from repro.dse import (
     pareto_front,
     partition_candidate,
     run_campaign,
-    sdsoc_baseline_point,
+    sdsoc_baseline_candidate,
 )
 from repro.util.text import format_table
 
@@ -82,7 +82,9 @@ def test_dse_campaign(benchmark):
             rounds=1,
             iterations=1,
         )
-        baseline = sdsoc_baseline_point(fn_cache_dir=f"{td}/fn")
+        baseline = evaluate_candidate(
+            sdsoc_baseline_candidate(), fn_cache_dir=f"{td}/fn"
+        )
 
     rows = [
         (p.label(), p.lut, p.ff, p.bram18, p.dsp, p.cycles)

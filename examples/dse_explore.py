@@ -4,13 +4,22 @@
 Evaluates every buildable hardware/software partition of the Otsu
 application through the real flow + simulator, prints the area/latency
 landscape and the Pareto front, and compares a greedy heuristic's
-trajectory against it.
+trajectory against it.  Then runs the PIPELINE-directive sweep over
+the Arch4 partition as a campaign over ``otsu_directives_space()``.
 
 Run:  python examples/dse_explore.py
 """
 
 from repro.apps.otsu.app import buildable_hw_sets
-from repro.dse import evaluate_candidate, greedy_partition, pareto_front, partition_candidate
+from repro.dse import (
+    CampaignConfig,
+    evaluate_candidate,
+    greedy_partition,
+    otsu_directives_space,
+    pareto_front,
+    partition_candidate,
+    run_campaign,
+)
 from repro.util.text import format_table
 
 
@@ -55,12 +64,14 @@ def main() -> None:
 
     # Second dimension: once the partition is fixed (Arch4), sweep the
     # PIPELINE directives the flow forwards to HLS per core.
-    from repro.dse import explore_directives
+    sweep = run_campaign(
+        CampaignConfig(space=otsu_directives_space(), width=24, height=24)
+    )
 
     print("\nDirective sweep over Arch4 (what to PIPELINE):")
-    for p in sorted(explore_directives(width=24, height=24), key=lambda p: p.cycles):
-        print(f"  {p.label():<38} cycles={p.cycles}")
-
+    for p in sorted(sweep.points, key=lambda p: p.cycles):
+        pipelined = "+".join(p.candidate.get("pipelined")) or "none"
+        print(f"  {pipelined:<38} cycles={p.cycles}")
 
 if __name__ == "__main__":
     main()

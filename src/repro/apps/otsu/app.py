@@ -94,17 +94,9 @@ class OtsuApplication:
     def npix(self) -> int:
         return self.width * self.height
 
-    @property
-    def hw_functions(self) -> frozenset[str]:
-        return ARCHITECTURES[self.arch]
-
     def dsl_graph(self) -> TgGraph:
         """The DSL description of this architecture (paper Listing 4 style)."""
         return graph_from_htg(self.htg, self.partition, name=f"otsuArch{self.arch}")
-
-
-def _actor_of(func: str) -> str:
-    return csrc.TABLE1_TO_ACTOR[func]
 
 
 def _build_phase(hw_funcs: list[str], npix: int) -> Phase:

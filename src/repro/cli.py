@@ -1058,9 +1058,10 @@ def _cmd_dse(args: argparse.Namespace) -> int:
 
     from repro.dse import (
         CampaignConfig,
+        evaluate_candidate,
         frontier_dominates,
         run_campaign,
-        sdsoc_baseline_point,
+        sdsoc_baseline_candidate,
     )
 
     width, _, height = args.size.partition("x")
@@ -1086,8 +1087,11 @@ def _cmd_dse(args: argparse.Namespace) -> int:
         result = run_campaign(config)
         baseline = None
         if args.baseline:
-            baseline = sdsoc_baseline_point(
-                width=width, height=height, fn_cache_dir=str(root / "fn")
+            baseline = evaluate_candidate(
+                sdsoc_baseline_candidate(),
+                width=width,
+                height=height,
+                fn_cache_dir=str(root / "fn"),
             )
         report_json = result.frontier_json(baseline=baseline)
         if args.json:
@@ -1135,11 +1139,12 @@ def _cmd_dsecheck(args: argparse.Namespace) -> int:
 
     from repro.dse import (
         CampaignConfig,
+        evaluate_candidate,
         frontier_dominates,
         otsu_directives_space,
         otsu_space,
         run_campaign,
-        sdsoc_baseline_point,
+        sdsoc_baseline_candidate,
     )
 
     width, _, height = args.size.partition("x")
@@ -1212,8 +1217,11 @@ def _cmd_dsecheck(args: argparse.Namespace) -> int:
             f"all-software anchor on frontier; fastest point uses hardware "
             f"({fastest.label()}, {fastest.objectives()[4]} cycles)",
         )
-        baseline = sdsoc_baseline_point(
-            width=width, height=height, fn_cache_dir=fn_dir
+        baseline = evaluate_candidate(
+            sdsoc_baseline_candidate(),
+            width=width,
+            height=height,
+            fn_cache_dir=fn_dir,
         )
         leg(
             "baseline-dominated",

@@ -11,7 +11,13 @@ every worker sharing one persistent per-function HLS memo store, prune
 dominated points to a latency-vs-LUT/FF/BRAM/DSP Pareto frontier
 (:mod:`pareto`), and run the whole thing as a parallel, journaled,
 resumable, deterministically-digested campaign (:mod:`campaign`).
-The greedy heuristic (:mod:`heuristics`) stays as a cross-check on the
+
+There is one evaluation surface, :func:`evaluate_candidate`, and one
+sweep driver, :func:`run_campaign`.  The partition sweep is
+:func:`partition_candidate` per buildable hardware set, the PIPELINE
+directive sweep is a campaign over :func:`otsu_directives_space`, and
+the SDSoC reference point is :func:`sdsoc_baseline_candidate`.  The
+greedy heuristic (:mod:`heuristics`) stays as a cross-check on the
 exhaustive frontier.
 """
 
@@ -20,12 +26,6 @@ from repro.dse.campaign import (
     CampaignResult,
     frontier_dominates,
     run_campaign,
-    sdsoc_baseline_point,
-)
-from repro.dse.directives import (
-    DirectivePoint,
-    evaluate_directive_config,
-    explore_directives,
 )
 from repro.dse.evaluate import EvalPoint, dse_flow_config, evaluate_candidate
 from repro.dse.heuristics import greedy_partition
@@ -43,15 +43,12 @@ __all__ = [
     "CampaignConfig",
     "CampaignResult",
     "Candidate",
-    "DirectivePoint",
     "EvalPoint",
     "ParetoFront",
     "SearchSpace",
     "dominates",
     "dse_flow_config",
     "evaluate_candidate",
-    "evaluate_directive_config",
-    "explore_directives",
     "frontier_dominates",
     "greedy_partition",
     "otsu_directives_space",
@@ -60,5 +57,4 @@ __all__ = [
     "partition_candidate",
     "run_campaign",
     "sdsoc_baseline_candidate",
-    "sdsoc_baseline_point",
 ]

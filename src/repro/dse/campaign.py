@@ -42,7 +42,7 @@ from pathlib import Path
 
 from repro.dse.evaluate import EvalPoint, evaluate_candidate
 from repro.dse.pareto import OBJECTIVES, ParetoFront, dominates
-from repro.dse.space import Candidate, SearchSpace, sdsoc_baseline_candidate
+from repro.dse.space import Candidate, SearchSpace
 from repro.flow.journal import open_for_append, stable_digest
 from repro.sim.burst import PhaseMemo
 from repro.util.errors import ReproError
@@ -142,21 +142,6 @@ class CampaignResult:
 def frontier_dominates(front: list[EvalPoint], point: EvalPoint) -> bool:
     """True if some frontier point strictly dominates *point*."""
     return any(dominates(p, point) for p in front)
-
-
-def sdsoc_baseline_point(
-    *,
-    width: int = 16,
-    height: int = 16,
-    fn_cache_dir: str | None = None,
-) -> EvalPoint:
-    """Evaluate the SDSoC one-DMA-per-stream reference candidate."""
-    return evaluate_candidate(
-        sdsoc_baseline_candidate(),
-        width=width,
-        height=height,
-        fn_cache_dir=fn_cache_dir,
-    )
 
 
 def campaign_digest(identity: str, points: list[EvalPoint]) -> str:
@@ -346,5 +331,4 @@ __all__ = [
     "campaign_digest",
     "frontier_dominates",
     "run_campaign",
-    "sdsoc_baseline_point",
 ]

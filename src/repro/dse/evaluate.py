@@ -2,8 +2,11 @@
 
 :func:`evaluate_candidate` is the one evaluation surface: every
 :class:`~repro.dse.space.Candidate` — partition × PIPELINE subset × DMA
-policy × HP-port bandwidth — goes through it, campaign points and the
-partition sweep (:func:`~repro.dse.space.partition_candidate`) alike.
+policy × HP-port bandwidth — goes through it: campaign points (the
+PIPELINE sweep over :func:`~repro.dse.space.otsu_directives_space`
+among them), the partition sweep
+(:func:`~repro.dse.space.partition_candidate`) and the SDSoC baseline
+(:func:`~repro.dse.space.sdsoc_baseline_candidate`) alike.
 
 Every flow config a DSE evaluation uses comes from one factory,
 :func:`dse_flow_config`, which pins the cache routing **explicitly**:
@@ -24,11 +27,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.apps.otsu.app import build_otsu_custom
-from repro.dse.space import Candidate
+from repro.dse.space import Candidate, actors_of
 from repro.flow.orchestrator import FlowConfig, run_flow
 from repro.sim.burst import PhaseMemo
 from repro.sim.runtime import simulate_application
 from repro.soc.integrator import IntegrationConfig
+from repro.util.errors import ReproError
 
 
 def dse_flow_config(
@@ -132,9 +136,17 @@ def evaluate_candidate(
     replayed is committed from it instead (same cycles
     and bytes; see :func:`~repro.sim.runtime.simulate_application`).
     ``None`` simulates every phase afresh.
+
+    Raises :class:`~repro.util.errors.ReproError` if the candidate
+    pipelines an actor its partition does not instantiate.
     """
     hw = frozenset(candidate.get("hw", ()))
     pipelined = frozenset(candidate.get("pipelined", ()))
+    unknown = pipelined - set(actors_of(hw))
+    if unknown:
+        raise ReproError(
+            f"not pipelineable in partition {sorted(hw)}: {sorted(unknown)}"
+        )
     dma = candidate.get("dma", "paired")
     hp_words = int(candidate.get("hp_words", 2))
     app = build_otsu_custom(hw, width=width, height=height)

@@ -79,9 +79,6 @@ class NodeDecl:
                 return p
         raise KeyError(f"node {self.name!r} has no port {name!r}")
 
-    def has_port(self, name: str) -> bool:
-        return any(p.name == name for p in self.ports)
-
     def lite_ports(self) -> tuple[PortDecl, ...]:
         return tuple(p for p in self.ports if p.is_lite())
 

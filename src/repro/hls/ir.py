@@ -176,14 +176,6 @@ class Function:
             raise HlsError(f"function {self.name!r} has no blocks")
         return self.blocks[0]
 
-    def loop_of_block(self, block_name: str) -> LoopInfo | None:
-        """Innermost loop containing *block_name* (loops list is outer-first)."""
-        found: LoopInfo | None = None
-        for loop in self.loops:
-            if block_name in loop.blocks:
-                found = loop
-        return found
-
     # -- debugging ---------------------------------------------------------------
     def dump(self) -> str:
         lines = [f"func {self.name}({', '.join(n for n, _ in self.params)}) -> {self.ret}"]

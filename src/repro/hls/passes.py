@@ -143,10 +143,6 @@ def constant_fold(fn: Function) -> bool:
     return changed
 
 
-def _const_value(op: Op) -> int | float | None:
-    return op.attrs["value"] if op.opcode == "const" else None
-
-
 def _is_pow2(v: int) -> bool:
     return v > 0 and (v & (v - 1)) == 0
 

@@ -166,12 +166,6 @@ class JobStore:
             suffix="spec",
         )
 
-    def load_spec(self, tenant: str, job_id: str) -> JobSpec | None:
-        data = _read_json(self.job_dir(tenant, job_id) / _JOB_FILE)
-        if data is None:
-            return None
-        return JobSpec.from_dict(data["spec"])
-
     # -- terminal records --------------------------------------------------
     def write_terminal(
         self,

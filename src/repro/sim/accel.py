@@ -163,9 +163,6 @@ class LiteAccelSim(AxiLiteDevice):
         #: solo master (see HpPort.acquire_burst).
         self.burst_traffic = False
 
-    def bind_buffer(self, param: str, buffer_name: str) -> None:
-        self.arg_buffers[param] = buffer_name
-
     def soft_reset(self) -> None:
         """ap_rst_n pulse: abort a wedged run, return to idle."""
         if self._proc is not None and not self._proc.triggered:

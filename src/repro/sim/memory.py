@@ -81,9 +81,6 @@ class Memory:
         insort(self._by_base, (buf.base, buf))
         return buf
 
-    def allocate_empty(self, name: str, shape, dtype) -> Buffer:
-        return self.allocate(name, np.zeros(shape, dtype=dtype))
-
     def buffer(self, name: str) -> Buffer:
         try:
             return self.buffers[name]

@@ -105,6 +105,6 @@ def _check_addressing(bd: BlockDesign, lite_driven: list[tuple[str, str]]) -> No
                     f"{name}: AXI-Lite slave reachable from the bus "
                     "but has no address segment"
                 )
-    for name in assigned:
-        if name not in bd.cells:
-            raise DrcError(f"address segment {name!r} references no cell")
+    for r in bd.address_map.ranges:
+        if r.name not in bd.cells:
+            raise DrcError(f"address segment {r.name!r} references no cell")

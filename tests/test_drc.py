@@ -2,13 +2,19 @@
 
 ``run_drc`` walks every cell's pins once but must raise the violation the
 four sequential checks below would have raised first.  The reference is
-kept verbatim; seeded mutations of real integrated designs carry several
+kept verbatim, except that both walk stale address segments in address-map
+order (a set walk made the named segment depend on ``PYTHONHASHSEED``);
+seeded mutations of real integrated designs carry several
 violations at once, so the precedence between checks, cells and pins is
 exercised, not just detection.
 """
 
 import copy
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -102,9 +108,9 @@ def _check_addressing(bd: BlockDesign, drivers: PinNets) -> None:
                         f"{cell.name}: AXI-Lite slave reachable from the bus "
                         "but has no address segment"
                     )
-    for name in assigned:
-        if name not in bd.cells:
-            raise DrcError(f"address segment {name!r} references no cell")
+    for r in bd.address_map.ranges:
+        if r.name not in bd.cells:
+            raise DrcError(f"address segment {r.name!r} references no cell")
 
 
 # -- seeded designs -------------------------------------------------------------
@@ -220,3 +226,41 @@ class TestOnePassDrc:
         got = _outcome(run_drc, bd)
         assert got == _outcome(reference_run_drc, bd)
         assert got[1].startswith(f"{last.name}.") and got[1].endswith("undriven")
+
+
+_GHOSTS_SNIPPET = """
+import sys
+sys.path.insert(0, {src_path!r})
+from repro.apps.kernels import build_fig4_flow_inputs
+from repro.flow import FlowConfig, run_flow
+from repro.soc.address_map import AddressRange
+from repro.soc.validate import run_drc
+from repro.util.errors import DrcError
+
+graph, sources, directives = build_fig4_flow_inputs(64)
+bd = run_flow(graph, sources, extra_directives=directives,
+              config=FlowConfig(cache_dir=None, check_tcl=False)).design
+for k in range(4):
+    bd.address_map.ranges.append(
+        AddressRange(f"ghost_{{k}}", 0x7000_0000 + k * 0x10000, 0x10000))
+try:
+    run_drc(bd)
+except DrcError as exc:
+    print(exc)
+"""
+
+
+class TestDeterministicMessages:
+    @pytest.mark.parametrize("hashseed", ["1", "2", "3", "4"])
+    def test_stale_segment_named_in_map_order(self, hashseed):
+        script = _GHOSTS_SNIPPET.format(
+            src_path=str(Path(__file__).resolve().parent.parent / "src")
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONHASHSEED": hashseed},
+            check=True,
+        ).stdout
+        assert out.strip() == "address segment 'ghost_0' references no cell"

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.apps.otsu.app import ARCHITECTURES, buildable_hw_sets
 from repro.dse import (
     CampaignConfig,
     Candidate,
@@ -14,7 +15,6 @@ from repro.dse import (
     otsu_space,
     run_campaign,
     sdsoc_baseline_candidate,
-    sdsoc_baseline_point,
 )
 from repro.dse.campaign import _read_journal, campaign_digest
 from repro.dse.space import Axis, SearchSpace, actors_of
@@ -280,13 +280,78 @@ class TestCampaign:
                 journal_path=str(tmp_path / "b.jsonl"),
             )
         )
-        baseline = sdsoc_baseline_point(fn_cache_dir=fn_dir)
+        baseline = evaluate_candidate(
+            sdsoc_baseline_candidate(), fn_cache_dir=fn_dir
+        )
         assert baseline.candidate == sdsoc_baseline_candidate()
         assert baseline.dma_cells > 0
         assert frontier_dominates(result.front, baseline)
         report = result.frontier_report(baseline=baseline)
         assert report["baseline_dominated"] is True
         assert report["points_evaluated"] == len(result.points)
+
+
+def arch4_candidate(pipelined):
+    """Arch4 with PIPELINE on *pipelined* only (one directive-sweep point)."""
+    hw = tuple(sorted(ARCHITECTURES[4]))
+    return Candidate.make(
+        {"hw": hw, "pipelined": tuple(sorted(pipelined)), "dma": "paired",
+         "hp_words": 2}
+    )
+
+
+def pipelined_label(point):
+    return "+".join(point.candidate.get("pipelined")) or "none"
+
+
+class TestDirectiveSweep:
+    """The PIPELINE sweep over Arch4, run through the campaign engine."""
+
+    def test_single_config(self):
+        none = evaluate_candidate(arch4_candidate(()), width=16, height=16)
+        piped = evaluate_candidate(
+            arch4_candidate(("grayScale", "computeHistogram", "segment")),
+            width=16,
+            height=16,
+        )
+        assert none.correct and piped.correct
+        assert piped.cycles < none.cycles  # pipelining pays at system level
+
+    def test_unknown_actor_rejected(self):
+        with pytest.raises(ReproError, match="pipelineable"):
+            evaluate_candidate(arch4_candidate(("halfProbability",)))
+
+    def test_uninstantiated_actor_rejected(self):
+        # A buildable partition without binarization has no segment core
+        # to pipeline; the directive must not be dropped silently.
+        hw = ("grayScale", "histogram")
+        assert frozenset(hw) in buildable_hw_sets()
+        cand = Candidate.make(
+            {"hw": hw, "pipelined": ("segment",), "dma": "paired",
+             "hp_words": 2}
+        )
+        with pytest.raises(ReproError, match="pipelineable"):
+            evaluate_candidate(cand, width=8, height=8)
+
+    def test_full_sweep_monotone_in_best_case(self):
+        result = run_campaign(
+            CampaignConfig(space=otsu_directives_space(), width=16, height=16)
+        )
+        points = result.points
+        assert len(points) == 8
+        by_label = {pipelined_label(p): p for p in points}
+        full = by_label["computeHistogram+grayScale+segment"]
+        none = by_label["none"]
+        assert full.cycles < none.cycles
+        # Every configuration produced the right image.
+        assert all(p.correct for p in points)
+        # A campaign point is exactly the evaluate_candidate point.
+        alone = evaluate_candidate(
+            arch4_candidate(("grayScale", "computeHistogram", "segment")),
+            width=16,
+            height=16,
+        )
+        assert alone.record() == full.record()
 
 
 class TestPhaseMemo:

@@ -13,8 +13,8 @@ from repro.apps.filters2d import gauss2d_src, sobel2d_src
 from repro.apps.generator import random_task_graph
 from repro.apps.kernels import build_fig4_flow_inputs
 from repro.apps.otsu import build_otsu_app
-from repro.apps.otsu.app import build_otsu_custom
-from repro.dse.evaluate import dse_flow_config
+import repro.dse.evaluate as evaluate
+from repro.dse.evaluate import evaluate_candidate
 from repro.dse.space import otsu_space
 from repro.dsl import (
     SOC,
@@ -97,23 +97,26 @@ def _designs():
     return out
 
 
-def _otsu_space_designs():
+def _otsu_space_designs(monkeypatch):
     """Every hardware candidate of ``otsu_space()`` — each hardware set
-    under both DMA policies and its PIPELINE subsets — with the
-    directives and flow config ``evaluate_candidate`` gives it."""
+    under both DMA policies and its PIPELINE subsets — with the graph,
+    sources, directives and flow config ``evaluate_candidate`` hands to
+    ``run_flow`` (captured from it, not rebuilt here)."""
+
+    class _Captured(Exception):
+        pass
+
+    def capture(graph, sources, *, extra_directives, config):
+        raise _Captured(graph, sources, extra_directives, config)
+
+    monkeypatch.setattr(evaluate, "run_flow", capture)
     out = []
     for cand in otsu_space():
-        hw = frozenset(cand.get("hw"))
-        if not hw:
+        if not cand.get("hw"):
             continue
-        pipelined = set(cand.get("pipelined"))
-        app = build_otsu_custom(hw, width=16, height=16)
-        directives = {
-            actor: [d for d in dirs if d.kind != "pipeline" or actor in pipelined]
-            for actor, dirs in app.extra_directives.items()
-        }
-        config = dse_flow_config(one_dma_per_stream=cand.get("dma") == "per-stream")
-        out.append(((hw, cand.get("dma")), app.dsl_graph(), app.c_sources, directives, config))
+        with pytest.raises(_Captured) as got:
+            evaluate_candidate(cand, width=16, height=16)
+        out.append(((frozenset(cand.get("hw")), cand.get("dma")), *got.value.args))
     return out
 
 
@@ -139,8 +142,8 @@ class TestGraphAndTextFlowsAgree:
         _name, graph, sources, directives, config = design
         _assert_same_flow(graph, sources, directives, config)
 
-    def test_every_otsu_space_hardware_candidate(self):
-        designs = _otsu_space_designs()
+    def test_every_otsu_space_hardware_candidate(self, monkeypatch):
+        designs = _otsu_space_designs(monkeypatch)
         # 10 hardware sets, each under both DMA policies.
         assert len(designs) == 62
         assert len({d[0] for d in designs}) == 2 * 10

@@ -11,7 +11,6 @@ import pytest
 
 from repro.apps.generator import random_task_graph
 from repro.flow import FlowConfig, autosimulate, run_flow
-from repro.dse import evaluate_directive_config, explore_directives
 
 
 @pytest.mark.parametrize("seed", [0, 3, 8, 21])
@@ -47,28 +46,3 @@ def test_two_parallel_chains(seed):
     # Both chains' stimuli flowed through correctly (non-trivial data).
     assert any(arr.any() for arr in result.outputs.values())
 
-
-class TestDirectiveDse:
-    def test_single_config(self):
-        none = evaluate_directive_config(frozenset(), width=16, height=16)
-        piped = evaluate_directive_config(
-            {"grayScale", "computeHistogram", "segment"}, width=16, height=16
-        )
-        assert none.correct and piped.correct
-        assert piped.cycles < none.cycles  # pipelining pays at system level
-
-    def test_unknown_actor_rejected(self):
-        from repro.util.errors import ReproError
-
-        with pytest.raises(ReproError, match="pipelineable"):
-            evaluate_directive_config({"halfProbability"})
-
-    def test_full_sweep_monotone_in_best_case(self):
-        points = explore_directives(width=16, height=16)
-        assert len(points) == 8
-        by_label = {p.label(): p for p in points}
-        full = by_label["computeHistogram+grayScale+segment"]
-        none = by_label["none"]
-        assert full.cycles < none.cycles
-        # Every configuration produced the right image.
-        assert all(p.correct for p in points)

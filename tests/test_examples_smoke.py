@@ -37,3 +37,12 @@ def test_voice_trigger(monkeypatch, capsys):
     out = run_example("voice_trigger.py", monkeypatch, capsys)
     assert "voiced frames" in out
     assert "CPU busy only" in out
+
+
+def test_dse_explore(monkeypatch, capsys):
+    out = run_example("dse_explore.py", monkeypatch, capsys)
+    assert "greedy final point on the exhaustive Pareto front: True" in out
+    sweep = out.split("Directive sweep over Arch4 (what to PIPELINE):\n", 1)[1]
+    rows = [line.split() for line in sweep.splitlines() if "cycles=" in line]
+    assert len(rows) == 8
+    assert rows[0] == ["computeHistogram+grayScale+segment", "cycles=33883"]
