@@ -31,13 +31,11 @@ Commands
                  cache-corruption leg that must quarantine and rebuild)
 ``serve``        run the multi-tenant build service on a unix socket:
                  fair-share queueing, admission control, retries,
-                 circuit breakers, warm-cache degradation, and journal
-                 recovery of jobs interrupted by a daemon kill;
+                 circuit breakers, warm-cache degradation, journal
+                 recovery of jobs interrupted by a daemon kill, and
+                 every job under a durable, fenced lease;
                  ``--replicas N`` runs N leader-less replica processes
-                 coordinating through durable lease files instead
-``replica``      run one cluster replica over a shared root: claim
-                 unleased jobs, heartbeat, steal expired leases, and
-                 publish through the fencing token (``--drain`` exits
+                 over the root with the same flags (``--drain`` exits
                  once every durably-admitted job is terminal)
 ``submit``       client for ``serve``: submit a ``.tg`` design (plus C
                  sources) as a job for a tenant, optionally wait for it
@@ -821,6 +819,7 @@ def _cmd_crashcheck(args: argparse.Namespace) -> int:
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
+    import json as _json
     import signal
 
     from repro.service import BuildService, ServiceServer
@@ -828,19 +827,37 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if args.replicas > 1:
         return _serve_replicas(args)
 
-    async def go() -> int:
-        service = BuildService(
-            args.root,
-            workers=args.workers,
-            queue_depth=args.queue_depth,
-            saturation_backlog=args.saturation_backlog,
+    service = BuildService(
+        args.root,
+        workers=args.workers,
+        queue_depth=args.queue_depth,
+        saturation_backlog=args.saturation_backlog,
+        check_tcl=not args.no_check_tcl,
+        replica_id=args.replica_id,
+        ttl_s=args.ttl,
+    )
+    counts = service.recover()
+    if any(counts.values()):
+        print(
+            "recovered: "
+            + " ".join(f"{k}={v}" for k, v in sorted(counts.items()))
         )
-        counts = service.recover()
-        if any(counts.values()):
-            print(
-                "recovered: "
-                + " ".join(f"{k}={v}" for k, v in sorted(counts.items()))
-            )
+    if args.drain:
+        async def drain() -> bool:
+            try:
+                await asyncio.wait_for(service.drain(), args.timeout)
+            except asyncio.TimeoutError:
+                return False
+            return True
+
+        drained = asyncio.run(drain())
+        service.close()
+        print(_json.dumps(service.report, sort_keys=True))
+        if not drained:
+            print(f"error: not drained after {args.timeout} s", file=sys.stderr)
+        return 0 if drained else 1
+
+    async def go() -> int:
         server = ServiceServer(service, args.socket)
         await server.start()
         loop = asyncio.get_running_loop()
@@ -856,11 +873,24 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _serve_replicas(args: argparse.Namespace) -> int:
-    """``repro serve --replicas N``: N leader-less replica processes."""
+    """``repro serve --replicas N``: N leader-less replica processes,
+    each a ``repro serve`` with this command's flags on ``<socket>.rK``."""
     import signal
 
-    from repro.service.cluster import spawn_replica
+    from repro.service import spawn_replica
 
+    flags = [
+        "--workers", str(args.workers),
+        "--queue-depth", str(args.queue_depth),
+        "--ttl", str(args.ttl),
+        "--timeout", str(args.timeout),
+    ]
+    if args.saturation_backlog is not None:
+        flags += ["--saturation-backlog", str(args.saturation_backlog)]
+    if args.no_check_tcl:
+        flags.append("--no-check-tcl")
+    if args.drain:
+        flags.append("--drain")
     sock_base = Path(args.socket)
     procs = []
     for i in range(args.replicas):
@@ -868,15 +898,13 @@ def _serve_replicas(args: argparse.Namespace) -> int:
         socket_path = sock_base.with_suffix(f".{replica_id}{sock_base.suffix}")
         procs.append(
             spawn_replica(
-                args.root, replica_id,
-                socket_path=socket_path, ttl_s=args.lease_ttl,
+                args.root, replica_id, flags + ["--socket", str(socket_path)]
             )
         )
         print(f"replica {replica_id} serving on {socket_path}")
     print(f"{args.replicas} replicas over root {args.root}; ctrl-c to stop")
     try:
-        for p in procs:
-            p.wait()
+        rcs = [p.wait() for p in procs]
     except KeyboardInterrupt:
         for p in procs:
             if p.poll() is None:
@@ -887,60 +915,8 @@ def _serve_replicas(args: argparse.Namespace) -> int:
             except Exception:
                 p.kill()
         print("stopped")
-    return 0
-
-
-def _cmd_replica(args: argparse.Namespace) -> int:
-    import asyncio
-    import json as _json
-    import signal
-
-    from repro.service.cluster import ClusterReplica
-
-    replica = ClusterReplica(
-        args.root,
-        args.replica_id,
-        ttl_s=args.ttl,
-        check_tcl=not args.no_check_tcl,
-    )
-    counts = replica.recover()
-    if any(counts.values()):
-        print(
-            "recovered: "
-            + " ".join(f"{k}={v}" for k, v in sorted(counts.items()))
-        )
-    if args.drain:
-        report = replica.run_until_drained(timeout_s=args.timeout)
-        replica.close()
-        print(_json.dumps(report, sort_keys=True))
-        return 1 if report.get("timed_out") else 0
-
-    if args.socket is None:
-        print("error: --socket is required unless --drain is given", file=sys.stderr)
-        return 2
-
-    async def go() -> int:
-        loop = asyncio.get_running_loop()
-        stop = asyncio.Event()
-        for sig in (signal.SIGINT, signal.SIGTERM):
-            loop.add_signal_handler(sig, stop.set)
-
-        async def shutdown_watch(server_task):
-            await stop.wait()
-            server_task.cancel()
-
-        serve_task = asyncio.create_task(replica.serve(args.socket))
-        watch = asyncio.create_task(shutdown_watch(serve_task))
-        try:
-            await serve_task
-        except asyncio.CancelledError:
-            pass
-        finally:
-            watch.cancel()
         return 0
-
-    print(f"replica {args.replica_id} serving on {args.socket} (root {args.root})")
-    return asyncio.run(go())
+    return 0 if all(rc == 0 for rc in rcs) else 1
 
 
 def _cmd_submit(args: argparse.Namespace) -> int:
@@ -1514,43 +1490,30 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument(
         "--replicas", type=int, default=1,
         help="run N leader-less replica processes over the shared root, "
-        "each on <socket>.rK, coordinating through durable lease files",
+        "each on <socket>.rK with these flags, coordinating through "
+        "durable lease files",
     )
     p_serve.add_argument(
-        "--lease-ttl", type=float, default=3.0,
-        help="heartbeat TTL before a replica's lease may be stolen",
+        "--replica-id", default="d0",
+        help="this replica's identity (names its leases and records)",
     )
-    p_serve.set_defaults(func=_cmd_serve)
-
-    p_rep = sub.add_parser(
-        "replica",
-        help="run one cluster replica over a shared service root "
-        "(lease-fenced claim loop; used by serve --replicas)",
-    )
-    p_rep.add_argument("--root", required=True, help="shared service root")
-    p_rep.add_argument(
-        "--replica-id", required=True, help="this replica's identity"
-    )
-    p_rep.add_argument(
+    p_serve.add_argument(
         "--ttl", type=float, default=3.0,
-        help="lease heartbeat TTL in seconds",
+        help="lease heartbeat TTL in seconds before a peer may steal",
     )
-    p_rep.add_argument(
-        "--socket", default=None, help="unix socket to serve (omit with --drain)"
-    )
-    p_rep.add_argument(
+    p_serve.add_argument(
         "--drain", action="store_true",
-        help="exit once every durably-admitted job is terminal",
+        help="no socket: exit once every durably-admitted job is terminal",
     )
-    p_rep.add_argument(
+    p_serve.add_argument(
         "--timeout", type=float, default=120.0,
-        help="drain mode: give up after this many seconds",
+        help="with --drain: give up after this many seconds",
     )
-    p_rep.add_argument(
+    p_serve.add_argument(
         "--no-check-tcl", action="store_true",
         help="skip tcl golden checks (campaign speed)",
     )
-    p_rep.set_defaults(func=_cmd_replica)
+    p_serve.set_defaults(func=_cmd_serve)
 
     p_sub = sub.add_parser(
         "submit", help="submit a .tg design as a job to a running service"

@@ -20,9 +20,17 @@ Arming is explicit (:func:`arm` / the :func:`armed` context manager) or
 environment-driven — ``REPRO_FLOW_CRASH_AT=<site>[@<n>]`` kills the
 *n*-th visit of the site (default first) and
 ``REPRO_FLOW_CRASH_MODE=exit`` switches to hard process exit — so a
-subprocess harness can kill an unmodified ``repro build``.  Like
-``sim/faults.py``, plans can also be drawn from a seed: the same seed
-over the same site inventory always arms the same crash.
+subprocess harness can kill an unmodified ``repro build``.  A malformed
+variable (an unknown mode, a hit count that is not a positive integer)
+raises :class:`~repro.util.errors.ReproError` rather than arming some
+other crash.  Like ``sim/faults.py``, plans can also be drawn from a
+seed: the same seed over the same site inventory always arms the same
+crash.
+
+Every visit also calls the running job's :data:`BOUNDARY_HOOK`, a
+:class:`contextvars.ContextVar`: the build service sets it to the job's
+lease fence on the executor thread that runs the job, so each of
+several concurrent jobs is checked against its own lease only.
 """
 
 from __future__ import annotations
@@ -32,13 +40,15 @@ import random
 import signal
 import threading
 from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import Callable
 
-from repro.util.errors import FlowInterrupted
+from repro.util.errors import FlowInterrupted, ReproError
 
 ENV_SITE = "REPRO_FLOW_CRASH_AT"
 ENV_MODE = "REPRO_FLOW_CRASH_MODE"
+MODES = ("raise", "exit", "kill", "stop")
 
 #: Exit status used in ``exit`` mode — distinguishable from argparse (2)
 #: and from a Python traceback (1), so harnesses can assert the kill.
@@ -71,21 +81,19 @@ class CrashPlan:
 _armed: CrashPlan | None = None
 _visits: dict[str, int] = {}
 
-#: Optional per-process boundary hook, called at *every* crashpoint
-#: visit (after any armed crash fires and, for ``stop`` mode, after the
-#: process is resumed).  The cluster replica installs its lease fence
-#: here so ownership is re-validated at every journal boundary — in
+#: The running job's boundary hook, called at *every* crashpoint visit
+#: (after any armed crash fires and, for ``stop`` mode, after the
+#: process is resumed).  The build service sets it to the job's lease
+#: fence, so ownership is re-validated at every journal boundary — in
 #: particular, a SIGSTOPped replica that wakes up re-checks *inside*
 #: the boundary it paused at, before touching another byte of shared
-#: state.  One job executes at a time per replica process (workers=1),
-#: so a single process-global hook is sufficient.
-_boundary_hook: Callable[[str], None] | None = None
-
-
-def set_boundary_hook(hook: Callable[[str], None] | None) -> None:
-    """Install (or clear, with ``None``) the process boundary hook."""
-    global _boundary_hook
-    _boundary_hook = hook
+#: state.  A context variable, not a global: the service sets it on the
+#: executor thread that runs the job (``run_in_executor`` does not copy
+#: contexts) and resets it by token afterwards, so concurrent jobs on
+#: other threads never see each other's fence.
+BOUNDARY_HOOK: ContextVar[Callable[[str], None] | None] = ContextVar(
+    "repro_boundary_hook", default=None
+)
 
 
 def arm(plan: CrashPlan | None) -> None:
@@ -113,14 +121,23 @@ def _env_plan() -> CrashPlan | None:
     spec = os.environ.get(ENV_SITE)
     if not spec:
         return None
-    site, _, hit = spec.partition("@")
-    try:
-        n = max(1, int(hit)) if hit else 1
-    except ValueError:
-        n = 1
+    site, at, hit = spec.partition("@")
+    n = 1
+    if at:
+        try:
+            n = int(hit)
+        except ValueError:
+            n = 0
+        if n < 1:
+            raise ReproError(
+                f"{ENV_SITE}={spec!r}: the hit count after '@' must be a "
+                "positive integer"
+            )
     mode = os.environ.get(ENV_MODE) or "raise"
-    if mode not in ("raise", "exit", "kill", "stop"):
-        mode = "raise"
+    if mode not in MODES:
+        raise ReproError(
+            f"{ENV_MODE}={mode!r} is not a crash mode (one of {', '.join(MODES)})"
+        )
     return CrashPlan(site=site, hit=n, mode=mode)
 
 
@@ -156,8 +173,9 @@ def crashpoint(site: str, *, core: str | None = None) -> None:
                 raise FlowInterrupted(
                     f"flow killed at crash-point {site!r}", step=site, core=core
                 )
-    if _boundary_hook is not None:
-        _boundary_hook(site)
+    hook = BOUNDARY_HOOK.get()
+    if hook is not None:
+        hook(site)
 
 
 def flow_sites(core_names: list[str]) -> list[str]:
@@ -180,6 +198,7 @@ def all_sites(core_names: list[str]) -> list[str]:
 
 
 __all__ = [
+    "BOUNDARY_HOOK",
     "CRASH_EXIT_CODE",
     "CrashPlan",
     "all_sites",
@@ -188,6 +207,5 @@ __all__ = [
     "crashpoint",
     "disarm",
     "flow_sites",
-    "set_boundary_hook",
     "workspace_sites",
 ]

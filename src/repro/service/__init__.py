@@ -1,9 +1,11 @@
 """Multi-tenant build service: job daemon + robustness + chaos harness.
 
 ``repro serve`` runs a :class:`~repro.service.daemon.BuildService`
-behind a unix-socket JSON-lines API; ``repro submit`` is its client;
+behind a unix-socket JSON-lines API (``--replicas N`` runs N of them as
+leader-less processes over one root); ``repro submit`` is its client;
 ``repro servicecheck`` is the kill-the-daemon chaos campaign proving
-the recovery story end to end.
+the recovery story end to end.  A lone daemon is a one-replica cluster:
+every job runs under a lease from :mod:`repro.service.leases`.
 """
 
 from repro.service.chaos import (
@@ -13,8 +15,8 @@ from repro.service.chaos import (
     run_replicacheck,
     run_servicecheck,
     service_sites,
+    spawn_replica,
 )
-from repro.service.cluster import ClusterReplica, spawn_replica
 from repro.service.daemon import (
     BuildService,
     ServiceClient,
@@ -56,7 +58,6 @@ __all__ = [
     "BreakerOpen",
     "BuildService",
     "CircuitBreaker",
-    "ClusterReplica",
     "Deadline",
     "DeadlineExceeded",
     "FairScheduler",

@@ -19,23 +19,27 @@ Determinism is by construction: one executor worker (serial execution,
 deterministic journal-boundary visit order), seeded stimuli, seeded
 fault plans, and deterministic backoff jitter.  The daemon is killed
 in-process (``die_on_interrupt``): the armed crash-point raises out of
-the executor, the dispatcher abandons all state exactly as a ``kill
--9`` would have left the disk, and recovery gets only what was durable.
+the executor, the run loop abandons all state — the job's lease and
+heartbeat included — exactly as a ``kill -9`` would have left the disk,
+and recovery gets only what was durable.  The restarted daemon has the
+same replica id and a newer incarnation, so it steals that lease at
+once instead of waiting out its TTL.
 """
 
 from __future__ import annotations
 
 import asyncio
+import json
 import os
 import shutil
 import signal
 import subprocess
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.dsl.parser import parse_dsl
 from repro.flow.crashpoints import ENV_MODE, ENV_SITE, CrashPlan, all_sites, armed
-from repro.service.cluster import read_replica_reports, spawn_replica
 from repro.service.daemon import BuildService
 from repro.service.jobs import DONE, JobSpec, SimSpec
 from repro.service.store import JobStore
@@ -350,6 +354,48 @@ class ReplicaCheckReport:
         )
 
 
+def spawn_replica(
+    root: str | Path,
+    replica_id: str,
+    flags: list[str],
+    *,
+    env: dict[str, str] | None = None,
+) -> subprocess.Popen:
+    """Start ``repro serve --root R --replica-id ID *flags`` as a child.
+
+    Used by ``repro serve --replicas N`` (which passes its own serve
+    flags through) and by the multi-replica chaos campaign (which arms
+    the child's crash plan through *env*).  Stdout and stderr land in
+    ``<root>/<replica_id>.log`` for post-mortems.
+    """
+    cmd = [
+        sys.executable, "-m", "repro", "serve",
+        "--root", str(root),
+        "--replica-id", replica_id,
+        *flags,
+    ]
+    Path(root).mkdir(parents=True, exist_ok=True)
+    log = open(Path(root) / f"{replica_id}.log", "ab")
+    try:
+        return subprocess.Popen(
+            cmd, env={**os.environ, **(env or {})},
+            stdout=log, stderr=subprocess.STDOUT,
+        )
+    finally:
+        log.close()  # the child holds its own descriptor
+
+
+def read_replica_reports(root: str | Path) -> list[dict]:
+    """Every replica's durable report under *root*, sorted by replica id."""
+    reports = []
+    for path in sorted(JobStore(root).replicas_root.glob("*.json")):
+        try:
+            reports.append(json.loads(path.read_text()))
+        except (OSError, ValueError):
+            continue
+    return reports
+
+
 def _seed_store(root: Path, submissions) -> set[str]:
     """Durably admit the campaign jobs in a fixed order, no daemon."""
     store = JobStore(root)
@@ -429,11 +475,15 @@ def run_replicacheck(
             procs: list[subprocess.Popen] = []
             victim_state = "unknown"
             helper_rcs: list[int | None] = []
+            # One worker each, so the victim claims the first job alone
+            # and hits the armed site on a deterministic visit.
+            flags = ["--workers", "1", "--ttl", str(ttl_s), "--drain",
+                     "--timeout", str(timeout_s)]
+            if not check_tcl:
+                flags.append("--no-check-tcl")
             try:
                 victim = spawn_replica(
-                    scenario_root, "v0",
-                    ttl_s=ttl_s, drain=True, timeout_s=timeout_s,
-                    check_tcl=check_tcl,
+                    scenario_root, "v0", flags,
                     env={ENV_SITE: site, ENV_MODE: mode},
                 )
                 procs.append(victim)
@@ -450,11 +500,7 @@ def run_replicacheck(
                         "stopped" if os.WIFSTOPPED(status) else "exited"
                     )
                 helpers = [
-                    spawn_replica(
-                        scenario_root, f"h{k}",
-                        ttl_s=ttl_s, drain=True, timeout_s=timeout_s,
-                        check_tcl=check_tcl,
-                    )
+                    spawn_replica(scenario_root, f"h{k}", flags)
                     for k in range(1, replicas)
                 ]
                 procs.extend(helpers)
@@ -558,7 +604,9 @@ __all__ = [
     "ReplicaCheckReport",
     "ServiceCheckReport",
     "default_submissions",
+    "read_replica_reports",
     "run_replicacheck",
     "run_servicecheck",
     "service_sites",
+    "spawn_replica",
 ]

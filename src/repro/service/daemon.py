@@ -1,12 +1,26 @@
-"""The build-service daemon: asyncio job execution over the flow engine.
+"""The build service: one asyncio run loop over the flow engine.
 
 :class:`BuildService` owns one service root (see
 :mod:`repro.service.store`), a :class:`~repro.service.queueing.FairScheduler`,
-and a bounded thread pool the synchronous flow engine runs on.  One
-asyncio *dispatcher* pulls jobs from the scheduler and fans them out to
-the pool.  Every job — the dispatcher's, and every job a cluster
-replica claims — runs through one attempt loop,
-:meth:`BuildService._run_job`, wrapped in the robustness ladder:
+a :class:`~repro.service.leases.LeaseManager` and a bounded thread pool
+the synchronous flow engine runs on.  A lone daemon and each replica of
+a leader-less cluster are the same object: a lone daemon is a
+one-replica cluster.  Its one run loop, :meth:`BuildService.run`,
+repeats one pass:
+
+* at most once every ``poll_s``, adopt the shared store — terminal
+  records any replica published, and durably admitted jobs this service
+  has not seen yet, which enter the scheduler through
+  :meth:`~repro.service.queueing.FairScheduler.restore`;
+* up to ``workers`` times, pick the next job fairly, acquire its lease
+  (or steal a stale one — see :mod:`repro.service.leases`), check once
+  more that nobody published it meanwhile, and run it *fenced*, with a
+  heartbeat, releasing the lease at the end.
+
+A job held live by a peer goes back to the queue for a later pass, and
+so does a job whose lease was stolen before anyone published it.
+Every job runs through one attempt loop, :meth:`BuildService._run_job`,
+wrapped in the robustness ladder:
 
 1. **Degradation gate** — when a circuit breaker is open or the queue
    backlog exceeds the saturation bound, an identical completed job's
@@ -29,24 +43,45 @@ replica claims — runs through one attempt loop,
    counts the failure, opens after the threshold, and half-open probes
    close it again.
 
+Execution is fenced end to end.  The lease's
+:class:`~repro.service.leases.Fence` is the job's crashpoint boundary
+hook (a context variable set on the executor thread, so concurrent jobs
+each check their own lease), so ownership is re-validated at every
+journal boundary and a stolen job dies with
+:class:`~repro.service.leases.LeaseLost`.  The terminal publish goes
+through the fence too: every run ends with exactly one publish attempt,
+and the on-disk lease — not this replica's possibly stale view —
+decides whether it lands or raises
+:class:`~repro.service.leases.FencedWrite`.
+
 Restart safety: ``job.json`` is durable before admission, the journal
 before execution, terminal records after publication — published
 first-writer-wins and never overwritten — so
-:meth:`BuildService.recover` reconstructs the entire daemon state from
+:meth:`BuildService.recover` reconstructs the entire service state from
 disk: terminal jobs re-serve their recorded results (*replay*),
 journaled jobs resume mid-flight (*resume*), admitted-but-unstarted
-jobs re-queue.  ``repro servicecheck`` kills the daemon at every journal
-boundary and proves the recovered artifacts byte-identical.
+jobs re-queue.  Each start bumps the replica's durable *incarnation*,
+and a lease its dead predecessor (same replica id, older incarnation)
+left behind is stale at once, so a restart steals it when it picks
+the job and never waits out a lease TTL.  ``repro servicecheck`` kills the daemon at every
+journal boundary and proves the recovered artifacts byte-identical.
 
 With ``die_on_interrupt=True`` (the chaos harness) an armed crash-point
-is treated as daemon death: the dispatcher stops instantly, nothing is
-cleaned up, and recovery must cope with exactly what was durable —
-in-process ``kill -9`` semantics.
+is treated as daemon death: the run loop stops instantly, nothing is
+cleaned up — the lease and its heartbeat stay on disk — and recovery
+must cope with exactly what was durable: in-process ``kill -9``
+semantics.
+
+Each replica keeps a durable report at ``<root>/replicas/<id>.json``:
+its incarnation and its lease counters (acquisitions, steals, renewals,
+lost leases, fenced writes, published jobs), which the ``servicecheck
+--replicas N`` chaos campaign aggregates into its lease report.
 """
 
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import functools
 import hashlib
 import json
@@ -57,7 +92,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.flow.autosim import autosimulate
-from repro.flow.crashpoints import crashpoint, set_boundary_hook
+from repro.flow.crashpoints import BOUNDARY_HOOK, crashpoint
 from repro.flow.journal import RunJournal, stable_digest
 from repro.flow.orchestrator import FlowConfig, run_flow
 from repro.flow.workspace import materialize
@@ -71,7 +106,7 @@ from repro.service.jobs import (
     JobRecord,
     JobSpec,
 )
-from repro.service.leases import Fence, LeaseLost
+from repro.service.leases import Fence, FencedWrite, Lease, LeaseLost, LeaseManager
 from repro.service.queueing import FairScheduler
 from repro.service.robust import (
     OPEN,
@@ -90,7 +125,8 @@ class UnknownJob(ReproError):
 
 
 class BuildService:
-    """One daemon instance over one service root."""
+    """One replica over one service root (a lone daemon is a one-replica
+    cluster)."""
 
     def __init__(
         self,
@@ -107,10 +143,12 @@ class BuildService:
         check_tcl: bool = True,
         clock=time.monotonic,
         replica_id: str = "d0",
+        ttl_s: float = 3.0,
     ) -> None:
         self.store = JobStore(root)
-        #: Replica identity, threaded through events, spans and terminal
-        #: records so a multi-replica trace attributes every action.
+        #: Replica identity, threaded through leases, events, spans and
+        #: terminal records so a multi-replica trace attributes every
+        #: action.
         self.replica_id = replica_id
         self.workers = max(1, workers)
         self.sched = FairScheduler(
@@ -134,6 +172,30 @@ class BuildService:
         self._events: dict[str, asyncio.Event] = {}
         self._wakeup: asyncio.Event | None = None
         self._admission_seq = 0
+        # Durable incarnation: one more than the last start under this id.
+        self._report_path = self.store.replicas_root / f"{replica_id}.json"
+        try:
+            last = json.loads(self._report_path.read_text())["incarnation"]
+        except (OSError, ValueError, KeyError, TypeError):
+            last = 0
+        self.incarnation = int(last) + 1
+        self.leases = LeaseManager(
+            root, replica_id, ttl_s=ttl_s, incarnation=self.incarnation
+        )
+        #: How often the loop re-scans the store; also bounds how
+        #: quickly an expired peer is noticed.
+        self.poll_s = max(0.02, ttl_s / 6.0)
+        self.report: dict = {
+            "replica": replica_id,
+            "incarnation": self.incarnation,
+            "acquired": 0,
+            "stolen": 0,
+            "renewals": 0,
+            "lease_lost": 0,
+            "fenced_writes": 0,
+            "published": [],
+        }
+        self._save_report()
 
     # -- admission ---------------------------------------------------------
     def submit(self, tenant: str, spec: JobSpec) -> JobRecord:
@@ -149,6 +211,9 @@ class BuildService:
         existing = self.records.get(job_id)
         if existing is not None:
             return existing
+        # Bounded admission first: a rejected job must leave no intent
+        # on disk, or the next scan would adopt it past the bound.
+        self.sched.check(tenant, job_id)
         # Durable admission intent *before* the queue: a daemon killed
         # right after this line recovers the job; killed before it, the
         # client never got an ACK and resubmits.  First-writer-wins: a
@@ -157,7 +222,7 @@ class BuildService:
         # order) untouched.
         self._admission_seq += 1
         self.store.save_spec(tenant, job_id, spec, order=self._admission_seq)
-        self.sched.submit(tenant, job_id)  # raises JobRejected when full
+        self.sched.submit(tenant, job_id)
         self.specs[job_id] = spec
         record = JobRecord(job_id=job_id, tenant=tenant, state=QUEUED)
         self.records[job_id] = record
@@ -173,29 +238,59 @@ class BuildService:
 
     # -- recovery ----------------------------------------------------------
     def recover(self) -> dict[str, int]:
-        """Rebuild daemon state from the durable root after a restart.
+        """Rebuild service state from the durable root after a restart.
 
         ``store.scan`` returns jobs in admission order, so recovered
         jobs re-enter the scheduler exactly as clients admitted them;
-        subsequent fresh submissions continue the sequence.
+        subsequent fresh submissions continue the sequence.  A lease
+        this replica's predecessor left behind is stale at once (see
+        :meth:`~repro.service.leases.LeaseManager.stale`), so the run
+        loop steals it when it picks the job; only those of jobs with
+        no work left are stolen (token + 1) and released here.
+        """
+        counts = self._adopt(replay=True)
+        for lease in self.leases.active():
+            record = self.records.get(lease.job_id)
+            if not self.leases.predecessor(lease) or (
+                record is not None and not record.terminal
+            ):
+                continue
+            mine = self.leases.steal(lease.job_id, lease)
+            if mine is not None:
+                self.report["stolen"] += 1
+                self.leases.release(mine)
+        self._save_report()
+        return counts
+
+    def _adopt(self, *, replay: bool = False) -> dict[str, int]:
+        """Adopt the store: terminal records, and jobs not yet queued.
+
+        A terminal record on disk replaces a local record in another
+        state (a peer finished the job); with *replay* (recovery) it is
+        marked as re-served.  A durably admitted job this service does
+        not know yet is restored into the scheduler, bypassing the
+        admission bound — it was admitted once already.  Jobs already
+        terminal here are not read again: their record is final.
         """
         counts = {"replayed": 0, "resumed": 0, "requeued": 0}
-        for scan in self.store.scan():
+        final = {job_id for job_id, r in self.records.items() if r.terminal}
+        for scan in self.store.scan(skip=final):
             self._admission_seq = max(self._admission_seq, scan.order)
-            if scan.job_id in self.records:
-                continue
-            self.specs[scan.job_id] = scan.spec
+            known = self.records.get(scan.job_id)
+            self.specs.setdefault(scan.job_id, scan.spec)
             if scan.record is not None:
-                scan.record.served_from = "replay"
-                self.records[scan.job_id] = scan.record
-                counts["replayed"] += 1
+                if known is None or known.state != scan.record.state:
+                    if replay:
+                        scan.record.served_from = "replay"
+                    self.records[scan.job_id] = scan.record
+                    self._signal(scan.job_id)
+                    counts["replayed"] += 1
                 continue
-            record = JobRecord(
+            if known is not None:
+                continue
+            self.records[scan.job_id] = JobRecord(
                 job_id=scan.job_id, tenant=scan.tenant, state=QUEUED
             )
-            self.records[scan.job_id] = record
-            # Recovery bypasses admission bounds: these jobs were already
-            # admitted durably — rejecting one now would lose it.
             self.sched.restore(scan.tenant, scan.job_id)
             kind = "resumed" if scan.phase == "inflight" else "requeued"
             counts[kind] += 1
@@ -237,55 +332,166 @@ class BuildService:
             "died": self.died,
         }
 
-    # -- dispatch ----------------------------------------------------------
+    # -- the run loop ------------------------------------------------------
     async def drain(self) -> None:
-        """Run every queued job to a terminal state (or daemon death)."""
-        await self._dispatch(stop_when_idle=True)
+        """Run the loop until every admitted job is terminal (or death)."""
+        await self.run(drain=True)
 
-    async def _dispatch(self, *, stop_when_idle: bool) -> None:
-        self._wakeup = self._wakeup or asyncio.Event()
+    async def run(self, *, drain: bool = False) -> None:
+        """The service's one run loop; serves until cancelled unless
+        *drain*.
+
+        Each pass claims and starts jobs up to ``workers`` at a time;
+        at most once every ``poll_s`` it first adopts the store (a peer
+        may have admitted or published, or its lease may have gone
+        stale) — a local submission or completion needs no scan.  The
+        loop sleeps until a job finishes, a submission arrives, or the
+        next scan is due.  Cancelling it cancels the running jobs, which
+        release their leases and publish nothing.
+        """
+        self._wakeup = asyncio.Event()
+        loop = asyncio.get_running_loop()
         running: set[asyncio.Task] = set()
-        while not self.died:
-            while len(running) < self.workers:
-                picked = self.sched.pick()
-                if picked is None:
-                    break
-                tenant, job_id = picked
-                running.add(asyncio.create_task(self._run_job(tenant, job_id)))
-            if not running:
-                if stop_when_idle:
-                    break
+        scan_at = loop.time()
+        try:
+            while not self.died:
                 self._wakeup.clear()
+                for task in [t for t in running if t.done()]:
+                    running.discard(task)
+                    task.result()  # a programming error surfaces here
+                if loop.time() >= scan_at:
+                    self._adopt()
+                    scan_at = loop.time() + self.poll_s
+                for tenant, job_id, lease in self._claim(self.workers - len(running)):
+                    running.add(asyncio.create_task(
+                        self._run_claimed(tenant, job_id, lease)
+                    ))
+                if drain and not running and all(
+                    r.terminal for r in self.records.values()
+                ):
+                    break
+                # Not asyncio.wait_for: on Python 3.11 it can swallow a
+                # cancellation that races the event, and the loop would
+                # outlive its server.
+                poll = loop.call_at(scan_at, self._wakeup.set)
                 try:
-                    await asyncio.wait_for(self._wakeup.wait(), 0.1)
-                except asyncio.TimeoutError:
-                    pass
-                continue
-            done, running = await asyncio.wait(
-                running, return_when=asyncio.FIRST_COMPLETED
-            )
-            for task in done:
-                exc = task.exception()
-                if exc is not None:  # pragma: no cover - programming error
-                    raise exc
-        if self.died:
-            # Abandoned like a kill: unblock waiters, leave all state as-is.
-            for event in self._events.values():
-                event.set()
+                    await self._wakeup.wait()
+                finally:
+                    poll.cancel()
+        finally:
+            for task in running:
+                task.cancel()
+            await asyncio.gather(*running, return_exceptions=True)
+            if self.died:
+                # Abandoned like a kill: unblock waiters, leave all state as-is.
+                for event in self._events.values():
+                    event.set()
+            else:
+                self._save_report()
 
-    async def _run_job(
-        self, tenant: str, job_id: str, *, fence: Fence | None = None
-    ) -> None:
+    def _claim(self, n: int) -> list[tuple[str, str, Lease]]:
+        """Pick up to *n* jobs fairly and take their leases.
+
+        A job a live peer holds goes back to its tenant's queue for a
+        later pass; a job found published after the lease was taken is
+        released and adopted.
+        """
+        claimed, busy = [], []
+        while len(claimed) < n:
+            picked = self.sched.pick()
+            if picked is None:
+                break
+            tenant, job_id = picked
+            if self.records[job_id].terminal:
+                continue
+            lease = self._lease(job_id)
+            if lease is None:
+                busy.append(picked)
+                continue
+            # Close the acquire/publish window: the previous owner may
+            # have published between this pass's scan and our claim.
+            published = self.store.load_terminal(tenant, job_id)
+            if published is not None:
+                self.leases.release(lease)
+                self.records[job_id] = published
+                self._signal(job_id)
+                continue
+            claimed.append((tenant, job_id, lease))
+        for tenant, job_id in busy:
+            self.sched.restore(tenant, job_id)
+        return claimed
+
+    def _lease(self, job_id: str) -> Lease | None:
+        """Our lease on *job_id*: acquired, or stolen when stale."""
+        current = self.leases.read(job_id)
+        if current is None:
+            mine = self.leases.acquire(job_id)
+            self.report["acquired"] += mine is not None
+        else:
+            mine = self.leases.steal(job_id, current)
+            self.report["stolen"] += mine is not None
+        return mine
+
+    async def _run_claimed(self, tenant: str, job_id: str, lease: Lease) -> None:
+        """Run one claimed job fenced, heartbeating; release the lease.
+
+        A death (``die_on_interrupt``) leaves the lease and its last
+        heartbeat on disk, exactly as ``kill -9`` would.
+        """
+        record = self.records[job_id]
+        beat = asyncio.create_task(self._heartbeat(lease))
+        try:
+            await self._run_job(tenant, job_id, fence=Fence(self.leases, lease))
+            if not self.died:
+                self.report["published"].append(job_id)
+        except FencedWrite:
+            self.report["fenced_writes"] += 1
+        finally:
+            # *record*, not self.records: a rejected publish has already
+            # replaced the latter (the thief's record, or a requeue).
+            if record.error_step == "lease":
+                self.report["lease_lost"] += 1
+            beat.cancel()
+            await asyncio.gather(beat, return_exceptions=True)
+            if not self.died:
+                self.leases.release(lease)
+                self._save_report()
+            self._wakeup.set()
+
+    async def _heartbeat(self, lease: Lease) -> None:
+        """Renew the lease at TTL/3 until cancelled or no longer ours.
+
+        A SIGSTOPped replica stops beating with everything else — which
+        is exactly the liveness signal peers steal on.
+        """
+        interval = max(0.01, self.leases.ttl_s / 3.0)
+        while True:
+            await asyncio.sleep(interval)
+            if not self.leases.renew(lease):
+                return
+            self.report["renewals"] += 1
+
+    def _save_report(self) -> None:
+        payload = dict(self.report, published=sorted(self.report["published"]))
+        # The acceptance counter, straight from the metrics registry —
+        # Fence.rejected() increments it unconditionally.
+        payload["fenced_writes_total"] = _METRICS.counter(
+            "service.fenced_writes_total"
+        ).value
+        durable_write(self._report_path, payload)
+
+    async def _run_job(self, tenant: str, job_id: str, *, fence: Fence) -> None:
         """The service's one attempt loop: retries, breakers, one publish.
 
-        The daemon's dispatcher and a cluster replica (under a lease's
-        *fence*) both run every job through here.  A
+        Every job runs here under its lease's *fence*.  A
         :class:`~repro.service.leases.LeaseLost` ends the job FAILED at
         step ``lease`` with no retry and no breaker charge; the publish
         still goes through the fence, so the on-disk lease arbitrates.
-        A publish that loses to an earlier terminal record adopts that
-        record (under a fence it then re-raises the
-        :class:`~repro.service.leases.FencedWrite`).
+        A publish the fence rejects adopts the record already on disk
+        and re-raises the :class:`~repro.service.leases.FencedWrite`;
+        with no record on disk the job is not finished — the thief may
+        die before it publishes — so it goes back to the queue, to be
+        claimed again once the thief's lease is stale.
         """
         record = self.records[job_id]
         spec = self.specs[job_id]
@@ -298,9 +504,7 @@ class BuildService:
             try:
                 info = await loop.run_in_executor(
                     self._pool,
-                    functools.partial(
-                        self._execute, tenant, job_id, spec, fence=fence
-                    ),
+                    functools.partial(self._execute, tenant, job_id, spec, fence),
                 )
             except LeaseLost as exc:
                 # Ownership is gone: never retried (should_retry refuses
@@ -340,20 +544,25 @@ class BuildService:
             record.error_step = step
             break
         record.replica = self.replica_id
-        published = False
         try:
-            published = self.store.write_terminal(
+            self.store.write_terminal(
                 record, content_digest=spec.content_digest(), fence=fence
             )
-        finally:
-            if not published:
-                # A terminal record is never overwritten: adopt the one
-                # already on disk.
-                disk = self.store.load_terminal(tenant, job_id)
-                if disk is not None:
-                    self.records[job_id] = disk
-            self._signal(job_id)
-        if _BUS.enabled and published:
+        except FencedWrite:
+            # A terminal record is never overwritten: adopt the one
+            # already on disk, or queue the unfinished job again.
+            disk = self.store.load_terminal(tenant, job_id)
+            if disk is None:
+                self.records[job_id] = JobRecord(
+                    job_id=job_id, tenant=tenant, state=QUEUED
+                )
+                self.sched.restore(tenant, job_id)
+            else:
+                self.records[job_id] = disk
+                self._signal(job_id)
+            raise
+        self._signal(job_id)
+        if _BUS.enabled:
             if record.state == DONE:
                 _METRICS.counter("service.jobs_done", "jobs completed").inc()
             else:
@@ -393,18 +602,15 @@ class BuildService:
 
     # -- execution (runs on the thread pool) -------------------------------
     def _execute(
-        self, tenant: str, job_id: str, spec: JobSpec, *, fence=None
+        self, tenant: str, job_id: str, spec: JobSpec, fence: Fence
     ) -> dict:
         """Run one job attempt: flow, workspace, optional simulation.
 
-        With a *fence* (cluster execution under a lease) ownership is
-        re-validated at every journal boundary: the fence's check is
-        installed as the crashpoint boundary hook for the duration, so
-        the moment the lease is stolen the attempt dies with
+        The *fence* is this thread's crashpoint boundary hook for the
+        duration, so ownership is re-validated at every journal
+        boundary: the moment the lease is stolen the attempt dies with
         :class:`~repro.service.leases.LeaseLost` instead of racing the
-        thief through shared state.  Fenced execution is single-job per
-        process (the cluster replica runs ``workers=1``), which is what
-        makes the process-global hook sound.
+        thief through shared state.
         """
         deadline = Deadline(spec.deadline_s, clock=self.clock)
         degraded = self._maybe_degrade(tenant, job_id, spec)
@@ -417,8 +623,7 @@ class BuildService:
         config = FlowConfig(check_tcl=self.check_tcl)
         directives = {node: list(d) for node, d in spec.directives.items()}
         served = "build"
-        if fence is not None:
-            set_boundary_hook(fence.check)
+        hook = BOUNDARY_HOOK.set(fence.check)
         try:
             with _BUS.span("service.job", job_id,
                            worker=f"{self.replica_id}:job:{job_id}",
@@ -465,8 +670,7 @@ class BuildService:
             )
             raise
         finally:
-            if fence is not None:
-                set_boundary_hook(None)
+            BOUNDARY_HOOK.reset(hook)
             journal.close()
 
     def _maybe_degrade(self, tenant: str, job_id: str, spec: JobSpec) -> dict | None:
@@ -589,22 +793,19 @@ class BuildService:
 
 
 class ServiceServer:
-    """Unix-socket front end for one :class:`BuildService`."""
+    """Unix-socket front end for one :class:`BuildService`, running its
+    loop alongside.
 
-    def __init__(
-        self,
-        service: BuildService,
-        socket_path: str | Path,
-        *,
-        dispatch: bool = True,
-    ) -> None:
+    The socket answers from the service's view of the shared store, so
+    with several replicas a job submitted here may well be built by a
+    peer — the client cannot tell, and need not care.
+    """
+
+    def __init__(self, service: BuildService, socket_path: str | Path) -> None:
         self.service = service
         self.socket_path = Path(socket_path)
-        #: With ``dispatch=False`` the server only answers the socket —
-        #: execution belongs to someone else (the cluster claim loop).
-        self.dispatch = dispatch
         self._server: asyncio.AbstractServer | None = None
-        self._dispatcher: asyncio.Task | None = None
+        self._loop_task: asyncio.Task | None = None
         self._shutdown = asyncio.Event()
 
     async def start(self) -> None:
@@ -614,10 +815,7 @@ class ServiceServer:
         self._server = await asyncio.start_unix_server(
             self._handle, path=str(self.socket_path)
         )
-        if self.dispatch:
-            self._dispatcher = asyncio.create_task(
-                self.service._dispatch(stop_when_idle=False)
-            )
+        self._loop_task = asyncio.create_task(self.service.run())
 
     async def serve_until_shutdown(self) -> None:
         await self._shutdown.wait()
@@ -627,14 +825,10 @@ class ServiceServer:
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
-        if self._dispatcher is not None:
-            self.service.died = True  # stop the dispatcher loop
-            if self.service._wakeup is not None:
-                self.service._wakeup.set()
-            try:
-                await asyncio.wait_for(self._dispatcher, 5.0)
-            except (asyncio.TimeoutError, asyncio.CancelledError):
-                self._dispatcher.cancel()
+        if self._loop_task is not None:
+            self._loop_task.cancel()
+            with contextlib.suppress(asyncio.CancelledError):
+                await self._loop_task
         if self.socket_path.exists():
             self.socket_path.unlink()
 

@@ -1,8 +1,9 @@
 """Durable, fsynced lease files: leader-less job ownership with fencing.
 
-Multiple :class:`~repro.service.cluster.ClusterReplica` processes share
-one service root and coordinate **without a leader** through lease files
-under ``<root>/leases/``.  The protocol rests on three filesystem
+Every :class:`~repro.service.daemon.BuildService` runs each job under a
+lease, and any number of them (replica processes) share one service
+root and coordinate **without a leader** through lease files under
+``<root>/leases/``.  The protocol rests on three filesystem
 primitives that are atomic on POSIX:
 
 * **Acquire** — ``os.link`` of a fully-written temp file onto
@@ -10,7 +11,7 @@ primitives that are atomic on POSIX:
   exists (O_EXCL semantics with the payload already durable, so no
   reader ever observes a half-written lease).  A fresh acquire carries
   fencing token 1.
-* **Steal** — a replica that observes an *expired* heartbeat links a
+* **Steal** — a replica that observes a *stale* lease links a
   fully-written successor lease onto a per-token **claim file**
   (``leases/<job_id>.claim.<token+1>``; O_EXCL, so exactly one of any
   number of concurrent stealers wins each token) and then atomically
@@ -18,6 +19,12 @@ primitives that are atomic on POSIX:
   only ever atomically overwritten — it is never absent mid-steal, so a
   concurrent scanner can never mistake an in-progress steal for an
   unleased job and re-acquire it at token 1.
+* **Incarnations** — a lease also names its owner's *incarnation*, a
+  number each ``BuildService`` bumps durably every time it starts.  A
+  lease is stale when its heartbeat expired, or at once when it names
+  this replica's id with an older incarnation: a restarted replica
+  steals its own dead predecessor's leases without waiting out the
+  TTL, and the steal still takes token + 1.
 * **Renew** — heartbeats live in a *separate* per-token file
   (``leases/<job_id>.hb.<token>``).  The lease file itself is immutable
   after creation, so a paused-then-resurrected replica renewing its old
@@ -38,10 +45,10 @@ even when a stealer crashes mid-protocol).  The store's publish path calls
 *before* anything is linked into place, and terminal records themselves
 are published with link-based first-writer-wins semantics, so a zombie
 replica can neither clobber nor duplicate a steal's output.
-:meth:`Fence.check` is the cheap mid-run form, installed as a crashpoint
-boundary hook: the flow re-validates ownership at every journal
-boundary and aborts with :class:`LeaseLost` the moment the lease is
-gone, long before it would reach a publish.
+:meth:`Fence.check` is the cheap mid-run form, set as the job's
+crashpoint boundary hook: the flow re-validates ownership at every
+journal boundary and aborts with :class:`LeaseLost` the moment the
+lease is gone, long before it would reach a publish.
 """
 
 from __future__ import annotations
@@ -87,6 +94,8 @@ class Lease:
     replica: str
     token: int
     acquired_at: float
+    #: The owner's incarnation: bumped durably at every service start.
+    incarnation: int = 0
 
     def as_dict(self) -> dict:
         return {
@@ -94,6 +103,7 @@ class Lease:
             "replica": self.replica,
             "token": self.token,
             "acquired_at": self.acquired_at,
+            "incarnation": self.incarnation,
         }
 
 
@@ -107,13 +117,15 @@ class LeaseManager:
         *,
         ttl_s: float = 3.0,
         clock=time.time,
+        incarnation: int = 0,
     ) -> None:
         self.dir = Path(root) / LEASES_DIR
         self.replica_id = replica_id
         self.ttl_s = ttl_s
         self.clock = clock
-        # Serializes this replica's own lease mutations (claim loop vs
-        # heartbeat thread); cross-replica safety comes from link/rename.
+        self.incarnation = incarnation
+        # Serializes this replica's own lease mutations within the
+        # process; cross-replica safety comes from link/rename.
         self._lock = threading.Lock()
 
     # -- paths -------------------------------------------------------------
@@ -136,6 +148,7 @@ class LeaseManager:
                 replica=data["replica"],
                 token=int(data["token"]),
                 acquired_at=float(data["acquired_at"]),
+                incarnation=int(data.get("incarnation", 0)),
             )
         except (KeyError, TypeError, ValueError):
             return None
@@ -152,14 +165,20 @@ class LeaseManager:
         """Has the owner missed its heartbeat for longer than the TTL?"""
         return self.clock() - self.heartbeat_at(lease) > self.ttl_s
 
+    def predecessor(self, lease: Lease) -> bool:
+        """Was *lease* taken by an earlier incarnation of this replica?"""
+        return (
+            lease.replica == self.replica_id
+            and lease.incarnation < self.incarnation
+        )
+
+    def stale(self, lease: Lease) -> bool:
+        """May *lease* be stolen: expired, or held by our own past life?"""
+        return self.predecessor(lease) or self.expired(lease)
+
     def owns(self, lease: Lease) -> bool:
         """Is *lease* still the on-disk lease, byte for byte?"""
-        current = self.read(lease.job_id)
-        return (
-            current is not None
-            and current.token == lease.token
-            and current.replica == lease.replica
-        )
+        return self.read(lease.job_id) == lease
 
     def active(self) -> list[Lease]:
         """Every lease currently on disk (any replica), sorted by job."""
@@ -191,6 +210,7 @@ class LeaseManager:
             replica=self.replica_id,
             token=token,
             acquired_at=self.clock(),
+            incarnation=self.incarnation,
         )
         self.dir.mkdir(parents=True, exist_ok=True)
         tmp = self.dir / f".tmp-{self.replica_id}-{job_id}"
@@ -220,7 +240,7 @@ class LeaseManager:
         return lease
 
     def steal(self, job_id: str, lease: Lease) -> Lease | None:
-        """Take over an expired lease; ``None`` when another stealer won.
+        """Take over a :meth:`stale` lease; ``None`` when another stealer won.
 
         The O_EXCL claim link is the arbitration: token ``T + 1`` is
         claimable exactly once (claims persist until the job's lease is
@@ -233,22 +253,18 @@ class LeaseManager:
         (the winner may have crashed between link and rename), keeping
         the chain live without ever counting itself a winner.
         """
-        if not self.expired(lease):
+        if not self.stale(lease):
             return None
         fresh = Lease(
             job_id=job_id,
             replica=self.replica_id,
             token=lease.token + 1,
             acquired_at=self.clock(),
+            incarnation=self.incarnation,
         )
         claim = self._claim_path(job_id, fresh.token)
         with self._lock:
-            current = self.read(job_id)
-            if (
-                current is None
-                or current.token != lease.token
-                or current.replica != lease.replica
-            ):
+            if self.read(job_id) != lease:
                 return None  # the world moved on while we decided
             self.dir.mkdir(parents=True, exist_ok=True)
             tmp = self.dir / f".tmp-{self.replica_id}-{job_id}"
@@ -279,12 +295,13 @@ class LeaseManager:
                 stolen_from=lease.replica,
             )
             _METRICS.counter(
-                "service.leases_stolen_total", "expired leases stolen"
+                "service.leases_stolen_total", "stale leases stolen"
             ).inc()
-            _METRICS.counter(
-                "service.heartbeats_expired_total",
-                "leases observed past their heartbeat TTL",
-            ).inc()
+            if not self.predecessor(lease):
+                _METRICS.counter(
+                    "service.heartbeats_expired_total",
+                    "leases observed past their heartbeat TTL",
+                ).inc()
         return fresh
 
     def _install_claim(self, job_id: str, claim: Path) -> None:
@@ -304,13 +321,7 @@ class LeaseManager:
 
     def _finish_steal(self, job_id: str, lease: Lease, claim: Path) -> None:
         """Complete another stealer's interrupted rename, if needed."""
-        current = self.read(job_id)
-        if (
-            current is not None
-            and current.token == lease.token
-            and current.replica == lease.replica
-            and claim.exists()
-        ):
+        if self.read(job_id) == lease and claim.exists():
             self._install_claim(job_id, claim)
 
     def _beat(self, lease: Lease) -> None:

@@ -1,8 +1,8 @@
 """Per-tenant fair-share queueing with admission control.
 
-The daemon never runs jobs straight from the socket: every accepted job
-enters its tenant's bounded FIFO here, and the dispatcher asks
-:meth:`FairScheduler.pick` which job runs next.  Three properties hold
+The service never runs jobs straight from the socket: every accepted
+job enters its tenant's bounded FIFO here, and the service's run loop
+asks :meth:`FairScheduler.pick` which job to claim next.  Three properties hold
 by construction:
 
 * **Bounded admission** — each tenant holds at most *depth_bound*
@@ -53,11 +53,16 @@ class FairScheduler:
     # -- admission ---------------------------------------------------------
     def submit(self, tenant: str, job_id: str) -> None:
         """Admit *job_id* to *tenant*'s queue or raise :class:`JobRejected`."""
-        queue = self._queues.get(tenant)
-        if queue is None:
-            queue = self._queues[tenant] = deque()
-            self._order.append(tenant)
-        if len(queue) >= self.depth_bound:
+        self.check(tenant, job_id)
+        self._enqueue(tenant, job_id)
+
+    def check(self, tenant: str, job_id: str) -> None:
+        """Raise :class:`JobRejected` when *tenant*'s queue is full.
+
+        The service calls it before it persists the admission intent, so
+        a rejected job leaves nothing on disk for a later scan to adopt.
+        """
+        if self.depth(tenant) >= self.depth_bound:
             if _BUS.enabled:
                 _BUS.emit("service.reject", job_id, tenant=tenant, reason="queue-full")
                 _METRICS.counter(
@@ -65,25 +70,23 @@ class FairScheduler:
                     "jobs refused by admission control",
                 ).inc()
             raise JobRejected(
-                f"tenant {tenant!r} already has {len(queue)} queued job(s) "
-                f"(bound {self.depth_bound})",
+                f"tenant {tenant!r} already has {self.depth(tenant)} queued "
+                f"job(s) (bound {self.depth_bound})",
                 tenant=tenant,
                 reason="queue-full",
             )
-        self._seq += 1
-        self._admitted_at[job_id] = self._seq
-        self._skips[job_id] = 0
-        queue.append(job_id)
-        self._update_gauge()
 
     def restore(self, tenant: str, job_id: str) -> None:
-        """Re-queue a durably-admitted job during recovery.
+        """Re-queue a durably-admitted job (recovery, or a job adopted
+        from the shared store).
 
-        Bypasses the depth bound on purpose: the job passed admission in
-        a previous daemon life and its intent is on disk — rejecting it
-        now would lose accepted work, the one thing recovery must never
-        do.
+        Bypasses the depth bound on purpose: the job passed admission
+        once and its intent is on disk — rejecting it now would lose
+        accepted work, the one thing recovery must never do.
         """
+        self._enqueue(tenant, job_id)
+
+    def _enqueue(self, tenant: str, job_id: str) -> None:
         queue = self._queues.get(tenant)
         if queue is None:
             queue = self._queues[tenant] = deque()

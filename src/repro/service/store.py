@@ -10,6 +10,8 @@ Layout under one service root::
     <root>/tenants/<t>/jobs/<job>/result.json   terminal DONE record
     <root>/tenants/<t>/jobs/<job>/failed.json   terminal FAILED record
     <root>/index/<content_digest>.json          global warm-serving index
+    <root>/leases/                              job leases (service.leases)
+    <root>/replicas/<id>.json                   a replica's incarnation + counters
 
 ``job.json`` is the service-level write-ahead intent: it is written —
 fsynced, then atomically renamed into place — *before* the job enters
@@ -107,8 +109,8 @@ class JobScan:
     #: "done" | "failed" | "inflight" | "queued"
     phase: str
     record: JobRecord | None = None
-    #: Admission sequence from ``job.json`` — recovery and the cluster
-    #: claim loop walk jobs in the order clients were admitted.
+    #: Admission sequence from ``job.json`` — the service's run loop
+    #: adopts jobs in the order clients were admitted.
     order: int = 0
 
 
@@ -120,6 +122,7 @@ class JobStore:
         self.cache_root = self.root / "cache"
         self.tenants_root = self.root / "tenants"
         self.index_root = self.root / "index"
+        self.replicas_root = self.root / "replicas"
 
     # -- paths -------------------------------------------------------------
     def job_dir(self, tenant: str, job_id: str) -> Path:
@@ -168,36 +171,29 @@ class JobStore:
 
     # -- terminal records --------------------------------------------------
     def write_terminal(
-        self,
-        record: JobRecord,
-        *,
-        content_digest: str,
-        fence: Fence | None = None,
-    ) -> bool:
-        """Durably publish a terminal record, first-writer-wins; DONE
-        jobs also index themselves for warm serving.
+        self, record: JobRecord, *, content_digest: str, fence: Fence
+    ) -> None:
+        """Durably publish a terminal record through the job's lease
+        *fence*, first-writer-wins; DONE jobs also index themselves for
+        warm serving.
 
-        The record is created with link-based first-writer-wins
-        semantics, so a terminal record is never overwritten: a losing
-        publish returns ``False`` and leaves the first record on disk
-        for the caller to adopt.  A *fence* (multi-replica execution)
-        adds a token check in front: a stale token — or a lost link
-        under a fence — raises
+        The fencing token is checked first, then the record is created
+        with link-based first-writer-wins semantics, so a terminal
+        record is never overwritten.  A stale token — or a link that
+        loses to an earlier record — raises
         :class:`~repro.service.leases.FencedWrite`, counted in
-        ``service.fenced_writes_total``.  Only the winning publisher
+        ``service.fenced_writes_total``, and leaves the first record on
+        disk for the caller to adopt.  Only the winning publisher
         updates the warm-serving index.
         """
         name = _RESULT_FILE if record.state == DONE else _FAILED_FILE
         path = self.job_dir(record.tenant, record.job_id) / name
         payload = {"content_digest": content_digest, "record": record.as_dict()}
-        if fence is not None:
-            fence.validate()
+        fence.validate()
         if not _durable_publish_excl(
-            path, payload, suffix=record.replica or "local"
+            path, payload, suffix=fence.manager.replica_id
         ):
-            if fence is not None:
-                fence.rejected("already-published")
-            return False
+            fence.rejected("already-published")
         if record.state == DONE:
             durable_write(
                 self.index_root / f"{content_digest}.json",
@@ -208,7 +204,6 @@ class JobStore:
                     "sim_digest": record.sim_digest,
                 },
             )
-        return True
 
     def load_terminal(self, tenant: str, job_id: str) -> JobRecord | None:
         for name in (_RESULT_FILE, _FAILED_FILE):
@@ -261,13 +256,14 @@ class JobStore:
         return entry
 
     # -- recovery ----------------------------------------------------------
-    def scan(self) -> list[JobScan]:
-        """Classify every job directory for recovery and work stealing.
+    def scan(self, skip: set[str] = frozenset()) -> list[JobScan]:
+        """Classify every job directory for recovery and work stealing,
+        except the job ids in *skip*.
 
-        Deterministic order — admission sequence first (recovered jobs
-        re-enter the queue in the order clients were admitted), tenant
-        and job id as tie-breakers — so a recovered daemon or a replica
-        fleet walks the backlog in one stable sequence.
+        Deterministic order — admission sequence first (adopted jobs
+        enter the queue in the order clients were admitted), tenant and
+        job id as tie-breakers — so every replica walks the backlog in
+        one stable sequence.
         """
         scans: list[JobScan] = []
         if not self.tenants_root.exists():
@@ -278,6 +274,8 @@ class JobStore:
                 continue
             for job_dir in sorted(jobs_dir.iterdir()):
                 tenant, job_id = tenant_dir.name, job_dir.name
+                if job_id in skip:
+                    continue
                 data = _read_json(job_dir / _JOB_FILE)
                 if data is None:
                     continue  # torn admission intent — the submit never ACKed

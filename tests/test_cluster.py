@@ -1,17 +1,22 @@
-"""In-process tests for the leader-less multi-replica cluster layer.
+"""In-process tests for the leader-less multi-replica service.
 
-Covers the claim loop (acquire / steal / resume / fence), the hardened
-socket client, and the recovery x fairness interaction of the
+Every :class:`BuildService` is a replica: covers its run loop over a
+shared store (acquire / steal / resume / fence), fenced concurrency
+inside one replica, ``repro serve --replicas`` flag passing, the
+hardened socket client, and the recovery x fairness interaction of the
 scheduler.  Real multi-process chaos lives in
 ``tests/test_cluster_chaos.py``.
 """
 
 import asyncio
+import shlex
+import sys
 import threading
 import time
 
 import pytest
 
+from repro import cli
 from repro.flow.crashpoints import CrashPlan, armed
 from repro.flow.journal import RunJournal
 from repro.service import (
@@ -24,9 +29,14 @@ from repro.service import (
     ServiceServer,
     SimSpec,
 )
-from repro.service.chaos import SERVICE_DSL, SERVICE_SOURCES, default_submissions
-from repro.service.cluster import ClusterReplica, read_replica_reports
-from repro.service.leases import Fence
+from repro.service import chaos
+from repro.service.chaos import (
+    SERVICE_DSL,
+    SERVICE_SOURCES,
+    default_submissions,
+    read_replica_reports,
+)
+from repro.service.leases import Fence, LeaseLost
 from repro.service.store import JobStore
 from repro.util.errors import FlowInterrupted, ReproError
 from tests.test_service import BAD_SOURCES, INC_DSL, INC_SOURCES
@@ -55,15 +65,22 @@ def _reference(tmp_path):
     return digests
 
 
+def _drain(svc: BuildService, timeout_s: float) -> dict:
+    """Recover, drain within *timeout_s* (or raise), close; the report."""
+    svc.recover()
+    try:
+        asyncio.run(asyncio.wait_for(svc.drain(), timeout_s))
+    finally:
+        svc.close()
+    return svc.report
+
+
 class TestClusterDrain:
     def test_single_replica_drains_seeded_store(self, tmp_path):
         root = tmp_path / "root"
         store, seeded = _seed(root)
-        replica = ClusterReplica(root, "r1", check_tcl=False)
-        replica.recover()
-        report = replica.run_until_drained(timeout_s=180)
-        replica.close()
-        assert not report["timed_out"]
+        replica = BuildService(root, workers=1, replica_id="r1", check_tcl=False)
+        report = _drain(replica, 180)
         assert report["acquired"] == len(seeded)
         assert sorted(report["published"]) == sorted(j for _, j, _ in seeded)
         for tenant, job_id, _ in seeded:
@@ -75,10 +92,7 @@ class TestClusterDrain:
         reference = _reference(tmp_path)
         root = tmp_path / "root"
         store, seeded = _seed(root)
-        replica = ClusterReplica(root, "r1", check_tcl=False)
-        replica.recover()
-        replica.run_until_drained(timeout_s=180)
-        replica.close()
+        _drain(BuildService(root, replica_id="r1", check_tcl=False), 180)
         for _, job_id, _ in seeded:
             record = next(
                 s.record for s in store.scan() if s.job_id == job_id
@@ -90,10 +104,7 @@ class TestClusterDrain:
     def test_replica_report_is_durable(self, tmp_path):
         root = tmp_path / "root"
         _seed(root)
-        replica = ClusterReplica(root, "r1", check_tcl=False)
-        replica.recover()
-        replica.run_until_drained(timeout_s=180)
-        replica.close()
+        _drain(BuildService(root, replica_id="r1", check_tcl=False), 180)
         reports = read_replica_reports(root)
         assert [r["replica"] for r in reports] == ["r1"]
         assert reports[0]["fenced_writes"] == 0
@@ -104,23 +115,21 @@ class TestSharedAttemptPath:
         root = tmp_path / "root"
         spec = JobSpec(dsl=INC_DSL, sources=dict(BAD_SOURCES))
         store, [(tenant, job_id, _)] = _seed(root, [("alice", spec)])
-        replica = ClusterReplica(root, "r1", check_tcl=False)
-        replica.recover()
-        report = replica.run_until_drained(timeout_s=60)
-        replica.close()
+        replica = BuildService(root, replica_id="r1", check_tcl=False)
+        report = _drain(replica, 60)
         assert report["published"] == [job_id]
         record = store.load_terminal(tenant, job_id)
         assert record.state == "failed"
         assert record.error_step == "hls"
         assert record.replica == "r1"
-        assert replica.svc.breakers["hls"].consecutive_failures == 1
+        assert replica.breakers["hls"].consecutive_failures == 1
 
     def test_cancelled_replica_publishes_nothing(self, tmp_path):
         """Shutting a replica down mid-job leaves the job to a peer."""
         root = tmp_path / "root"
         spec = JobSpec(dsl=INC_DSL, sources=dict(INC_SOURCES))
         store, [(tenant, job_id, _)] = _seed(root, [("alice", spec)])
-        replica = ClusterReplica(root, "r1", check_tcl=False)
+        replica = BuildService(root, replica_id="r1", check_tcl=False)
         started, release = threading.Event(), threading.Event()
 
         def stuck(*args, **kwargs):
@@ -128,10 +137,10 @@ class TestSharedAttemptPath:
             release.wait(10)
             raise RuntimeError("attempt outlived its replica")
 
-        replica.svc._execute = stuck
+        replica._execute = stuck
 
         async def go():
-            run = asyncio.create_task(replica.run(stop_when_drained=False))
+            run = asyncio.create_task(replica.run())
             loop = asyncio.get_running_loop()
             assert await loop.run_in_executor(None, started.wait, 10)
             run.cancel()
@@ -145,7 +154,7 @@ class TestSharedAttemptPath:
             replica.close()
         assert cancelled
         assert store.load_terminal(tenant, job_id) is None
-        assert replica.svc.breakers == {}
+        assert replica.breakers == {}
         assert replica.leases.read(job_id) is None  # released for a peer
 
 
@@ -175,10 +184,8 @@ class TestStealAndResume:
         assert dead.acquire(job_id) is not None
         time.sleep(0.1)
 
-        replica = ClusterReplica(root, "r2", check_tcl=False, ttl_s=0.05)
-        replica.recover()
-        report = replica.run_until_drained(timeout_s=180)
-        replica.close()
+        replica = BuildService(root, replica_id="r2", check_tcl=False, ttl_s=0.05)
+        report = _drain(replica, 180)
         assert report["stolen"] == 1
         record = store.load_terminal(tenant, job_id)
         assert record is not None and record.state == "done"
@@ -202,6 +209,120 @@ class TestStealAndResume:
             store.write_terminal(record, content_digest="cd", fence=fence)
         # Nothing was published by the zombie.
         assert store.load_terminal(tenant, job_id) is None
+
+
+class TestFencedConcurrency:
+    def test_stealing_one_lease_aborts_only_that_job(self, tmp_path, monkeypatch):
+        """Two fenced jobs run at once in one replica; each checks only
+        its own lease, so a steal aborts exactly the job it targets.
+        The thief never publishes or releases: once its lease is stale
+        the replica claims the aborted job again and publishes it."""
+        root = tmp_path / "root"
+        other_sources = {"INC": "int INC(int x) { return x + 2; }"}
+        store, seeded = _seed(root, [
+            ("alice", JobSpec(dsl=INC_DSL, sources=dict(INC_SOURCES))),
+            ("alice", JobSpec(dsl=INC_DSL, sources=other_sources)),
+        ])
+        (_, victim, _), (_, survivor, _) = seeded
+        both_running = threading.Barrier(2, timeout=60)
+        thief = LeaseManager(root, "thief", ttl_s=0.0)  # sees every lease stale
+        real_check = Fence.check
+        first_visit = set()
+        aborted = []
+
+        def check(fence, site=None):
+            job_id = fence.lease.job_id
+            if job_id not in first_visit:
+                first_visit.add(job_id)
+                both_running.wait()  # both jobs are mid-flow on their threads
+                if job_id == victim:
+                    assert thief.steal(job_id, thief.read(job_id)) is not None
+            try:
+                real_check(fence, site)
+            except LeaseLost:
+                aborted.append(job_id)
+                raise
+
+        monkeypatch.setattr(Fence, "check", check)
+        svc = BuildService(
+            root, workers=2, replica_id="r1", check_tcl=False, ttl_s=1.0
+        )
+        report = _drain(svc, 120)
+
+        assert first_visit == {victim, survivor}
+        assert aborted == [victim]
+        assert report["lease_lost"] == 1 and report["fenced_writes"] == 1
+        # The aborted run published nothing; the re-claim (a steal from
+        # the silent thief) published the job once.
+        assert not (store.job_dir("alice", victim) / "failed.json").exists()
+        assert report["acquired"] == 2 and report["stolen"] == 1
+        assert sorted(report["published"]) == sorted([victim, survivor])
+        for job_id in (victim, survivor):
+            record = store.load_terminal("alice", job_id)
+            assert record.state == "done" and record.replica == "r1"
+            assert svc.records[job_id].state == "done"
+        assert svc.breakers == {}  # a lost lease charges no breaker
+        assert LeaseManager(root, "r1").active() == []
+
+    def test_many_fenced_jobs_on_more_workers_than_cores(self, tmp_path):
+        """Stress: every job holds its own lease to the end.  A hook
+        shared across threads would check a finished job's released
+        lease and abort a still-running one with LeaseLost."""
+        root = tmp_path / "root"
+        sources = [{"INC": f"int INC(int x) {{ return x + {k}; }}"} for k in range(8)]
+        store, seeded = _seed(root, [
+            ("alice" if k % 2 else "bob", JobSpec(dsl=INC_DSL, sources=src))
+            for k, src in enumerate(sources)
+        ])
+        svc = BuildService(root, workers=6, replica_id="r1", check_tcl=False)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            report = _drain(svc, 120)
+        finally:
+            sys.setswitchinterval(interval)
+        job_ids = sorted(job_id for _, job_id, _ in seeded)
+        assert report["acquired"] == len(job_ids)
+        assert sorted(report["published"]) == job_ids
+        assert report["lease_lost"] == report["fenced_writes"] == 0
+        for tenant, job_id, _ in seeded:
+            assert store.load_terminal(tenant, job_id).state == "done"
+        assert LeaseManager(root, "r1").active() == []
+
+
+class TestServeReplicas:
+    def test_serve_passes_its_flags_to_every_replica(self, tmp_path, monkeypatch):
+        launched = []
+
+        class Child:
+            def wait(self, timeout=None):
+                return 0
+
+            def poll(self):
+                return 0
+
+        def popen(cmd, **kwargs):
+            launched.append(cmd)
+            return Child()
+
+        monkeypatch.setattr(chaos.subprocess, "Popen", popen)
+        socket_path = tmp_path / "svc.sock"
+        rc = cli.main([
+            "serve", "--root", str(tmp_path / "root"),
+            "--socket", str(socket_path), "--replicas", "3",
+            "--queue-depth", "2", "--workers", "4",
+            "--saturation-backlog", "5", "--ttl", "1.5", "--no-check-tcl",
+        ])
+        assert rc == 0 and len(launched) == 3
+        for k, cmd in enumerate(launched):
+            assert cmd[1:4] == ["-m", "repro", "serve"], shlex.join(cmd)
+            child = cli.build_parser().parse_args(cmd[3:])
+            assert child.replicas == 1 and child.replica_id == f"r{k}"
+            assert child.root == str(tmp_path / "root")
+            assert child.socket == str(tmp_path / f"svc.r{k}.sock")
+            assert (child.workers, child.queue_depth) == (4, 2)
+            assert child.saturation_backlog == 5
+            assert child.ttl == 1.5 and child.no_check_tcl
 
 
 class TestFirstWriterWins:

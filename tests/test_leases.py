@@ -25,8 +25,10 @@ class FakeClock:
         return self.now
 
 
-def manager(tmp_path, replica, clock, ttl=5.0):
-    return LeaseManager(tmp_path, replica, ttl_s=ttl, clock=clock)
+def manager(tmp_path, replica, clock, ttl=5.0, incarnation=0):
+    return LeaseManager(
+        tmp_path, replica, ttl_s=ttl, clock=clock, incarnation=incarnation
+    )
 
 
 class TestAcquire:
@@ -222,6 +224,47 @@ class TestFence:
         assert "service.lease_renewed" in kinds
         assert "service.lease_stolen" in kinds
         assert "service.lease_fenced" in kinds
+
+
+class TestIncarnations:
+    def test_restart_steals_its_predecessors_live_lease_at_once(self, tmp_path):
+        clock = FakeClock()
+        old = manager(tmp_path, "d0", clock, incarnation=1)
+        lease = old.acquire("j-1")
+        assert lease.incarnation == 1
+        new = manager(tmp_path, "d0", clock, incarnation=2)
+        # The heartbeat is fresh, but it is our own past life's lease.
+        assert not new.expired(lease)
+        assert new.predecessor(lease) and new.stale(lease)
+        mine = new.steal("j-1", lease)
+        assert mine is not None
+        assert (mine.token, mine.incarnation) == (2, 2)
+        # The dead incarnation is fenced, even though its id matches.
+        assert not old.owns(lease) and new.owns(mine)
+        with pytest.raises(LeaseLost):
+            Fence(old, lease).check("integrate:start")
+
+    def test_same_token_other_incarnation_is_not_owned(self, tmp_path):
+        """After a release restarts the chain at token 1, a zombie of an
+        older incarnation holding token 1 under the same id is fenced."""
+        clock = FakeClock()
+        old = manager(tmp_path, "d0", clock, incarnation=1)
+        zombie = old.acquire("j-1")
+        new = manager(tmp_path, "d0", clock, incarnation=2)
+        assert new.release(new.steal("j-1", zombie))
+        again = new.acquire("j-1")
+        assert again.token == zombie.token == 1
+        assert not old.owns(zombie)
+
+    def test_peers_and_newer_incarnations_still_wait_for_expiry(self, tmp_path):
+        clock = FakeClock()
+        a = manager(tmp_path, "a", clock, incarnation=1)
+        a.acquire("j-1")
+        peer = manager(tmp_path, "b", clock, incarnation=9)
+        assert peer.steal("j-1", peer.read("j-1")) is None
+        older = manager(tmp_path, "a", clock, incarnation=0)
+        assert not older.predecessor(older.read("j-1"))
+        assert older.steal("j-1", older.read("j-1")) is None
 
 
 class TestLeaseFileFormat:

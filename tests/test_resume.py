@@ -28,8 +28,9 @@ from repro.flow import (
     run_flow,
     verify_workspace,
 )
-from repro.flow.crashpoints import CRASH_EXIT_CODE, CrashPlan, armed
-from repro.util.errors import FlowInterrupted
+from repro.flow import crashpoints
+from repro.flow.crashpoints import CRASH_EXIT_CODE, CrashPlan, armed, crashpoint
+from repro.util.errors import FlowInterrupted, ReproError
 
 SIZE = 32
 
@@ -239,6 +240,36 @@ class TestDoubleResume:
         assert second.timing.steps_skipped >= 5  # 4 HLS cores + materialize
         assert artifact_digest(tmp_path / "out") == reference
         assert marker.stat().st_mtime_ns == mtime
+
+
+class TestCrashEnvironment:
+    """A typo in the kill harness's variables must not arm another crash."""
+
+    def test_well_formed_variables_arm_the_named_crash(self, monkeypatch):
+        monkeypatch.setenv("REPRO_FLOW_CRASH_AT", "integrate:commit@2")
+        monkeypatch.setenv("REPRO_FLOW_CRASH_MODE", "kill")
+        assert crashpoints._env_plan() == CrashPlan("integrate:commit", 2, "kill")
+        monkeypatch.setenv("REPRO_FLOW_CRASH_AT", "swgen:start")
+        monkeypatch.delenv("REPRO_FLOW_CRASH_MODE")
+        assert crashpoints._env_plan() == CrashPlan("swgen:start", 1, "raise")
+
+    @pytest.mark.parametrize("mode", ["kil", "EXIT", "sigkill"])
+    def test_unknown_mode_is_rejected(self, monkeypatch, mode):
+        monkeypatch.setenv("REPRO_FLOW_CRASH_AT", "integrate:commit")
+        monkeypatch.setenv("REPRO_FLOW_CRASH_MODE", mode)
+        with pytest.raises(ReproError, match=f"REPRO_FLOW_CRASH_MODE='{mode}'") as info:
+            crashpoint("hls:EDGE:start")
+        assert not isinstance(info.value, FlowInterrupted)
+
+    @pytest.mark.parametrize("spec", ["integrate:commit@x", "integrate:commit@0",
+                                      "integrate:commit@", "integrate:commit@-1"])
+    def test_malformed_hit_count_is_rejected(self, monkeypatch, spec):
+        monkeypatch.setenv("REPRO_FLOW_CRASH_AT", spec)
+        monkeypatch.delenv("REPRO_FLOW_CRASH_MODE", raising=False)
+        with pytest.raises(ReproError, match="REPRO_FLOW_CRASH_AT") as info:
+            crashpoint("hls:EDGE:start")
+        assert spec in str(info.value)
+        assert not isinstance(info.value, FlowInterrupted)
 
 
 class TestRealKillViaCli:

@@ -13,8 +13,11 @@ from repro.service import (
     Deadline,
     DeadlineExceeded,
     FairScheduler,
+    Fence,
+    FencedWrite,
     JobRejected,
     JobSpec,
+    LeaseManager,
     RetryPolicy,
     ServiceClient,
     ServiceServer,
@@ -260,14 +263,19 @@ class TestBuildService:
 
     def test_terminal_record_is_never_overwritten(self, tmp_path):
         store = JobStore(tmp_path)
+        leases = LeaseManager(tmp_path, "d0")
+        fence = Fence(leases, leases.acquire("j-1"))
         first = JobRecord(
             job_id="j-1", tenant="alice", state="done", artifact_digest="a" * 64
         )
         second = JobRecord(
             job_id="j-1", tenant="alice", state="done", artifact_digest="b" * 64
         )
-        assert store.write_terminal(first, content_digest="cd") is True
-        assert store.write_terminal(second, content_digest="cd") is False
+        store.write_terminal(first, content_digest="cd", fence=fence)
+        # Even the lease holder cannot publish twice: the losing link is
+        # a fenced write, and the first record stays.
+        with pytest.raises(FencedWrite):
+            store.write_terminal(second, content_digest="cd", fence=fence)
         assert store.load_terminal("alice", "j-1").artifact_digest == "a" * 64
 
     def test_daemon_adopts_an_existing_terminal_record(self, tmp_path):
@@ -276,8 +284,9 @@ class TestBuildService:
         built = first.submit("alice", spec)
         drain(first)
         first.close()
-        # A second daemon that skipped recover() runs the job again; its
-        # publish loses, and it serves the record already on disk.
+        # A second daemon that skipped recover() admits the job again;
+        # its run loop adopts the record already on disk instead of
+        # building it twice.
         second = BuildService(tmp_path, workers=1)
         second.submit("alice", spec)
         drain(second)
@@ -390,6 +399,49 @@ class TestBuildService:
                 JobSpec(dsl=INC_DSL, sources={"INC": "int INC(int x) { return 9; }"}),
             )
         svc.close()
+
+    def test_rejected_job_never_runs(self, tmp_path):
+        """A rejected submission leaves no intent on disk, so the run
+        loop's store scan cannot adopt it past the bound."""
+        svc = BuildService(tmp_path, workers=1, queue_depth=1)
+        kept = svc.submit("alice", JobSpec(dsl=INC_DSL, sources=dict(INC_SOURCES)))
+        spec = JobSpec(dsl=INC_DSL, sources={"INC": "int INC(int x) { return 9; }"})
+        with pytest.raises(JobRejected):
+            svc.submit("alice", spec)
+        drain(svc)
+        svc.close()
+        rejected = spec.job_id("alice")
+        assert kept.state == "done"
+        assert rejected not in svc.records
+        assert not svc.store.job_dir("alice", rejected).exists()
+        assert [s.job_id for s in svc.store.scan()] == [kept.job_id]
+
+    def test_local_events_do_not_rescan_the_store(self, tmp_path, monkeypatch):
+        """Submissions and completions wake the loop without a store
+        scan: it scans at most once per poll interval, and never reads
+        a job it already holds a terminal record for."""
+        svc = BuildService(tmp_path, workers=1, ttl_s=60)  # poll_s = 10 s
+        real_scan = svc.store.scan
+        skipped = []
+
+        def scan(skip=frozenset()):
+            skipped.append(set(skip))
+            return real_scan(skip)
+
+        monkeypatch.setattr(svc.store, "scan", scan)
+        job_ids = {
+            svc.submit(
+                "alice",
+                JobSpec(dsl=INC_DSL, sources={"INC": f"int INC(int x) {{ return x + {k}; }}"}),
+            ).job_id
+            for k in range(3)
+        }
+        drain(svc)
+        assert skipped == [set()]  # the first pass only
+        drain(svc)
+        svc.close()
+        assert skipped == [set(), job_ids]
+        assert all(svc.records[j].state == "done" for j in job_ids)
 
 
 # ---------------------------------------------------------------------------

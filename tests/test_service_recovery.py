@@ -9,9 +9,10 @@ requeue).
 """
 
 import asyncio
+import time
 
 from repro.flow.crashpoints import CrashPlan, armed
-from repro.service import BuildService, JobSpec, SimSpec
+from repro.service import BuildService, JobSpec, LeaseManager, SimSpec
 from repro.service.chaos import (
     SERVICE_DSL,
     SERVICE_SOURCES,
@@ -60,7 +61,7 @@ class TestRecoveryClassification:
         root = tmp_path / "root"
         svc = BuildService(root, workers=1)
         admitted = svc.submit("alice", _spec())
-        svc.close()  # "killed" before the dispatcher ever ran it
+        svc.close()  # "killed" before the run loop ever ran it
 
         fresh = BuildService(root, workers=1)
         counts = fresh.recover()
@@ -93,6 +94,7 @@ class TestRecoveryClassification:
         assert record.steps_skipped > 0  # committed prefix came from disk
         assert record.artifact_digest == ref_digest
         assert record.sim_digest == ref_sim
+        assert LeaseManager(root, "d0").active() == []
 
 
 class TestNoLostNoDuplicated:
@@ -120,6 +122,7 @@ class TestNoLostNoDuplicated:
         drain(fresh)
         fresh.close()
         assert all(r.state == "done" for r in fresh.records.values())  # zero lost
+        assert LeaseManager(root, "d0").active() == []  # every lease released
         # alice's copy of bob's spec dedups to the same artifacts.
         by_content = {}
         for (tenant, spec) in subs:
@@ -130,6 +133,39 @@ class TestNoLostNoDuplicated:
                 )
             )
         assert all(len(digests) == 1 for digests in by_content.values())
+
+
+class TestRestartIncarnation:
+    def test_restart_does_not_wait_out_its_own_lease(self, tmp_path):
+        """A killed daemon's lease stays on disk, as after ``kill -9``;
+        its restart (same id, newer incarnation) takes it over at once
+        instead of waiting out the 30 s TTL."""
+        subs = default_submissions()
+        root = tmp_path / "root"
+        svc = BuildService(root, workers=1, die_on_interrupt=True, ttl_s=30)
+        for tenant, spec in subs:
+            svc.submit(tenant, spec)
+        with armed(CrashPlan("integrate:commit")):
+            drain(svc)
+        svc.close()
+        assert svc.died
+        [left] = LeaseManager(root, "d0").active()
+        assert (left.token, left.incarnation) == (1, svc.incarnation)
+
+        started = time.monotonic()
+        fresh = BuildService(root, workers=1, ttl_s=30)
+        assert fresh.incarnation == svc.incarnation + 1
+        fresh.recover()
+        drain(fresh)
+        fresh.close()
+        elapsed = time.monotonic() - started
+
+        assert elapsed < 10, f"recovery took {elapsed:.1f} s"
+        assert set(fresh.records) == {s.job_id(t) for t, s in subs}
+        assert all(r.state == "done" for r in fresh.records.values())
+        assert fresh.records[left.job_id].served_from == "resume"
+        assert fresh.report["stolen"] == 1
+        assert LeaseManager(root, "d0").active() == []
 
 
 class TestServiceSites:
