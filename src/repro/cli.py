@@ -469,25 +469,26 @@ def _cmd_simbench(args: argparse.Namespace) -> int:
             if base.get("size") != f"{width}x{height}":
                 print(
                     f"  baseline size {base.get('size')} != run size "
-                    f"{width}x{height}; skipping fallback diff"
+                    f"{width}x{height}; skipping baseline diff"
                 )
             else:
+                # Every recorded field must match; the burst path may
+                # only get cheaper in kernel events.
                 for row in rows:
-                    ref = base_rows.get(row["arch"])
-                    if ref is None:
-                        continue
-                    for key in ("word_phases", "fault_word_phases"):
-                        was, now = ref.get(key), row.get(key)
-                        if was is None or now is None:
-                            continue
-                        if now > was:
+                    for key, was in base_rows.get(row["arch"], {}).items():
+                        now = row.get(key)
+                        if key == "events_burst":
+                            ok = now is not None and now <= was
+                        else:
+                            ok = now == was
+                        if not ok:
                             print(
-                                f"error: arch{row['arch']} {key} regressed "
-                                f"{was} -> {now} vs {base_path}",
+                                f"error: arch{row['arch']} {key} {was} -> {now} "
+                                f"vs {base_path}",
                                 file=sys.stderr,
                             )
                             failures += 1
-                print(f"  fallback rates diffed against {base_path}")
+                print(f"  results diffed against {base_path}")
     if args.json:
         payload = {"size": f"{width}x{height}", "runs": args.runs, "rows": rows}
         Path(args.json).parent.mkdir(parents=True, exist_ok=True)
@@ -1406,8 +1407,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sb.add_argument("--json", default=None, help="write results as JSON here")
     p_sb.add_argument(
         "--baseline", default=None,
-        help="committed fallback-rate baseline JSON to diff against "
-        "(exit 1 if a previously-burst architecture regresses)",
+        help="committed baseline JSON to diff against (exit 1 unless every "
+        "recorded field matches; events_burst may only fall)",
     )
     p_sb.set_defaults(func=_cmd_simbench)
 

@@ -35,12 +35,14 @@ in a FIFO) is refused as ``no_convergence`` and runs on the word path,
 which raises the usual diagnostic.
 
 Given a *cut* cycle — the prefix path of :mod:`repro.sim.prefix`, cut
-just before a fault hazard — the replay also records what the handoff
-to the live word path needs: every FIFO's put/get completion cycles,
-each DMA's HP ``(call, grant)`` list, the HP calls in kernel order, and,
-at the end of the cut cycle, each FIFO's ``(puts, gets, high_water)``
-and the order the kernel will wake the processes then asleep.  Without
-a cut none of this is kept.
+just before a fault hazard — the committed state (each FIFO's ``(puts,
+gets, high_water)``, the HP-port automaton and its granted words) is
+taken at the end of the cut cycle instead of the phase end, and the
+replay also records what the handoff to the live word path needs: every
+FIFO's put/get completion cycles, each DMA's HP ``(call, grant)`` list
+and the order the kernel will wake the processes asleep at the cut.
+Without a cut none of this is kept: a burst is the cut at the phase
+end, where nothing is left to resume.
 
 Every bail-out is classified into the closed taxonomy
 :data:`FALLBACK_REASONS`, so the runtime, ``repro simbench`` and the
@@ -132,60 +134,27 @@ class ActorSpec:
 class PhaseSolution:
     """Everything the runtime needs to commit a replayed phase.
 
-    The cut fields are filled only when :func:`replay_phase` runs with a
-    cut cycle: the prefix-burst path (:mod:`repro.sim.prefix`) rebuilds
-    the word path's exact state at the end of that cycle from them.
+    ``channels``, ``hp_state`` and ``hp_words`` are the state the runtime
+    commits: the word path's at the end of the cut cycle, or at the phase
+    end when :func:`replay_phase` runs without a cut.  ``finish`` and
+    ``actor_spans`` always describe the whole phase.  The remaining
+    fields are filled only by a cut replay: the prefix path
+    (:mod:`repro.sim.prefix`) resumes the live word path from them.
     """
 
     finish: int  # max completion cycle over every component
     actor_spans: list[tuple[str, int, int]]  # (name, started, finished)
     channels: dict  # key -> (puts, gets, high_water)
-    hp_state: tuple[int, int] | None  # final (_slot_time, _slot_used)
+    hp_state: tuple[int, int] | None  # (_slot_time, _slot_used); None: no word yet
     hp_words: int = 0
     #: channel key -> (P, G): put/get completion cycles in token order.
     timeline: dict = field(default_factory=dict)
     #: per-DmaSpec HP schedule [(call_cycle, grant_cycle), ...] in
     #: program order (None for a DMA paced without an HP port).
     dma_calls: list = field(default_factory=list)
-    #: HP call cycles, one per call, in the order the kernel made them.
-    hp_calls: list = field(default_factory=list)
-    #: HP-port automaton state at phase entry.
-    hp_init: tuple[int, int] = (-1, 0)
-    #: channel key -> (puts, gets, high_water) at the end of the cut cycle.
-    cut_channels: dict = field(default_factory=dict)
     #: Processes asleep at the end of the cut cycle, as indices into
     #: ``dmas + actors``, in the order the kernel wakes same-cycle ties.
     cut_sleepers: list = field(default_factory=list)
-
-
-def replay_hp_state(
-    calls: list[int],
-    wpc: int,
-    init: tuple[int, int],
-    cut: int,
-) -> tuple[tuple[int, int], int]:
-    """Port state after every HP call at or before *cut*.
-
-    *calls* are a cut replay's :attr:`PhaseSolution.hp_calls`: the call
-    cycles in the order the kernel made them, which is the order the live
-    port mutates in (``HpPort.acquire`` updates the automaton at call
-    time).  Returns ``(_slot_time, _slot_used)`` and the number of calls
-    — exactly the live port at the end of cycle *cut*.
-    """
-    slot_time, slot_used = init
-    done = 0
-    for call in calls:
-        if call > cut:
-            break
-        if slot_time < call:
-            slot_time = call
-            slot_used = 0
-        if slot_used >= wpc:
-            slot_time += 1
-            slot_used = 0
-        slot_used += 1
-        done += 1
-    return (slot_time, slot_used), done
 
 
 #: Replay opcodes: what a replayed process yields, paired with its argument.
@@ -279,7 +248,8 @@ def replay_phase(
     acquires a shared HP port of that width, entered in state
     ``(hp_slot_time, hp_slot_used)``; without it each word waits
     ``CYCLES_PER_WORD``.  With *cut* (at or after the last kick) the
-    solution also carries the cut fields of :class:`PhaseSolution`.
+    committed state is taken at the end of that cycle and the solution
+    also carries the cut fields of :class:`PhaseSolution`.
 
     Returns ``None`` when a process is still blocked or a FIFO still
     holds tokens at the end.
@@ -312,19 +282,19 @@ def replay_phase(
             ready.append(gen)
 
     calls: list = [[] for _ in dmas] if record and hp_wpc is not None else []
-    hp_calls: list = []
     snapshot: tuple | None = None
 
-    def take_snapshot() -> tuple:
+    def take_snapshot(slot_time: int, slot_used: int, words: int) -> tuple:
         index = {gen: i for i, gen in enumerate(dma_gens + actor_gens)}
         return (
             {key: (f.puts, f.gets, f.high_water) for key, f in fifos.items()},
+            (slot_time, slot_used) if words else None,
+            words,
             [index[gen] for _due, _seq, gen in sorted(heap)],
         )
 
     ended: dict = {}
     slot_time = hp_slot_time if hp_slot_time is not None else -1
-    hp_init = (slot_time, hp_slot_used)
     slot_used, words, seq, now = hp_slot_used, 0, 0, t0
     horizon = cut if record else float("inf")
     heappush, heappop, resume = heapq.heappush, heapq.heappop, next
@@ -335,7 +305,7 @@ def replay_phase(
             if not heap:
                 break
             if heap[0][0] > horizon:  # every entry of the cut cycle ran
-                snapshot = take_snapshot()
+                snapshot = take_snapshot(slot_time, slot_used, words)
                 horizon = float("inf")
             now = heap[0][0]
             while heap and heap[0][0] == now:
@@ -405,7 +375,6 @@ def replay_phase(
                 words += 1
                 if record:
                     calls[arg].append((now, slot_time))
-                    hp_calls.append(now)
                 arg = slot_time - now
             due = now + arg
             if ready or (heap and heap[0][0] <= due) or due > horizon:
@@ -421,25 +390,22 @@ def replay_phase(
         return None  # a process is still blocked
     if any(f.n for f in fifos.values()):
         return None  # tokens left behind
+    if snapshot is None:  # no cut, or the phase ended by the cut cycle
+        snapshot = take_snapshot(slot_time, slot_used, words)
+    channel_state, hp_state, hp_words, sleepers = snapshot
     solution = PhaseSolution(
         finish=max(ended.values()),
         actor_spans=[
             (spec.name, t0, ended[gen]) for spec, gen in zip(actors, actor_gens)
         ],
-        channels={
-            key: (f.puts, f.gets, f.high_water) for key, f in fifos.items()
-        },
-        hp_state=(slot_time, slot_used) if words else None,
-        hp_words=words,
+        channels=channel_state,
+        hp_state=hp_state,
+        hp_words=hp_words,
     )
     if record:
-        if snapshot is None:  # the phase ended by the cut cycle
-            snapshot = take_snapshot()
         solution.timeline = {key: (f.P, f.G) for key, f in fifos.items()}
         solution.dma_calls = calls or [None] * len(dmas)
-        solution.hp_calls = hp_calls
-        solution.hp_init = hp_init
-        solution.cut_channels, solution.cut_sleepers = snapshot
+        solution.cut_sleepers = sleepers
     return solution
 
 
@@ -522,7 +488,7 @@ class PhaseMemo:
     rebased and committed through the burst path at every later
     occurrence.  One memo serves one campaign; it is never shared across
     campaigns.  Entries are recorded from cut-free replays only, so they
-    carry no cut fields.
+    hold the phase-end state and carry no cut fields.
     """
 
     def __init__(self) -> None:

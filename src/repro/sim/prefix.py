@@ -13,8 +13,8 @@ of cycle ``C``; this module computes from that
 
 * **commit** the prefix: how many DRAM words each S2MM wrote, and where
   each DMA transfer and stream actor stands in its program (the FIFO
-  counters and ``high_water`` at ``C`` come straight from the replay's
-  snapshot); and
+  counters and ``high_water`` and the HP port at ``C`` come straight
+  from the replay's snapshot); and
 * **resume** the remainder on the live word path, so every injection
   point from the hazard cycle onwards behaves exactly as it would have
   in a full word-path run.
@@ -45,9 +45,12 @@ each process runs the *unmodified* relative word-path code, so
 post-hazard timing (including injected stalls, drops and truncations)
 evolves identically to a full word-path run.  HP-port calls mutate the
 port automaton at call time, so a call at or before ``C`` with a grant
-after ``C`` is part of the committed port state
-(:func:`~repro.sim.burst.replay_hp_state`) and the resumed process only
-sleeps to the grant — it must not re-issue the call.
+after ``C`` is part of the committed port state (the snapshot's
+``hp_state`` and ``hp_words``) and the resumed process only sleeps to
+the grant — it must not re-issue the call.
+
+A full burst is the same commit with the cut at the phase end: every
+transfer is :data:`DONE` and nothing resumes.
 
 No injection point is lost: every injector check committed by the cut
 ran at a cycle strictly below the hazard, where by construction no armed
@@ -66,21 +69,26 @@ from repro.sim.burst import ActorSpec, DmaSpec
 from repro.sim.memory import CYCLES_PER_WORD, READ_LATENCY, WRITE_LATENCY
 
 
-@dataclass
+@dataclass(frozen=True)
 class DmaResume:
     """Where one DMA transfer stands at the cut.
 
-    ``mode`` is ``"done"`` (transfer finished inside the prefix) or the
-    name of the engine resume entry point; ``first`` is the word index
-    the resumed process handles first; ``wake`` the absolute cycle a
-    sleep-mode resume wakes at; ``committed`` the words fully landed
-    (S2MM: DRAM words already written) by the end of the cut cycle.
+    ``mode`` is ``"done"`` (:data:`DONE`: the transfer finished by the
+    cut) or the name of the engine resume entry point; ``first`` is the
+    word index the resumed process handles first; ``wake`` the absolute
+    cycle a sleep-mode resume wakes at; ``committed`` the words of a
+    resumed transfer fully landed (S2MM: DRAM words already written) by
+    the end of the cut cycle.
     """
 
     mode: str
     first: int = 0
     wake: int = 0
     committed: int = 0
+
+
+#: A transfer that finished by the cut: the runtime commits all of it.
+DONE = DmaResume("done")
 
 
 def plan_mm2s_resume(
@@ -97,7 +105,7 @@ def plan_mm2s_resume(
     """
     n_put = bisect_right(P, cut)
     if n_put == spec.count:
-        return DmaResume("done", committed=n_put)
+        return DONE
     first = n_put
     ready0 = spec.kick + READ_LATENCY
     if first == 0 and ready0 > cut:
@@ -130,7 +138,7 @@ def plan_s2mm_resume(
         if done > cut:
             return DmaResume("acquire_wait", i, done, committed=n_got)
         if n_got == spec.count:
-            return DmaResume("done", committed=n_got)
+            return DONE
     ready0 = spec.kick + WRITE_LATENCY
     if n_got == 0 and ready0 > cut:
         return DmaResume("fresh", 0, ready0)

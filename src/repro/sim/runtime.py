@@ -44,10 +44,10 @@ from repro.sim.burst import (
     PhaseMemo,
     hw_serialized,
     phase_memo_key,
-    replay_hp_state,
     solve_phase_ex,
 )
 from repro.sim.prefix import (
+    DONE,
     plan_mm2s_resume,
     plan_s2mm_resume,
     resume_actor,
@@ -69,6 +69,7 @@ from repro.sim.faults import (
     FaultPlan,
     RecoveryEvent,
     RecoveryPolicy,
+    link_name,
 )
 from repro.obs.events import BUS as _BUS
 from repro.obs.metrics import REGISTRY as _METRICS
@@ -243,7 +244,7 @@ class SimPlatform:
             elif isinstance(link.src, tuple):
                 width = system.cores[link.src[0]].iface.stream(link.src[1]).width
             self.channels[link] = StreamChannel(
-                self.env, _link_name(link), width_bits=width, injector=self.injector
+                self.env, link_name(link), width_bits=width, injector=self.injector
             )
         for i, binding in enumerate(system.dmas):
             mm2s = self.channels.get(binding.mm2s_link) if binding.mm2s_link else None
@@ -308,13 +309,6 @@ class SimPlatform:
             )
 
         return flip
-
-
-def _link_name(link) -> str:
-    def end(e):
-        return "soc" if not isinstance(e, tuple) else f"{e[0]}.{e[1]}"
-
-    return f"{end(link.src)}->{end(link.dst)}"
 
 
 class _Runtime:
@@ -557,11 +551,8 @@ class _Runtime:
             channel_data = self._dataflow_outputs(phase)
             path, detail, payload = self._plan_burst_phase(phase, channel_data)
             self.phase_modes[phase.name] = (path, detail)
-            if path == "burst":
-                yield from self._run_hw_phase_burst(phase, channel_data, *payload)
-                return
-            if path == "prefix":
-                yield from self._run_hw_phase_prefix(phase, channel_data, *payload)
+            if path != "word":
+                yield from self._run_hw_phase_replayed(phase, *payload)
                 return
             self.fallback_reasons[detail] = self.fallback_reasons.get(detail, 0) + 1
             self.fallback_phases[phase.name] = detail
@@ -614,37 +605,24 @@ class _Runtime:
             pending.append(handle.readDMA(buf.base, buf.nbytes))
             out_bufs.append((ch.dst_port, buf, ref))
 
-        # Register what a watchdog recovery must clean up, then wait.
-        self._phase_state[phase.name] = {
-            "procs": list(pending),
-            "channels": used_channels,
-            "engines": used_engines,
-        }
-        yield self.p.env.all_of(pending)
-        self._phase_state.pop(phase.name, None)
-        if self._verify:
-            self._check_integrity(
-                phase.name, [(name, buf.data, ref) for name, buf, ref in out_bufs]
-            )
-        for name, buf, _ref in out_bufs:
-            self.data[name] = buf.data.copy()
-        for sim in actors:
-            if sim.started_at is not None and sim.finished_at is not None:
-                self.p.trace.record(
-                    f"hw:{sim.name}", "stream", sim.started_at, sim.finished_at
-                )
-        self.p.trace.record(f"phase:{phase.name}", "hw-phase", start, self.p.env.now)
+        yield from self._finish_hw_phase(
+            phase, start, pending, used_channels, used_engines, out_bufs,
+            ((sim.name, sim.started_at, sim.finished_at) for sim in actors),
+        )
 
     # -- burst fast path (see repro.sim.burst for the equivalence argument) --
     def _plan_burst_phase(self, phase: Phase, channel_data):
         """Plan *phase*; returns ``(path, detail, args)``.
 
-        ``("burst", source, args)`` runs the whole phase as one commit of
-        an outcome the event-order replay computed (*source*
-        ``"replay"``) or the phase memo held (``"memo"``);
-        ``("prefix", "replay", args)`` burst-commits up to the cycle
-        before the earliest fault hazard and resumes the remainder on
-        the live word path; ``("word", reason, None)`` — reason from
+        A replayed phase has *args* ``(solution, in_ctx, out_ctx,
+        chan_tokens, dma_specs, actor_specs, cut)`` for
+        :meth:`_run_hw_phase_replayed`.  ``("burst", source, args)``
+        (``cut`` ``None``) runs the whole phase as one commit of an
+        outcome the event-order replay computed (*source* ``"replay"``)
+        or the phase memo held (``"memo"``); ``("prefix", "replay",
+        args)`` commits up to ``cut``, the cycle before the earliest
+        fault hazard, and resumes the remainder on the live word path;
+        ``("word", reason, None)`` — reason from
         :data:`~repro.sim.burst.FALLBACK_REASONS` — runs the word path.
         Pure apart from the idempotent capacity bump: nothing is staged,
         kicked or charged until the plan is accepted, so a fallback
@@ -738,13 +716,14 @@ class _Runtime:
             hp_slot_time=p.hp_port._slot_time if p.hp_port else None,
             hp_slot_used=p.hp_port._slot_used if p.hp_port else 0,
         )
+        context = (in_ctx, out_ctx, chan_tokens, dma_specs, actor_specs)
         memo, key = self.phase_memo, None
         if memo is not None:
             key = phase_memo_key(t0, channels, dma_specs, actor_specs, **hp_args)
             solution = memo.lookup(key, t0, channels, actor_specs)
             if solution is not None:
-                return ("burst", "memo", (solution, in_ctx, out_ctx, chan_tokens))
-        # Under a hazard the replay also records the state at the cut.
+                return ("burst", "memo", (solution, *context, None))
+        # Under a hazard the replay takes the committed state at the cut.
         cut = hazard - 1 if hazard is not None else None
         solution, reason = solve_phase_ex(
             t0, channels, dma_specs, actor_specs, cut=cut, **hp_args
@@ -757,88 +736,33 @@ class _Runtime:
         # wedge word by word, not a single opaque timeout.
         if self._ladder and solution.finish - t0 >= self.policy.node_budget:
             return ("word", "watchdog_budget", None)
-        if hazard is not None and hazard <= solution.finish:
-            return (
-                "prefix", "replay",
-                (solution, in_ctx, out_ctx, chan_tokens, dma_specs,
-                 actor_specs, cut),
-            )
-        return ("burst", "replay", (solution, in_ctx, out_ctx, chan_tokens))
+        if hazard is None or hazard > solution.finish:
+            return ("burst", "replay", (solution, *context, None))
+        return ("prefix", "replay", (solution, *context, cut))
 
-    def _run_hw_phase_burst(self, phase: Phase, channel_data, solution,
-                            in_ctx, out_ctx, chan_tokens):
-        """Replay the phase's CPU work, sleep to the replayed end, commit."""
-        p = self.p
-        env = p.env
-        start = env.now
-        self.burst_phases += 1
-        # Driver calls cost exactly what the word path charges, and the
-        # engines validate each descriptor at its kick cycle (same error,
-        # same DMASR latch, same cycle if a transfer is rejected).
-        for src_port, arr, engine in in_ctx:
-            buf = self._ensure_buffer(f"{phase.name}.{src_port}", arr)
-            yield from p.cpu.call_driver()
-            engine._validate(buf.base, buf.nbytes, "MM2S", MM2S_DMASR)
-            engine.bytes_mm2s += buf.nbytes
-        out_bufs = []
-        for dst_port, ref, engine, _src_actor in out_ctx:
-            buf = self._ensure_buffer(f"{phase.name}.{dst_port}", np.zeros_like(ref))
-            yield from p.cpu.call_driver()
-            engine._validate(buf.base, buf.nbytes, "S2MM", S2MM_DMASR)
-            engine.bytes_s2mm += buf.nbytes
-            out_bufs.append((dst_port, buf, ref, engine))
-        # The whole phase is one kernel event instead of one per word.
-        yield env.timeout(max(0, solution.finish - env.now))
-        # ---- commit: the exact final state the word path would reach ----
-        for _, _, engine in in_ctx:
-            engine.regs[MM2S_DMASR] = _SR_IDLE | SR_IOC_IRQ
-        for dst_port, buf, ref, engine in out_bufs:
-            buf.data.reshape(-1)[:] = np.asarray(ref).reshape(-1)
-            engine.regs[S2MM_DMASR] = _SR_IDLE | SR_IOC_IRQ
-        if self._verify:
-            self._check_integrity(
-                phase.name,
-                [(name, buf.data, ref) for name, buf, ref, _ in out_bufs],
-            )
-        for dst_port, buf, _ref, _eng in out_bufs:
-            self.data[dst_port] = buf.data.copy()
-        # The phase drains every FIFO it fills, so an idle, fault-free
-        # FIFO only moves its counters; any other crosses as one burst
-        # event pair.  Either way high_water is pinned to the replay's
-        # exact peak (a whole-transfer burst would overstate the word
-        # path's peak).
-        for ch, (puts, gets, high_water) in solution.channels.items():
-            if not puts:
-                continue
-            if puts != gets or not ch.commit_drained(puts, high_water):
-                ch.commit_burst(chan_tokens[ch].tolist(), gets, high_water)
-        if p.hp_port is not None and solution.hp_state is not None:
-            p.hp_port._slot_time, p.hp_port._slot_used = solution.hp_state
-            p.hp_port.total_words += solution.hp_words
-        for name, started, finished in solution.actor_spans:
-            p.trace.record(f"hw:{name}", "stream", started, finished)
-        p.trace.record(f"phase:{phase.name}", "hw-phase", start, env.now)
+    def _run_hw_phase_replayed(self, phase: Phase, solution, in_ctx, out_ctx,
+                               chan_tokens, dma_specs, actor_specs, cut):
+        """Commit a replayed phase at *cut*, then run the rest word by word.
 
-    def _run_hw_phase_prefix(self, phase: Phase, channel_data, solution,
-                             in_ctx, out_ctx, chan_tokens, dma_specs,
-                             actor_specs, cut):
-        """Burst-commit the phase up to *cut*, run the rest word by word.
-
-        The cut is the cycle before the earliest fault hazard, so the
-        committed prefix is provably fault-free and is the word path's
-        own state at the end of the cut (the replay's snapshot), and
-        every injection point from the hazard cycle on runs live — see
-        :mod:`repro.sim.prefix` for the state-handoff argument.
+        Without a cut (a burst) the commit is the whole phase at its
+        replayed finish and nothing runs live.  A cut is the cycle before
+        the earliest fault hazard, so the committed prefix is provably
+        fault-free and is the word path's own state at the end of the cut
+        (the replay's snapshot), and every injection point from the hazard
+        cycle on runs live — see :mod:`repro.sim.prefix` for the
+        state-handoff argument.
         """
         p = self.p
         env = p.env
         start = env.now
-        self.prefix_phases += 1
-        # Driver-call replay: identical CPU cost and descriptor
-        # validation cycles as the word path.  Bytes are NOT pre-charged
-        # (unlike the full-burst commit): the live remainder may
-        # truncate, so each transfer charges at its end like the word
-        # path does.
+        if cut is None:
+            self.burst_phases += 1
+        else:
+            self.prefix_phases += 1
+        # Driver calls cost exactly what the word path charges, and the
+        # engines validate each descriptor and latch DMASR busy at its
+        # kick cycle (same error, same cycle if a transfer is rejected).
+        # Bytes are charged when a transfer ends, as on the word path.
         in_bufs = []
         for src_port, arr, engine in in_ctx:
             buf = self._ensure_buffer(f"{phase.name}.{src_port}", arr)
@@ -852,36 +776,32 @@ class _Runtime:
             yield from p.cpu.call_driver()
             engine._validate(buf.base, buf.nbytes, "S2MM", S2MM_DMASR)
             engine.regs[S2MM_DMASR] = 0x0
-            out_bufs.append((dst_port, buf, ref, engine))
-        # The whole fault-free prefix is one kernel event.
-        yield env.timeout(max(0, cut - env.now))
+            out_bufs.append((dst_port, buf, ref))
+        # Everything up to the cut is one kernel event instead of one per word.
+        end = solution.finish if cut is None else cut
+        yield env.timeout(max(0, end - env.now))
         # ---- commit: the exact word-path state at the end of the cut ----
-        # Tokens as Python ints: an injector flips only ``int`` tokens.
-        chan_tokens = {ch: data.tolist() for ch, data in chan_tokens.items()}
-        for ch, (n_put, n_got, high_water) in solution.cut_channels.items():
-            if n_put:
-                ch.commit_burst(chan_tokens[ch][:n_put], n_got, high_water)
-        if p.hp_port is not None and solution.hp_calls:
-            state, done = replay_hp_state(
-                solution.hp_calls, p.hp_port.words_per_cycle,
-                solution.hp_init, cut,
-            )
-            p.hp_port._slot_time, p.hp_port._slot_used = state
-            p.hp_port.total_words += done
+        # A burst drains every FIFO it fills, so an idle, fault-free FIFO
+        # only moves its counters; any other crosses as one burst event
+        # pair.  Either way high_water is pinned to the replay's exact
+        # peak (a whole-slice burst would overstate the word path's).
+        # Tokens cross as Python ints: an injector flips only ``int`` tokens.
+        for ch, (puts, gets, high_water) in solution.channels.items():
+            if puts and (puts != gets or not ch.commit_drained(puts, high_water)):
+                ch.commit_burst(chan_tokens[ch][:puts].tolist(), gets, high_water)
+        if p.hp_port is not None and solution.hp_state is not None:
+            p.hp_port._slot_time, p.hp_port._slot_used = solution.hp_state
+            p.hp_port.total_words += solution.hp_words
         # ---- spawn the live remainder ----
         # Resumes keyed by index into dma_specs + actor_specs.
         resumes: dict[int, tuple] = {}  # index -> (generator, name)
         busy: dict[int, tuple] = {}  # DMA index -> (engine, busy attribute)
-        used_channels = set(solution.timeline)
-        used_engines = set()
-        for i, (src_port, arr, engine) in enumerate(in_ctx):
+        for i, ((_port, _arr, engine), buf) in enumerate(zip(in_ctx, in_bufs)):
             spec = dma_specs[i]
-            buf = in_bufs[i]
-            plan = plan_mm2s_resume(
+            plan = DONE if cut is None else plan_mm2s_resume(
                 spec, solution.dma_calls[i], solution.timeline[spec.chan][0], cut
             )
-            used_engines.add(engine)
-            if plan.mode == "done":
+            if plan is DONE:
                 engine.bytes_mm2s += buf.nbytes
                 engine.regs[MM2S_DMASR] = _SR_IDLE | SR_IOC_IRQ
                 engine._mm2s_busy = None
@@ -893,17 +813,17 @@ class _Runtime:
             )
             busy[i] = (engine, "_mm2s_busy")
         n_in = len(in_ctx)
-        for j, (dst_port, buf, ref, engine) in enumerate(out_bufs):
+        for j, ((*_, engine, _actor), (_port, buf, ref)) in enumerate(
+            zip(out_ctx, out_bufs)
+        ):
             spec = dma_specs[n_in + j]
-            plan = plan_s2mm_resume(
+            plan = DONE if cut is None else plan_s2mm_resume(
                 spec, solution.dma_calls[n_in + j],
                 solution.timeline[spec.chan][1], cut,
             )
-            used_engines.add(engine)
-            if plan.committed:
-                flat_ref = np.asarray(ref).reshape(-1)
-                buf.data.reshape(-1)[:plan.committed] = flat_ref[:plan.committed]
-            if plan.mode == "done":
+            landed = spec.count if plan is DONE else plan.committed
+            buf.data.reshape(-1)[:landed] = np.asarray(ref).reshape(-1)[:landed]
+            if plan is DONE:
                 engine.bytes_s2mm += buf.nbytes
                 engine.regs[S2MM_DMASR] = _SR_IDLE | SR_IOC_IRQ
                 engine._s2mm_busy = None
@@ -914,45 +834,61 @@ class _Runtime:
                 f"{engine.name}.s2mm",
             )
             busy[n_in + j] = (engine, "_s2mm_busy")
-        actor_states: list[tuple[str, int, int | None, dict]] = []
+        actor_spans: list[tuple[str, int, dict]] = []
+        tokens = None
         for k, (spec, (name, started, finished)) in enumerate(
             zip(actor_specs, solution.actor_spans)
         ):
-            if finished <= cut:
-                actor_states.append((name, started, finished, {}))
+            if finished <= end:
+                actor_spans.append((name, started, {"finish": finished}))
                 continue
+            if tokens is None:
+                tokens = {ch: data.tolist() for ch, data in chan_tokens.items()}
             span: dict = {}
+            actor_spans.append((name, started, span))
             resumes[len(dma_specs) + k] = (
-                resume_actor(env, spec, solution.timeline, chan_tokens,
-                             cut, span),
+                resume_actor(env, spec, solution.timeline, tokens, cut, span),
                 f"actor.{name}",
             )
-            actor_states.append((name, started, None, span))
         started = start_resumes(env, resumes, solution.cut_sleepers)
         for i, (engine, attr) in busy.items():
             setattr(engine, attr, started[i])
-        procs = list(started.values())
+        engines = {ctx[2] for ctx in (*in_ctx, *out_ctx)}
+        yield from self._finish_hw_phase(
+            phase, start, list(started.values()), set(solution.channels),
+            engines, out_bufs,
+            ((name, s, span.get("finish")) for name, s, span in actor_spans),
+        )
 
-        # Register what a watchdog recovery must clean up, then wait.
-        self._phase_state[phase.name] = {
-            "procs": list(procs),
-            "channels": used_channels,
-            "engines": used_engines,
-        }
-        yield env.all_of(procs)
-        self._phase_state.pop(phase.name, None)
+    def _finish_hw_phase(self, phase: Phase, start: int, procs, channels,
+                         engines, out_bufs, spans):
+        """Wait for the phase's live processes, then check, store and trace.
+
+        *out_bufs* holds ``(name, buffer, reference)`` per boundary
+        output.  *spans* yields ``(actor, started, finished)`` and is read
+        only after the wait; an actor that never started or finished has
+        ``None`` there and gets no trace span.
+        """
+        p = self.p
+        if procs:
+            # Register what a watchdog recovery must clean up, then wait.
+            self._phase_state[phase.name] = {
+                "procs": list(procs),
+                "channels": channels,
+                "engines": engines,
+            }
+            yield p.env.all_of(procs)
+            self._phase_state.pop(phase.name, None)
         if self._verify:
             self._check_integrity(
-                phase.name,
-                [(name, buf.data, ref) for name, buf, ref, _ in out_bufs],
+                phase.name, [(name, buf.data, ref) for name, buf, ref in out_bufs]
             )
-        for dst_port, buf, _ref, _eng in out_bufs:
-            self.data[dst_port] = buf.data.copy()
-        for name, started, finished, span in actor_states:
-            end = finished if finished is not None else span.get("finish")
-            if end is not None:
-                p.trace.record(f"hw:{name}", "stream", started, end)
-        p.trace.record(f"phase:{phase.name}", "hw-phase", start, env.now)
+        for name, buf, _ref in out_bufs:
+            self.data[name] = buf.data.copy()
+        for name, started, finished in spans:
+            if started is not None and finished is not None:
+                p.trace.record(f"hw:{name}", "stream", started, finished)
+        p.trace.record(f"phase:{phase.name}", "hw-phase", start, p.env.now)
 
     def _dma_handle(self, cell: str):
         for path in self.p.devfs.listdir():
@@ -1192,9 +1128,10 @@ def simulate_application(
     share it simulate each distinct hardware phase once: a phase whose
     t0-relative replay inputs were seen before is committed from the
     memo through the burst path, byte- and cycle-identical to replaying
-    it again (``burst_stats["memo_hits"]`` counts them).  It is consulted only on the burst path with no *faults* and
-    no *policy*; share one memo across the runs of one campaign, never
-    across campaigns.
+    it again (``burst_stats["memo_hits"]`` counts them).  It is
+    consulted only on the burst path with no *faults* and no *policy*;
+    share one memo across the runs of one campaign, never across
+    campaigns.
     """
     validate_htg(htg)
     partition.validate(htg)

@@ -27,13 +27,13 @@ from repro.sim.burst import (
     DmaSpec,
     PhaseMemo,
     phase_memo_key,
-    replay_hp_state,
     replay_phase,
     solve_phase_ex,
 )
 from repro.sim.dma_engine import DmaEngine, HpPort
 from repro.sim.faults import FaultPlan, RecoveryPolicy
 from repro.sim.prefix import (
+    DONE,
     plan_mm2s_resume,
     plan_s2mm_resume,
     resume_actor,
@@ -172,6 +172,47 @@ class TestOtsuArchitecturesDifferential:
         assert_identical(word, burst)
         if arch == 1:
             assert burst.kernel_events * 8 < word.kernel_events
+
+    @pytest.mark.parametrize("arch", [1, 2, 3, 4])
+    def test_dma_byte_accounting(self, builds, arch, monkeypatch):
+        """Every DMA engine ends with the word path's byte counters and
+        MM2S/S2MM DMASR: on the burst path of a fault-free run, and on
+        the prefix path of simbench's mid-phase dram_flip leg."""
+        import repro.sim.runtime as runtime
+        from repro.cli import _simbench_fault_cycle
+        from repro.sim import Fault
+        from repro.sim.dma_engine import MM2S_DMASR, S2MM_DMASR
+
+        platforms = []
+
+        class Captured(runtime.SimPlatform):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                platforms.append(self)
+
+        monkeypatch.setattr(runtime, "SimPlatform", Captured)
+        app, flow = builds[arch]
+
+        def run(**kw):
+            rep = simulate_application(app.htg, app.partition, app.behaviors,
+                                       {}, system=flow.system, **kw)
+            return rep, {
+                name: (e.bytes_mm2s, e.bytes_s2mm,
+                       e.regs[MM2S_DMASR], e.regs[S2MM_DMASR])
+                for name, e in platforms[-1].dma_engines.items()
+            }
+
+        word, want = run(burst_mode=False)
+        burst, got = run(burst_mode=True)
+        assert burst.burst_stats["burst_phases"] == 1
+        assert all(mm2s or s2mm for mm2s, s2mm, _, _ in want.values())
+        assert got == want
+        at = _simbench_fault_cycle(word, app.partition.hw_nodes())
+        plan = FaultPlan((Fault("dram_flip", "*", at_cycle=at, bit=3, word=5),))
+        _, want = run(burst_mode=False, faults=plan)
+        prefix, got = run(burst_mode=True, faults=plan)
+        assert prefix.burst_stats["prefix_phases"] == 1
+        assert got == want
 
 
 class TestRandomGraphsDifferential:
@@ -626,45 +667,46 @@ def random_phase(seed, *, port=True):
 
     specs = (t0, {ch: ch.capacity for ch in chans}, dma_specs, actor_specs)
 
-    def prefix(cut):
-        """Run the phase as the runtime's prefix path does: replay with
-        *cut*, commit the snapshot at the end of that cycle, then resume
-        every unfinished process live.  Returns word()'s outcome."""
+    def prefix(cut=None):
+        """Run the phase as the runtime commits a replayed one: replay
+        with *cut*, commit the snapshot at the end of that cycle (at the
+        phase end without a cut, as a burst), then resume every
+        unfinished process live.  Returns word()'s outcome."""
         sol = replay_phase(*specs, cut=cut, **hp)
+        end = sol.finish if cut is None else cut
         ended, spans = {}, {}
 
         def driver():
-            yield env.timeout(cut)
-            for ch, (puts, gets, high_water) in sol.cut_channels.items():
+            yield env.timeout(end)
+            for ch, (puts, gets, high_water) in sol.channels.items():
                 if puts:
                     ch.commit_burst(list(range(puts)), gets, high_water)
             if hp_port:
-                state, hp_port.total_words = replay_hp_state(
-                    sol.hp_calls, wpc, sol.hp_init, cut
-                )
-                hp_port._slot_time, hp_port._slot_used = state
+                if sol.hp_state is not None:
+                    hp_port._slot_time, hp_port._slot_used = sol.hp_state
+                hp_port.total_words += sol.hp_words
             resumes = {}
             for j, (d, (engine, buf)) in enumerate(zip(dma_specs, engines)):
                 if d.direction == "mm2s":
-                    plan = plan_mm2s_resume(
+                    plan = DONE if cut is None else plan_mm2s_resume(
                         d, sol.dma_calls[j], sol.timeline[d.chan][0], cut
                     )
                     resume = engine.resume_mm2s
                 else:
-                    plan = plan_s2mm_resume(
+                    plan = DONE if cut is None else plan_s2mm_resume(
                         d, sol.dma_calls[j], sol.timeline[d.chan][1], cut
                     )
                     resume = engine.resume_s2mm
-                if plan.mode != "done":
+                if plan is not DONE:
                     resumes[j] = (resume(buf.base, buf.nbytes, plan.first,
                                          plan.mode, plan.wake), f"dma{j}")
-            tokens = {ch: list(range(puts))
-                      for ch, (puts, _gets, _hw) in sol.channels.items()}
+            tokens = {ch: list(range(len(P)))
+                      for ch, (P, _G) in sol.timeline.items()}
             for k, (spec, (name, _t0, finish)) in enumerate(
                 zip(actor_specs, sol.actor_spans)
             ):
                 spans[name] = {"finish": finish}
-                if finish > cut:
+                if finish > end:
                     resumes[len(dma_specs) + k] = (
                         resume_actor(env, spec, sol.timeline, tokens, cut,
                                      spans[name]),
@@ -690,6 +732,13 @@ def random_phase(seed, *, port=True):
 def _outcome(sol):
     return (sol.finish, sol.actor_spans, sol.channels, sol.hp_state,
             sol.hp_words)
+
+
+def _port_at_cut(sol, hp):
+    """``((_slot_time, _slot_used), total_words)`` a port that entered
+    the phase in *hp*'s state holds after committing *sol*."""
+    entry = (hp["hp_slot_time"], hp["hp_slot_used"])
+    return (sol.hp_state or entry, sol.hp_words)
 
 
 class TestReplayPhase:
@@ -718,36 +767,36 @@ class TestReplayPhase:
             cut = rng.randint(dmas[-1].kick, full.finish)
             got = replay_phase(t0, caps, dmas, actors, cut=cut, **hp)
             outcome, [(channels, port)] = word([cut])
-            assert _outcome(got) == _outcome(full) == outcome, seed
-            assert got.cut_channels == channels, (seed, cut)
+            assert _outcome(full) == outcome, seed
+            assert (got.finish, got.actor_spans) == outcome[:2], seed
+            assert got.channels == channels, (seed, cut)
             for ch, (P, G) in got.timeline.items():
-                puts, gets, _hw = got.cut_channels[ch]
+                puts, gets, _hw = got.channels[ch]
                 assert (bisect_right(P, cut), bisect_right(G, cut)) == (puts, gets)
             if hp:
-                assert replay_hp_state(
-                    got.hp_calls, hp["hp_wpc"], got.hp_init, cut
-                ) == port, (seed, cut)
+                assert _port_at_cut(got, hp) == port, (seed, cut)
             else:
-                assert got.hp_calls == [] and got.dma_calls == [None] * len(dmas)
+                assert got.hp_state is None and got.hp_words == 0
+                assert got.dma_calls == [None] * len(dmas)
 
-    def test_replay_hp_state_matches_live_prefix(self):
-        """The recorded HP calls rebuild the live port at every cycle
-        from the last kick to the finish."""
+    def test_hp_snapshot_matches_live_port_at_every_cut(self):
+        """The snapshot's HP state and granted words are the live port's
+        at every cycle from the last kick to the finish."""
         for seed in range(8):
             (t0, caps, dmas, actors), hp, word, _prefix = random_phase(seed)
             kick = dmas[-1].kick
-            got = replay_phase(t0, caps, dmas, actors, cut=kick, **hp)
-            cuts = range(kick, got.finish + 1)
+            finish = replay_phase(t0, caps, dmas, actors, **hp).finish
+            cuts = range(kick, finish + 1)
             _outcome_w, at_cuts = word(cuts)
             for cut, (_channels, port) in zip(cuts, at_cuts):
-                assert replay_hp_state(
-                    got.hp_calls, hp["hp_wpc"], got.hp_init, cut
-                ) == port, (seed, cut)
+                got = replay_phase(t0, caps, dmas, actors, cut=cut, **hp)
+                assert _port_at_cut(got, hp) == port, (seed, cut)
 
     def test_random_prefix_resumes_match_word_path(self):
         """Commit the replay's snapshot at a random cut and resume every
-        process live, as the runtime's prefix path does: the run ends
-        exactly like the word run, high_water and port included."""
+        process live, as the runtime's prefix path does — or, without a
+        cut, commit the whole phase as a burst: the run ends exactly like
+        the word run, high_water and port included."""
         def named(outcome):  # each build has its own channel objects
             finish, spans, channels, *port = outcome
             return finish, spans, {ch.name: v for ch, v in channels.items()}, port
@@ -758,8 +807,8 @@ class TestReplayPhase:
             (t0, caps, dmas, actors), hp, word, _ = random_phase(seed, port=port)
             finish = replay_phase(t0, caps, dmas, actors, **hp).finish
             want = named(word())
-            for _ in range(2):
-                cut = rng.randint(dmas[-1].kick, finish)
+            for cut in [None] + [rng.randint(dmas[-1].kick, finish)
+                                 for _ in range(2)]:
                 *_, prefix = random_phase(seed, port=port)
                 assert named(prefix(cut)) == want, (seed, cut)
 
