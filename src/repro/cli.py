@@ -17,7 +17,7 @@ Commands
 ``simbench``     word-path vs burst-path simulator benchmark: runs every
                  Table-I architecture both ways, requires cycle- and
                  digest-identical results and equal channel_stats,
-                 reports events/speedup
+                 reports events, replayed loop repetitions and speedup
 ``experiments``  regenerate every table and figure into a directory
 ``faultcheck``   seeded fault-injection campaign over the Table-I
                  architectures; every scenario must recover or raise a
@@ -329,6 +329,11 @@ def _simbench_fault_cycle(report, hw_nodes: list[str]) -> int | None:
     return start + (length * 9) // 10
 
 
+#: simbench baseline fields that may fall but never rise: the effort of
+#: the burst path.  Every other recorded field must match exactly.
+_SIMBENCH_FALLING = ("events_burst", "reps_replayed", "fault_reps_replayed")
+
+
 def _cmd_simbench(args: argparse.Namespace) -> int:
     import json
     import time
@@ -384,6 +389,8 @@ def _cmd_simbench(args: argparse.Namespace) -> int:
             "fallback_reasons": dict(stats["fallback_reasons"]),
             "events_word": word.kernel_events,
             "events_burst": burst.kernel_events,
+            "reps_replayed": stats["reps_replayed"],
+            "reps_skipped": stats["reps_skipped"],
             "seconds_word": timings["word"],
             "seconds_burst": timings["burst"],
             "speedup": speedup,
@@ -392,6 +399,8 @@ def _cmd_simbench(args: argparse.Namespace) -> int:
         print(
             f"  arch{arch}: {word.cycles} cycles, "
             f"events {word.kernel_events} -> {burst.kernel_events}, "
+            f"replay reps {stats['reps_replayed']} run + "
+            f"{stats['reps_skipped']} skipped, "
             f"{timings['word']:.3f}s -> {timings['burst']:.3f}s "
             f"({speedup:.1f}x), "
             f"{'identical' if identical else 'MISMATCH'}"
@@ -444,12 +453,16 @@ def _cmd_simbench(args: argparse.Namespace) -> int:
                 fault_word_phases=f_stats["word_phases"],
                 fault_fallback_reasons=dict(f_stats["fallback_reasons"]),
                 fault_legacy_word_phases=legacy_word,
+                fault_reps_replayed=f_stats["reps_replayed"],
+                fault_reps_skipped=f_stats["reps_skipped"],
                 fault_digest=f_burst.digest(),
             )
             print(
                 f"    fault@{at}: phases burst={f_stats['burst_phases']} "
                 f"prefix={f_stats['prefix_phases']} "
                 f"word={f_stats['word_phases']} (was {legacy_word}), "
+                f"replay reps {f_stats['reps_replayed']} run + "
+                f"{f_stats['reps_skipped']} skipped, "
                 f"{'identical' if f_identical else 'MISMATCH'}, "
                 f"fallbacks: "
                 f"{_fmt_fallback_reasons(row['fault_fallback_reasons'])}"
@@ -473,11 +486,12 @@ def _cmd_simbench(args: argparse.Namespace) -> int:
                 )
             else:
                 # Every recorded field must match; the burst path may
-                # only get cheaper in kernel events.
+                # only get cheaper, in kernel events and in the loop
+                # repetitions its replays run.
                 for row in rows:
                     for key, was in base_rows.get(row["arch"], {}).items():
                         now = row.get(key)
-                        if key == "events_burst":
+                        if key in _SIMBENCH_FALLING:
                             ok = now is not None and now <= was
                         else:
                             ok = now == was
@@ -1408,7 +1422,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sb.add_argument(
         "--baseline", default=None,
         help="committed baseline JSON to diff against (exit 1 unless every "
-        "recorded field matches; events_burst may only fall)",
+        "recorded field matches; events_burst, reps_replayed and "
+        "fault_reps_replayed may only fall)",
     )
     p_sb.set_defaults(func=_cmd_simbench)
 

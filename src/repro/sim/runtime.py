@@ -360,6 +360,9 @@ class _Runtime:
         self.fallback_reasons: dict[str, int] = {}
         self.fallback_phases: dict[str, str] = {}
         self.phase_modes: dict[str, tuple[str, str]] = {}
+        #: phase name -> [loop repetitions replayed, skipped] over every
+        #: replay of it that finished (see PhaseSolution).
+        self.phase_reps: dict[str, list[int]] = {}
         #: The phase memo (repro.sim.burst.PhaseMemo) serves only plain
         #: burst runs: with no fault plan and no ladder, neither the
         #: prefix path nor the watchdog budget can arise.
@@ -624,9 +627,12 @@ class _Runtime:
         fault hazard, and resumes the remainder on the live word path;
         ``("word", reason, None)`` — reason from
         :data:`~repro.sim.burst.FALLBACK_REASONS` — runs the word path.
-        Pure apart from the idempotent capacity bump: nothing is staged,
-        kicked or charged until the plan is accepted, so a fallback
-        leaves the simulator exactly where the word path expects it.
+        The replay runs without a cut first; only a hazard at or before
+        its finish costs a second replay, with the cut, that records the
+        handoff.  Pure apart from the idempotent capacity bump: nothing
+        is staged, kicked or charged until the plan is accepted, so a
+        fallback leaves the simulator exactly where the word path
+        expects it.
         """
         p = self.p
         system = p.system
@@ -723,13 +729,14 @@ class _Runtime:
             solution = memo.lookup(key, t0, channels, actor_specs)
             if solution is not None:
                 return ("burst", "memo", (solution, *context, None))
-        # Under a hazard the replay takes the committed state at the cut.
-        cut = hazard - 1 if hazard is not None else None
         solution, reason = solve_phase_ex(
-            t0, channels, dma_specs, actor_specs, cut=cut, **hp_args
+            t0, channels, dma_specs, actor_specs, **hp_args
         )
         if solution is None:
             return ("word", reason, None)
+        reps = self.phase_reps.setdefault(phase.name, [0, 0])
+        reps[0] += solution.reps_replayed
+        reps[1] += solution.reps_skipped
         if key is not None:
             memo.record(key, t0, solution)
         # A watchdog that would expire mid-phase must see the word path
@@ -738,6 +745,13 @@ class _Runtime:
             return ("word", "watchdog_budget", None)
         if hazard is None or hazard > solution.finish:
             return ("burst", "replay", (solution, *context, None))
+        # The hazard falls inside the phase: replay again, taking the
+        # committed state at the cut and recording the handoff.
+        cut = hazard - 1
+        solution, _reason = solve_phase_ex(
+            t0, channels, dma_specs, actor_specs, cut=cut, **hp_args
+        )
+        reps[0] += solution.reps_replayed
         return ("prefix", "replay", (solution, *context, cut))
 
     def _run_hw_phase_replayed(self, phase: Phase, solution, in_ctx, out_ctx,
@@ -1066,6 +1080,9 @@ class _Runtime:
                         path, detail = mode
                         key = "fallback_reason" if path == "word" else "source"
                         extra = {"path": path, key: detail}
+                    reps = self.phase_reps.get(name)
+                    if reps is not None:
+                        extra["reps_replayed"], extra["reps_skipped"] = reps
                     _BUS.emit(
                         "sim.phase",
                         name,
@@ -1118,7 +1135,9 @@ def simulate_application(
     each hardware phase is computed by an event-order replay and runs as
     a single kernel timeout instead of one event per word — cycle- and
     byte-identical, ~10-100x fewer events (``burst_stats
-    ["replay_phases"]`` counts the phases replayed).  ``None`` (default)
+    ["replay_phases"]`` counts the phases replayed, and
+    ``"reps_replayed"``/``"reps_skipped"`` the loop repetitions their
+    replays ran and jumped).  ``None`` (default)
     reads ``REPRO_SIM_BURST`` (on unless set to ``0``); a phase falls
     back to the word path automatically whenever exactness would require
     word granularity (an armed fault plan touching it before its last
@@ -1211,6 +1230,8 @@ def simulate_application(
             "prefix_phases": runtime.prefix_phases,
             "word_phases": runtime.word_phases,
             "memo_hits": sources.count("memo"),
+            "reps_replayed": sum(r for r, _s in runtime.phase_reps.values()),
+            "reps_skipped": sum(s for _r, s in runtime.phase_reps.values()),
             "replay_phases": sources.count("replay"),
             "fallback_reasons": dict(runtime.fallback_reasons),
             "fallback_phases": dict(runtime.fallback_phases),
