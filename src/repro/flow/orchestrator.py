@@ -10,8 +10,13 @@ DSL keyword is an executable function:
 5. ``tg connect``   → an AXI-Lite attachment is recorded;
 6. ``tg link``      → a Link instance opens;
 7. ``to``/``end``   → the AXI-Stream connection is recorded;
-8. ``tg end_edges`` → integration, tcl generation, the (simulated)
-   implementation up to the bitstream, then API/boot generation.
+8. ``tg end_edges`` → integration and the (simulated) implementation
+   up to the bitstream.  The project tcl, each core's HLS script and the
+   software layer (C APIs, device tree, boot files) render on first
+   read of :attr:`FlowResult.system_tcl`, :attr:`CoreBuild.hls_tcl` and
+   :attr:`FlowResult.image`; a caller that only ranks the design (the
+   DSE engine) never builds them.  With ``check_tcl`` the system tcl is
+   rendered here, replayed, and handed back as the result's script.
 
 :func:`run_flow` executes either kind of description with the front end
 made for it: DSL text through the textual parser
@@ -38,6 +43,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 from repro.dsl.actions import ActionHooks
@@ -108,11 +114,14 @@ class FlowConfig:
 
 @dataclass
 class CoreBuild:
-    """One synthesized core plus its per-core artifacts."""
+    """One synthesized core plus its per-core artifacts.
+
+    :attr:`hls_tcl` renders on first read from ``name`` and ``result``
+    and is then kept, so neither may change after the flow.
+    """
 
     name: str
     result: SynthesisResult
-    hls_tcl: TclScript
     directives_tcl: str
     modeled_seconds: float
     c_source: str = ""
@@ -120,19 +129,44 @@ class CoreBuild:
     #: Content digest of (source, directives, backend) — the cache key.
     key: str = ""
 
+    @cached_property
+    def hls_tcl(self) -> TclScript:
+        """The core's Vivado HLS project script."""
+        return generate_hls_tcl(self.name, self.result)
+
 
 @dataclass
 class FlowResult:
-    """Everything one flow execution produced."""
+    """Everything one flow execution produced.
+
+    :attr:`system_tcl` and :attr:`image` render on first read from
+    ``system``, ``bitstream`` and ``cores`` as the flow integrated them,
+    and are then kept: mutating ``system`` after the flow would make the
+    artifacts describe a design that was never built.
+    """
 
     graph: TgGraph
     dsl_text: str
     cores: dict[str, CoreBuild]
     system: IntegratedSystem
-    system_tcl: TclScript
     bitstream: Bitstream
-    image: PetalinuxImage
     timing: FlowTiming
+    #: The Vivado version :attr:`system_tcl` targets.
+    backend: VivadoBackend
+
+    @cached_property
+    def system_tcl(self) -> TclScript:
+        """The block-design + implementation script of ``system``."""
+        return generate_system_tcl(self.system, self.backend)
+
+    @cached_property
+    def image(self) -> PetalinuxImage:
+        """The software layer: C APIs, ``main.c``, device tree and boot files."""
+        return assemble_image(
+            self.system,
+            self.bitstream,
+            c_sources={name: b.c_source for name, b in self.cores.items()},
+        )
 
     @property
     def design(self):
@@ -255,7 +289,6 @@ class FlowHooks(ActionHooks):
         self.cores[name] = CoreBuild(
             name=name,
             result=cached.result,
-            hls_tcl=cached.hls_tcl,
             directives_tcl=cached.directives_tcl,
             modeled_seconds=0.0,
             c_source=cached.c_source,
@@ -281,7 +314,6 @@ class FlowHooks(ActionHooks):
         build = CoreBuild(
             name=name,
             result=result,
-            hls_tcl=generate_hls_tcl(name, result),
             directives_tcl=directives_tcl,
             modeled_seconds=seconds,
             c_source=source,
@@ -302,8 +334,10 @@ class FlowHooks(ActionHooks):
 
     # -- edges section: integration -----------------------------------------------
     def on_edges_end(self, graph: TgGraph) -> None:
-        # Step 8: execute the project tcl up to the bitstream, then the
-        # software layer.  ``integrate`` validates the graph first.
+        # Step 8: execute the project tcl up to the bitstream.  The tcl
+        # (unless ``check_tcl`` replays it here) and the software layer
+        # render when the result is first read (``FlowResult``);
+        # ``integrate`` validates the graph first.
         results = {name: build.result for name, build in self.cores.items()}
 
         # Integration is cheap and deterministic, so a resume re-executes
@@ -326,10 +360,11 @@ class FlowHooks(ActionHooks):
                 journal.step_start("integrate", integrate_digest)
             crashpoint("integrate:start")
             system = integrate(graph, results, self.config.integration)
-            system_tcl = generate_system_tcl(system, self.config.backend)
             bitstream = run_synthesis(system.design)
 
+            system_tcl = None
             if self.config.check_tcl:
+                system_tcl = generate_system_tcl(system, self.config.backend)
                 runner = TclRunner()
                 for name, build in self.cores.items():
                     runner.register_ip(
@@ -351,6 +386,9 @@ class FlowHooks(ActionHooks):
                 _METRICS.counter("flow.steps", "flow steps executed").inc()
         crashpoint("integrate:commit")
 
+        # The software layer is pure in the system and bitstream, so it
+        # renders on first read of ``FlowResult.image``; the boundary
+        # stays so the journal and the crash harness keep their steps.
         if journal is not None:
             swgen_digest = stable_digest(
                 {"integrate": integrate_digest, "bitstream": bitstream.digest}
@@ -359,11 +397,6 @@ class FlowHooks(ActionHooks):
             if journal is not None:
                 journal.step_start("swgen", swgen_digest)
             crashpoint("swgen:start")
-            image = assemble_image(
-                system,
-                bitstream,
-                c_sources={name: b.c_source for name, b in self.cores.items()},
-            )
             self._journal_commit("swgen", swgen_digest)
             if _BUS.enabled:
                 _METRICS.counter("flow.steps", "flow steps executed").inc()
@@ -380,11 +413,13 @@ class FlowHooks(ActionHooks):
             dsl_text=dsl_text,
             cores=self.cores,
             system=system,
-            system_tcl=system_tcl,
             bitstream=bitstream,
-            image=image,
             timing=self.timing,
+            backend=self.config.backend,
         )
+        if system_tcl is not None:
+            # The script the check replayed is the result's script.
+            self.result.system_tcl = system_tcl
 
 
 def flow_run_digest(
