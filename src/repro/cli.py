@@ -844,7 +844,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     service = BuildService(
         args.root,
-        workers=args.workers,
         queue_depth=args.queue_depth,
         saturation_backlog=args.saturation_backlog,
         check_tcl=not args.no_check_tcl,
@@ -895,7 +894,6 @@ def _serve_replicas(args: argparse.Namespace) -> int:
     from repro.service import spawn_replica
 
     flags = [
-        "--workers", str(args.workers),
         "--queue-depth", str(args.queue_depth),
         "--ttl", str(args.ttl),
         "--timeout", str(args.timeout),
@@ -1494,7 +1492,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--socket", default="service_root/repro.sock",
         help="unix socket path for the JSON-lines API",
     )
-    p_serve.add_argument("--workers", type=int, default=2, help="executor threads")
     p_serve.add_argument(
         "--queue-depth", type=int, default=8,
         help="queued jobs allowed per tenant before admission rejects",

@@ -29,8 +29,8 @@ crash.
 
 Every visit also calls the running job's :data:`BOUNDARY_HOOK`, a
 :class:`contextvars.ContextVar`: the build service sets it to the job's
-lease fence on the executor thread that runs the job, so each of
-several concurrent jobs is checked against its own lease only.
+lease fence on the executor thread that runs the job, one job at a
+time, so each job is checked against its own lease only.
 """
 
 from __future__ import annotations
@@ -89,8 +89,9 @@ _visits: dict[str, int] = {}
 #: the boundary it paused at, before touching another byte of shared
 #: state.  A context variable, not a global: the service sets it on the
 #: executor thread that runs the job (``run_in_executor`` does not copy
-#: contexts) and resets it by token afterwards, so concurrent jobs on
-#: other threads never see each other's fence.
+#: contexts) and resets it by token afterwards, so the next job on that
+#: thread never sees a finished job's fence and code on other threads
+#: never sees it at all.
 BOUNDARY_HOOK: ContextVar[Callable[[str], None] | None] = ContextVar(
     "repro_boundary_hook", default=None
 )
@@ -145,8 +146,10 @@ def crashpoint(site: str, *, core: str | None = None) -> None:
     """Die here iff an armed plan names this *site* (and visit count).
 
     Called by the flow at every journal boundary; a no-op unless a plan
-    is armed in-process or through the environment, so production runs
-    pay one dict lookup per boundary.
+    is armed in-process or through the environment.  An unarmed visit
+    still reads ``os.environ`` through :func:`_env_plan` (microseconds,
+    not one dict lookup), so setting the variable in-process arms the
+    very next boundary.
     """
     plan = _armed if _armed is not None else _env_plan()
     if plan is not None:

@@ -15,13 +15,13 @@ idempotent resubmission), and the final state must satisfy:
 * **stable campaign digest** — the outcome records contain only
   deterministic fields, so two runs of the campaign digest identically.
 
-Determinism is by construction: one executor worker (serial execution,
-deterministic journal-boundary visit order), seeded stimuli, seeded
-fault plans, and deterministic backoff jitter.  The daemon is killed
-in-process (``die_on_interrupt``): the armed crash-point raises out of
-the executor, the run loop abandons all state — the job's lease and
-heartbeat included — exactly as a ``kill -9`` would have left the disk,
-and recovery gets only what was durable.  The restarted daemon has the
+Determinism is by construction: a daemon runs one job at a time (serial
+execution, deterministic journal-boundary visit order), seeded stimuli,
+seeded fault plans, and deterministic backoff jitter.  The daemon is
+killed in-process (``die_on_interrupt``): the armed crash-point raises
+out of the executor, the run loop abandons all state — the job's lease
+and heartbeat included — exactly as a ``kill -9`` would have left the
+disk, and recovery gets only what was durable.  The restarted daemon has the
 same replica id and a newer incarnation, so it steals that lease at
 once instead of waiting out its TTL.
 """
@@ -132,12 +132,7 @@ class ServiceCheckReport:
 
 
 def _service(root: Path, *, check_tcl: bool, die: bool = False) -> BuildService:
-    # One worker: the campaign's determinism argument rests on serial,
-    # reproducible execution order; concurrency is exercised at the
-    # tenant/queueing level (and separately by the service unit suite).
-    return BuildService(
-        root, workers=1, check_tcl=check_tcl, die_on_interrupt=die
-    )
+    return BuildService(root, check_tcl=check_tcl, die_on_interrupt=die)
 
 
 def _job_outcomes(svc: BuildService) -> dict[str, dict]:
@@ -475,10 +470,10 @@ def run_replicacheck(
             procs: list[subprocess.Popen] = []
             victim_state = "unknown"
             helper_rcs: list[int | None] = []
-            # One worker each, so the victim claims the first job alone
-            # and hits the armed site on a deterministic visit.
-            flags = ["--workers", "1", "--ttl", str(ttl_s), "--drain",
-                     "--timeout", str(timeout_s)]
+            # A replica runs one job at a time, so the victim claims the
+            # first job alone and hits the armed site on a deterministic
+            # visit.
+            flags = ["--ttl", str(ttl_s), "--drain", "--timeout", str(timeout_s)]
             if not check_tcl:
                 flags.append("--no-check-tcl")
             try:

@@ -2,7 +2,7 @@
 
 :class:`BuildService` owns one service root (see
 :mod:`repro.service.store`), a :class:`~repro.service.queueing.FairScheduler`,
-a :class:`~repro.service.leases.LeaseManager` and a bounded thread pool
+a :class:`~repro.service.leases.LeaseManager` and one executor thread
 the synchronous flow engine runs on.  A lone daemon and each replica of
 a leader-less cluster are the same object: a lone daemon is a
 one-replica cluster.  Its one run loop, :meth:`BuildService.run`,
@@ -12,10 +12,14 @@ repeats one pass:
   records any replica published, and durably admitted jobs this service
   has not seen yet, which enter the scheduler through
   :meth:`~repro.service.queueing.FairScheduler.restore`;
-* up to ``workers`` times, pick the next job fairly, acquire its lease
+* when no job is running, pick the next job fairly, acquire its lease
   (or steal a stale one — see :mod:`repro.service.leases`), check once
   more that nobody published it meanwhile, and run it *fenced*, with a
   heartbeat, releasing the lease at the end.
+
+A replica runs one job at a time; scale-out is more replicas.  The
+executor thread keeps the loop free for heartbeats and socket replies
+while a flow runs.
 
 A job held live by a peer goes back to the queue for a later pass, and
 so does a job whose lease was stolen before anyone published it.
@@ -45,9 +49,9 @@ wrapped in the robustness ladder:
 
 Execution is fenced end to end.  The lease's
 :class:`~repro.service.leases.Fence` is the job's crashpoint boundary
-hook (a context variable set on the executor thread, so concurrent jobs
-each check their own lease), so ownership is re-validated at every
-journal boundary and a stolen job dies with
+hook (a context variable set on the executor thread and reset after
+the job, so no job checks a finished job's lease), so ownership is
+re-validated at every journal boundary and a stolen job dies with
 :class:`~repro.service.leases.LeaseLost`.  The terminal publish goes
 through the fence too: every run ends with exactly one publish attempt,
 and the on-disk lease — not this replica's possibly stale view —
@@ -132,7 +136,6 @@ class BuildService:
         self,
         root: str | Path,
         *,
-        workers: int = 2,
         queue_depth: int = 8,
         starvation_after: int = 4,
         retry: RetryPolicy | None = None,
@@ -150,7 +153,6 @@ class BuildService:
         #: terminal records so a multi-replica trace attributes every
         #: action.
         self.replica_id = replica_id
-        self.workers = max(1, workers)
         self.sched = FairScheduler(
             depth_bound=queue_depth, starvation_after=starvation_after
         )
@@ -166,9 +168,7 @@ class BuildService:
         self.breakers: dict[str, CircuitBreaker] = {}
         self.died = False
         self.death: BaseException | None = None
-        self._pool = ThreadPoolExecutor(
-            max_workers=self.workers, thread_name_prefix="svc-exec"
-        )
+        self._pool = ThreadPoolExecutor(1, thread_name_prefix="svc-exec")
         self._events: dict[str, asyncio.Event] = {}
         self._wakeup: asyncio.Event | None = None
         self._admission_seq = 0
@@ -341,32 +341,30 @@ class BuildService:
         """The service's one run loop; serves until cancelled unless
         *drain*.
 
-        Each pass claims and starts jobs up to ``workers`` at a time;
-        at most once every ``poll_s`` it first adopts the store (a peer
-        may have admitted or published, or its lease may have gone
-        stale) — a local submission or completion needs no scan.  The
-        loop sleeps until a job finishes, a submission arrives, or the
-        next scan is due.  Cancelling it cancels the running jobs, which
-        release their leases and publish nothing.
+        Each pass claims and starts a job when none is running; at most
+        once every ``poll_s`` it first adopts the store (a peer may have
+        admitted or published, or its lease may have gone stale) — a
+        local submission or completion needs no scan.  The loop sleeps
+        until the job finishes, a submission arrives, or the next scan
+        is due.  Cancelling it cancels the running job, which releases
+        its lease and publishes nothing.
         """
         self._wakeup = asyncio.Event()
         loop = asyncio.get_running_loop()
-        running: set[asyncio.Task] = set()
+        running: asyncio.Task | None = None
         scan_at = loop.time()
         try:
             while not self.died:
                 self._wakeup.clear()
-                for task in [t for t in running if t.done()]:
-                    running.discard(task)
-                    task.result()  # a programming error surfaces here
+                if running is not None and running.done():
+                    running.result()  # a programming error surfaces here
+                    running = None
                 if loop.time() >= scan_at:
                     self._adopt()
                     scan_at = loop.time() + self.poll_s
-                for tenant, job_id, lease in self._claim(self.workers - len(running)):
-                    running.add(asyncio.create_task(
-                        self._run_claimed(tenant, job_id, lease)
-                    ))
-                if drain and not running and all(
+                if running is None and (claimed := self._claim()) is not None:
+                    running = asyncio.create_task(self._run_claimed(*claimed))
+                if drain and running is None and all(
                     r.terminal for r in self.records.values()
                 ):
                     break
@@ -379,9 +377,9 @@ class BuildService:
                 finally:
                     poll.cancel()
         finally:
-            for task in running:
-                task.cancel()
-            await asyncio.gather(*running, return_exceptions=True)
+            if running is not None:
+                running.cancel()
+                await asyncio.gather(running, return_exceptions=True)
             if self.died:
                 # Abandoned like a kill: unblock waiters, leave all state as-is.
                 for event in self._events.values():
@@ -389,18 +387,15 @@ class BuildService:
             else:
                 self._save_report()
 
-    def _claim(self, n: int) -> list[tuple[str, str, Lease]]:
-        """Pick up to *n* jobs fairly and take their leases.
+    def _claim(self) -> tuple[str, str, Lease] | None:
+        """Pick the next job fairly and take its lease, or ``None``.
 
         A job a live peer holds goes back to its tenant's queue for a
         later pass; a job found published after the lease was taken is
         released and adopted.
         """
-        claimed, busy = [], []
-        while len(claimed) < n:
-            picked = self.sched.pick()
-            if picked is None:
-                break
+        claimed, busy = None, []
+        while claimed is None and (picked := self.sched.pick()) is not None:
             tenant, job_id = picked
             if self.records[job_id].terminal:
                 continue
@@ -416,7 +411,7 @@ class BuildService:
                 self.records[job_id] = published
                 self._signal(job_id)
                 continue
-            claimed.append((tenant, job_id, lease))
+            claimed = (tenant, job_id, lease)
         for tenant, job_id in busy:
             self.sched.restore(tenant, job_id)
         return claimed
@@ -600,7 +595,7 @@ class BuildService:
             return "flow"
         return str(step).split(":", 1)[0]
 
-    # -- execution (runs on the thread pool) -------------------------------
+    # -- execution (runs on the executor thread) ---------------------------
     def _execute(
         self, tenant: str, job_id: str, spec: JobSpec, fence: Fence
     ) -> dict:

@@ -1,14 +1,15 @@
 """In-process tests for the leader-less multi-replica service.
 
 Every :class:`BuildService` is a replica: covers its run loop over a
-shared store (acquire / steal / resume / fence), fenced concurrency
-inside one replica, ``repro serve --replicas`` flag passing, the
+shared store (acquire / steal / resume / fence), one fenced job at a
+time inside one replica, ``repro serve --replicas`` flag passing, the
 hardened socket client, and the recovery x fairness interaction of the
 scheduler.  Real multi-process chaos lives in
 ``tests/test_cluster_chaos.py``.
 """
 
 import asyncio
+import itertools
 import shlex
 import sys
 import threading
@@ -17,7 +18,7 @@ import time
 import pytest
 
 from repro import cli
-from repro.flow.crashpoints import CrashPlan, armed
+from repro.flow.crashpoints import BOUNDARY_HOOK, CrashPlan, armed
 from repro.flow.journal import RunJournal
 from repro.service import (
     BuildService,
@@ -36,6 +37,7 @@ from repro.service.chaos import (
     default_submissions,
     read_replica_reports,
 )
+from repro.service.jobs import RUNNING
 from repro.service.leases import Fence, LeaseLost
 from repro.service.store import JobStore
 from repro.util.errors import FlowInterrupted, ReproError
@@ -55,7 +57,7 @@ def _seed(root, submissions=None):
 
 
 def _reference(tmp_path):
-    svc = BuildService(tmp_path / "ref", workers=1, check_tcl=False)
+    svc = BuildService(tmp_path / "ref", check_tcl=False)
     digests = {}
     for tenant, spec in default_submissions():
         record = svc.submit(tenant, spec)
@@ -79,7 +81,7 @@ class TestClusterDrain:
     def test_single_replica_drains_seeded_store(self, tmp_path):
         root = tmp_path / "root"
         store, seeded = _seed(root)
-        replica = BuildService(root, workers=1, replica_id="r1", check_tcl=False)
+        replica = BuildService(root, replica_id="r1", check_tcl=False)
         report = _drain(replica, 180)
         assert report["acquired"] == len(seeded)
         assert sorted(report["published"]) == sorted(j for _, j, _ in seeded)
@@ -212,11 +214,15 @@ class TestStealAndResume:
 
 
 class TestFencedConcurrency:
+    """A replica runs one fenced job at a time on its executor thread,
+    while its loop thread heartbeats and claims."""
+
     def test_stealing_one_lease_aborts_only_that_job(self, tmp_path, monkeypatch):
-        """Two fenced jobs run at once in one replica; each checks only
-        its own lease, so a steal aborts exactly the job it targets.
-        The thief never publishes or releases: once its lease is stale
-        the replica claims the aborted job again and publishes it."""
+        """A thief steals the lease of the replica's only running job at
+        its first boundary: that job aborts, the next one runs
+        untouched.  The thief never publishes or releases: once its
+        lease is stale the replica claims the aborted job again and
+        publishes it."""
         root = tmp_path / "root"
         other_sources = {"INC": "int INC(int x) { return x + 2; }"}
         store, seeded = _seed(root, [
@@ -224,19 +230,18 @@ class TestFencedConcurrency:
             ("alice", JobSpec(dsl=INC_DSL, sources=other_sources)),
         ])
         (_, victim, _), (_, survivor, _) = seeded
-        both_running = threading.Barrier(2, timeout=60)
         thief = LeaseManager(root, "thief", ttl_s=0.0)  # sees every lease stale
         real_check = Fence.check
-        first_visit = set()
-        aborted = []
+        visits, running, aborted = [], [], []
 
         def check(fence, site=None):
             job_id = fence.lease.job_id
-            if job_id not in first_visit:
-                first_visit.add(job_id)
-                both_running.wait()  # both jobs are mid-flow on their threads
-                if job_id == victim:
-                    assert thief.steal(job_id, thief.read(job_id)) is not None
+            if not visits:
+                running.extend(
+                    j for j, r in svc.records.items() if r.state == RUNNING
+                )
+                assert thief.steal(job_id, thief.read(job_id)) is not None
+            visits.append(job_id)
             try:
                 real_check(fence, site)
             except LeaseLost:
@@ -244,12 +249,15 @@ class TestFencedConcurrency:
                 raise
 
         monkeypatch.setattr(Fence, "check", check)
-        svc = BuildService(
-            root, workers=2, replica_id="r1", check_tcl=False, ttl_s=1.0
-        )
+        svc = BuildService(root, replica_id="r1", check_tcl=False, ttl_s=1.0)
         report = _drain(svc, 120)
 
-        assert first_visit == {victim, survivor}
+        assert running == [victim]  # the stolen job ran alone
+        # Jobs ran one after another: the victim's aborted first
+        # boundary, the survivor, then the victim re-claimed.
+        assert [job for job, _ in itertools.groupby(visits)] == [
+            victim, survivor, victim
+        ]
         assert aborted == [victim]
         assert report["lease_lost"] == 1 and report["fenced_writes"] == 1
         # The aborted run published nothing; the re-claim (a steal from
@@ -264,24 +272,42 @@ class TestFencedConcurrency:
         assert svc.breakers == {}  # a lost lease charges no breaker
         assert LeaseManager(root, "r1").active() == []
 
-    def test_many_fenced_jobs_on_more_workers_than_cores(self, tmp_path):
-        """Stress: every job holds its own lease to the end.  A hook
-        shared across threads would check a finished job's released
-        lease and abort a still-running one with LeaseLost."""
+    def test_sequential_fenced_jobs_each_keep_their_own_lease(
+        self, tmp_path, monkeypatch
+    ):
+        """Stress: eight jobs, one after another on the executor thread,
+        each holds its own lease to the end.  The hook is reset by
+        token after every job, so a finished job's released lease never
+        fences the next one."""
         root = tmp_path / "root"
         sources = [{"INC": f"int INC(int x) {{ return x + {k}; }}"} for k in range(8)]
         store, seeded = _seed(root, [
             ("alice" if k % 2 else "bob", JobSpec(dsl=INC_DSL, sources=src))
             for k, src in enumerate(sources)
         ])
-        svc = BuildService(root, workers=6, replica_id="r1", check_tcl=False)
+        real_check = Fence.check
+        visits = []
+
+        def check(fence, site=None):
+            visits.append(fence.lease.job_id)
+            real_check(fence, site)
+
+        monkeypatch.setattr(Fence, "check", check)
+        svc = BuildService(root, replica_id="r1", check_tcl=False)
+        svc.recover()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
-            report = _drain(svc, 120)
+            asyncio.run(asyncio.wait_for(svc.drain(), 120))
+            leftover_hook = svc._pool.submit(BOUNDARY_HOOK.get).result()
         finally:
             sys.setswitchinterval(interval)
+            svc.close()
+        report = svc.report
         job_ids = sorted(job_id for _, job_id, _ in seeded)
+        runs = [job for job, _ in itertools.groupby(visits)]
+        assert sorted(runs) == job_ids  # each job ran once, alone
+        assert leftover_hook is None
         assert report["acquired"] == len(job_ids)
         assert sorted(report["published"]) == job_ids
         assert report["lease_lost"] == report["fenced_writes"] == 0
@@ -310,7 +336,7 @@ class TestServeReplicas:
         rc = cli.main([
             "serve", "--root", str(tmp_path / "root"),
             "--socket", str(socket_path), "--replicas", "3",
-            "--queue-depth", "2", "--workers", "4",
+            "--queue-depth", "2",
             "--saturation-backlog", "5", "--ttl", "1.5", "--no-check-tcl",
         ])
         assert rc == 0 and len(launched) == 3
@@ -320,7 +346,7 @@ class TestServeReplicas:
             assert child.replicas == 1 and child.replica_id == f"r{k}"
             assert child.root == str(tmp_path / "root")
             assert child.socket == str(tmp_path / f"svc.r{k}.sock")
-            assert (child.workers, child.queue_depth) == (4, 2)
+            assert child.queue_depth == 2
             assert child.saturation_backlog == 5
             assert child.ttl == 1.5 and child.no_check_tcl
 
@@ -349,7 +375,7 @@ class TestServiceClientHardening:
         sleeps = []
 
         async def go():
-            service = BuildService(tmp_path / "root", workers=1)
+            service = BuildService(tmp_path / "root")
             server = ServiceServer(service, socket_path)
             loop = asyncio.get_running_loop()
 
@@ -394,9 +420,7 @@ class TestServiceClientHardening:
         socket_path = tmp_path / "svc.sock"
 
         async def go():
-            service = BuildService(
-                tmp_path / "root", workers=1, check_tcl=False
-            )
+            service = BuildService(tmp_path / "root", check_tcl=False)
             server = ServiceServer(service, socket_path)
             await server.start()
             loop = asyncio.get_running_loop()

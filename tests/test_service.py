@@ -236,7 +236,7 @@ class TestJobIdentity:
 
 class TestBuildService:
     def test_build_job_done(self, tmp_path):
-        svc = BuildService(tmp_path, workers=1)
+        svc = BuildService(tmp_path)
         record = svc.submit("alice", JobSpec(dsl=INC_DSL, sources=dict(INC_SOURCES)))
         drain(svc)
         svc.close()
@@ -250,7 +250,7 @@ class TestBuildService:
         assert json.loads(result.read_text())["record"]["replica"] == "d0"
 
     def test_idempotent_submit(self, tmp_path):
-        svc = BuildService(tmp_path, workers=1)
+        svc = BuildService(tmp_path)
         spec = JobSpec(dsl=INC_DSL, sources=dict(INC_SOURCES))
         first = svc.submit("alice", spec)
         again = svc.submit("alice", spec)
@@ -280,14 +280,14 @@ class TestBuildService:
 
     def test_daemon_adopts_an_existing_terminal_record(self, tmp_path):
         spec = JobSpec(dsl=INC_DSL, sources=dict(INC_SOURCES))
-        first = BuildService(tmp_path, workers=1)
+        first = BuildService(tmp_path)
         built = first.submit("alice", spec)
         drain(first)
         first.close()
         # A second daemon that skipped recover() admits the job again;
         # its run loop adopts the record already on disk instead of
         # building it twice.
-        second = BuildService(tmp_path, workers=1)
+        second = BuildService(tmp_path)
         second.submit("alice", spec)
         drain(second)
         second.close()
@@ -296,7 +296,7 @@ class TestBuildService:
         assert disk.served_from == "build"
 
     def test_cross_tenant_same_artifact(self, tmp_path):
-        svc = BuildService(tmp_path, workers=1)
+        svc = BuildService(tmp_path)
         a = svc.submit("alice", JobSpec(dsl=INC_DSL, sources=dict(INC_SOURCES)))
         b = svc.submit("bob", JobSpec(dsl=INC_DSL, sources=dict(INC_SOURCES)))
         drain(svc)
@@ -306,7 +306,7 @@ class TestBuildService:
         assert a.artifact_digest == b.artifact_digest  # shared content
 
     def test_failure_attributed_to_hls_breaker(self, tmp_path):
-        svc = BuildService(tmp_path, workers=1)
+        svc = BuildService(tmp_path)
         record = svc.submit("alice", JobSpec(dsl=INC_DSL, sources=dict(BAD_SOURCES)))
         drain(svc)
         svc.close()
@@ -316,7 +316,7 @@ class TestBuildService:
         assert svc.breakers["hls"].consecutive_failures == 1
 
     def test_breaker_open_fails_fast_without_warm(self, tmp_path):
-        svc = BuildService(tmp_path, workers=1, breaker_threshold=1)
+        svc = BuildService(tmp_path, breaker_threshold=1)
         bad = svc.submit("alice", JobSpec(dsl=INC_DSL, sources=dict(BAD_SOURCES)))
         drain(svc)
         assert svc.breakers["hls"].state == OPEN
@@ -335,14 +335,14 @@ class TestBuildService:
         assert svc.breakers["hls"].consecutive_failures == 1
 
     def test_warm_serving_under_saturation(self, tmp_path):
-        svc = BuildService(tmp_path, workers=1)
+        svc = BuildService(tmp_path)
         spec = JobSpec(dsl=INC_DSL, sources=dict(INC_SOURCES))
         built = svc.submit("alice", spec)
         drain(svc)
         svc.close()
         # Saturated daemon (backlog bound 0): an identical job from a
         # different tenant is served warm from alice's artifact.
-        warm_svc = BuildService(tmp_path, workers=1, saturation_backlog=0)
+        warm_svc = BuildService(tmp_path, saturation_backlog=0)
         warm_svc.recover()
         warm = warm_svc.submit("bob", JobSpec(dsl=INC_DSL, sources=dict(INC_SOURCES)))
         drain(warm_svc)
@@ -354,7 +354,7 @@ class TestBuildService:
         assert (out / "MANIFEST.json").exists()
 
     def test_saturation_without_warm_executes_anyway(self, tmp_path):
-        svc = BuildService(tmp_path, workers=1, saturation_backlog=0)
+        svc = BuildService(tmp_path, saturation_backlog=0)
         record = svc.submit("alice", JobSpec(dsl=INC_DSL, sources=dict(INC_SOURCES)))
         drain(svc)
         svc.close()
@@ -370,7 +370,7 @@ class TestBuildService:
             return clock.now
 
         svc = BuildService(
-            tmp_path, workers=1, clock=advancing,
+            tmp_path, clock=advancing,
             retry=RetryPolicy(max_attempts=2, base_s=0.001, cap_s=0.002),
         )
         record = svc.submit(
@@ -403,7 +403,7 @@ class TestBuildService:
     def test_rejected_job_never_runs(self, tmp_path):
         """A rejected submission leaves no intent on disk, so the run
         loop's store scan cannot adopt it past the bound."""
-        svc = BuildService(tmp_path, workers=1, queue_depth=1)
+        svc = BuildService(tmp_path, queue_depth=1)
         kept = svc.submit("alice", JobSpec(dsl=INC_DSL, sources=dict(INC_SOURCES)))
         spec = JobSpec(dsl=INC_DSL, sources={"INC": "int INC(int x) { return 9; }"})
         with pytest.raises(JobRejected):
@@ -420,7 +420,7 @@ class TestBuildService:
         """Submissions and completions wake the loop without a store
         scan: it scans at most once per poll interval, and never reads
         a job it already holds a terminal record for."""
-        svc = BuildService(tmp_path, workers=1, ttl_s=60)  # poll_s = 10 s
+        svc = BuildService(tmp_path, ttl_s=60)  # poll_s = 10 s
         real_scan = svc.store.scan
         skipped = []
 
@@ -454,7 +454,7 @@ class TestServiceObservability:
         # build+simulate job under capture() at the default ring size
         # loses zero events.
         with capture() as (bus, registry):
-            svc = BuildService(tmp_path, workers=1)
+            svc = BuildService(tmp_path)
             record = svc.submit(
                 "alice",
                 JobSpec(dsl=SERVICE_DSL, sources=dict(SERVICE_SOURCES),
@@ -473,7 +473,7 @@ class TestServiceObservability:
 
     def test_service_metrics_wired(self, tmp_path):
         with capture() as (_, registry):
-            svc = BuildService(tmp_path, workers=1)
+            svc = BuildService(tmp_path)
             svc.submit("alice", JobSpec(dsl=INC_DSL, sources=dict(INC_SOURCES)))
             drain(svc)
             svc.close()
@@ -492,7 +492,7 @@ class TestServiceServerRoundtrip:
         socket_path = tmp_path / "svc.sock"
 
         async def go():
-            service = BuildService(tmp_path / "root", workers=1)
+            service = BuildService(tmp_path / "root")
             server = ServiceServer(service, socket_path)
             await server.start()
             loop = asyncio.get_running_loop()

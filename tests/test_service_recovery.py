@@ -30,7 +30,7 @@ def _spec() -> JobSpec:
 
 
 def _reference_digests(tmp_path):
-    svc = BuildService(tmp_path / "ref", workers=1)
+    svc = BuildService(tmp_path / "ref")
     record = svc.submit("alice", _spec())
     drain(svc)
     svc.close()
@@ -41,12 +41,12 @@ def _reference_digests(tmp_path):
 class TestRecoveryClassification:
     def test_terminal_jobs_replay(self, tmp_path):
         root = tmp_path / "root"
-        svc = BuildService(root, workers=1)
+        svc = BuildService(root)
         done = svc.submit("alice", _spec())
         drain(svc)
         svc.close()
 
-        fresh = BuildService(root, workers=1)
+        fresh = BuildService(root)
         counts = fresh.recover()
         fresh.close()
         assert counts == {"replayed": 1, "resumed": 0, "requeued": 0}
@@ -59,11 +59,11 @@ class TestRecoveryClassification:
     def test_admitted_but_unstarted_jobs_requeue(self, tmp_path):
         ref_digest, ref_sim = _reference_digests(tmp_path)
         root = tmp_path / "root"
-        svc = BuildService(root, workers=1)
+        svc = BuildService(root)
         admitted = svc.submit("alice", _spec())
         svc.close()  # "killed" before the run loop ever ran it
 
-        fresh = BuildService(root, workers=1)
+        fresh = BuildService(root)
         counts = fresh.recover()
         assert counts == {"replayed": 0, "resumed": 0, "requeued": 1}
         drain(fresh)
@@ -76,14 +76,14 @@ class TestRecoveryClassification:
     def test_inflight_jobs_resume_through_journal(self, tmp_path):
         ref_digest, ref_sim = _reference_digests(tmp_path)
         root = tmp_path / "root"
-        svc = BuildService(root, workers=1, die_on_interrupt=True)
+        svc = BuildService(root, die_on_interrupt=True)
         job = svc.submit("alice", _spec())
         with armed(CrashPlan("integrate:commit")):
             drain(svc)
         svc.close()
         assert svc.died  # the crash point fired mid-flight
 
-        fresh = BuildService(root, workers=1)
+        fresh = BuildService(root)
         counts = fresh.recover()
         assert counts == {"replayed": 0, "resumed": 1, "requeued": 0}
         drain(fresh)
@@ -106,7 +106,7 @@ class TestNoLostNoDuplicated:
         expected_ids = {spec.job_id(tenant) for tenant, spec in subs}
         root = tmp_path / "root"
 
-        svc = BuildService(root, workers=1, die_on_interrupt=True)
+        svc = BuildService(root, die_on_interrupt=True)
         for tenant, spec in subs:
             svc.submit(tenant, spec)
         with armed(CrashPlan("simulate:start")):
@@ -114,7 +114,7 @@ class TestNoLostNoDuplicated:
         svc.close()
         assert svc.died
 
-        fresh = BuildService(root, workers=1)
+        fresh = BuildService(root)
         fresh.recover()
         for tenant, spec in subs:  # lost-ACK clients resubmit everything
             fresh.submit(tenant, spec)
@@ -142,7 +142,7 @@ class TestRestartIncarnation:
         instead of waiting out the 30 s TTL."""
         subs = default_submissions()
         root = tmp_path / "root"
-        svc = BuildService(root, workers=1, die_on_interrupt=True, ttl_s=30)
+        svc = BuildService(root, die_on_interrupt=True, ttl_s=30)
         for tenant, spec in subs:
             svc.submit(tenant, spec)
         with armed(CrashPlan("integrate:commit")):
@@ -153,7 +153,7 @@ class TestRestartIncarnation:
         assert (left.token, left.incarnation) == (1, svc.incarnation)
 
         started = time.monotonic()
-        fresh = BuildService(root, workers=1, ttl_s=30)
+        fresh = BuildService(root, ttl_s=30)
         assert fresh.incarnation == svc.incarnation + 1
         fresh.recover()
         drain(fresh)
