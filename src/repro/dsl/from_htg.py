@@ -6,19 +6,23 @@ function parameters are AXI-Lite ``i`` ports plus a ``connect`` edge;
 a hardware *phase* is replaced by its dataflow actors as ``is``-port
 nodes, internal channels become ``link`` edges and boundary channels
 become links to/from ``'soc`` (reaching shared memory through DMA).
+
+The lowered graph is not validated here: a flow validates it once, in
+``integrate``; a caller that uses it otherwise can call
+:func:`~repro.dsl.validate.validate_graph` itself.
 """
 
 from __future__ import annotations
 
 from repro.dsl.ast import SOC, ConnectEdge, LinkEdge, NodeDecl, PortDecl, PortKind, TgGraph
-from repro.dsl.validate import validate_graph
 from repro.htg.model import HTG, Phase, Task
 from repro.htg.partition import Partition
 from repro.util.errors import DslValidationError
 
 
 def graph_from_htg(htg: HTG, partition: Partition, *, name: str | None = None) -> TgGraph:
-    """Build (and validate) the DSL graph for *htg* under *partition*."""
+    """Build the DSL graph for *htg* under *partition* (not validated;
+    see the module docstring)."""
     partition.validate(htg)
     graph = TgGraph(name or htg.name)
 
@@ -37,8 +41,6 @@ def graph_from_htg(htg: HTG, partition: Partition, *, name: str | None = None) -
             graph.edges.append(ConnectEdge(node.name))
         elif isinstance(node, Phase):
             _lower_phase(graph, node)
-    if graph.nodes:
-        validate_graph(graph)
     return graph
 
 

@@ -50,6 +50,11 @@ ENV_SITE = "REPRO_FLOW_CRASH_AT"
 ENV_MODE = "REPRO_FLOW_CRASH_MODE"
 MODES = ("raise", "exit", "kill", "stop")
 
+#: :data:`ENV_SITE` as ``os.environ`` keys it in its underlying dict.
+#: An unarmed visit probes that dict (one lookup); ``os.environ.get``
+#: would encode the name and raise and catch a ``KeyError`` each time.
+_ENV_SITE_KEY = os.environ.encodekey(ENV_SITE)
+
 #: Exit status used in ``exit`` mode — distinguishable from argparse (2)
 #: and from a Python traceback (1), so harnesses can assert the kill.
 CRASH_EXIT_CODE = 70
@@ -147,11 +152,14 @@ def crashpoint(site: str, *, core: str | None = None) -> None:
 
     Called by the flow at every journal boundary; a no-op unless a plan
     is armed in-process or through the environment.  An unarmed visit
-    still reads ``os.environ`` through :func:`_env_plan` (microseconds,
-    not one dict lookup), so setting the variable in-process arms the
-    very next boundary.
+    costs one lookup of :data:`ENV_SITE` in ``os.environ``'s own dict,
+    which every ``os.environ`` assignment and deletion updates, so
+    setting the variable in-process arms the very next boundary; only
+    when it is set are the variables parsed (:func:`_env_plan`).
     """
-    plan = _armed if _armed is not None else _env_plan()
+    plan = _armed
+    if plan is None and _ENV_SITE_KEY in os.environ._data:
+        plan = _env_plan()
     if plan is not None:
         _visits[site] = _visits.get(site, 0) + 1
         if site == plan.site and _visits[site] == plan.hit:

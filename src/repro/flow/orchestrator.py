@@ -17,6 +17,10 @@ DSL keyword is an executable function:
    :attr:`FlowResult.image`; a caller that only ranks the design (the
    DSE engine) never builds them.  With ``check_tcl`` the system tcl is
    rendered here, replayed, and handed back as the result's script.
+   Likewise the bitstream hashes the design, and each core computes its
+   cache key, only when :attr:`Bitstream.digest` and
+   :attr:`CoreBuild.key` are read (the tcl check, the journal and the
+   build cache read them here).
 
 :func:`run_flow` executes either kind of description with the front end
 made for it: DSL text through the textual parser
@@ -24,7 +28,9 @@ made for it: DSL text through the textual parser
 through the embedded builder (:meth:`TaskGraphBuilder.execute`), which
 fires the same hooks keyword by keyword without printing and lexing the
 graph first.  Either way the graph is printed once, for
-:attr:`FlowResult.dsl_text`, and validated once, by ``integrate``.
+:attr:`FlowResult.dsl_text`, and validated once, by ``integrate`` — also
+a graph lowered by :func:`~repro.dsl.from_htg.graph_from_htg`, which
+does not validate it.
 
 Step 4 is the only place a core is synthesized, in declaration order,
 and whole-core reuse has one path: the content-addressed
@@ -116,8 +122,10 @@ class FlowConfig:
 class CoreBuild:
     """One synthesized core plus its per-core artifacts.
 
-    :attr:`hls_tcl` renders on first read from ``name`` and ``result``
-    and is then kept, so neither may change after the flow.
+    :attr:`hls_tcl` renders on first read from ``name`` and ``result``,
+    and :attr:`key` is computed on first read from ``name``,
+    ``c_source``, ``directives_tcl`` and ``backend_version``; both are
+    then kept, so none of these may change after the flow.
     """
 
     name: str
@@ -126,8 +134,13 @@ class CoreBuild:
     modeled_seconds: float
     c_source: str = ""
     reused: bool = False
-    #: Content digest of (source, directives, backend) — the cache key.
-    key: str = ""
+    #: The Vivado version the core was built for (part of :attr:`key`).
+    backend_version: str = ""
+
+    @cached_property
+    def key(self) -> str:
+        """Content digest of (source, directives, backend) — the cache key."""
+        return cache_key(self.name, self.c_source, self.directives_tcl, self.backend_version)
 
     @cached_property
     def hls_tcl(self) -> TclScript:
@@ -141,8 +154,9 @@ class FlowResult:
 
     :attr:`system_tcl` and :attr:`image` render on first read from
     ``system``, ``bitstream`` and ``cores`` as the flow integrated them,
-    and are then kept: mutating ``system`` after the flow would make the
-    artifacts describe a design that was never built.
+    and are then kept, as is ``bitstream.digest``, which hashes
+    ``system.design`` on first read: mutating ``system`` after the flow
+    would make the artifacts describe a design that was never built.
     """
 
     graph: TgGraph
@@ -243,10 +257,14 @@ class FlowHooks(ActionHooks):
         assert project is not None
         self._project = None
         # ``project.content_key`` with the directives rendered once: the
-        # core build keeps the same text.
+        # core build keeps the same text.  Only the build cache and the
+        # journal need the key now; otherwise ``CoreBuild.key`` computes
+        # it when first read.
         source = "\n".join(project.sources)
         directives_tcl = project.directives_tcl()
-        key = cache_key(project.top, source, directives_tcl, self.config.backend.version)
+        key = None
+        if self.build_cache is not None or self.journal is not None:
+            key = cache_key(project.top, source, directives_tcl, self.config.backend.version)
 
         step = f"hls:{node.name}"
         if self.build_cache is not None:
@@ -286,15 +304,16 @@ class FlowHooks(ActionHooks):
         if _BUS.enabled:
             _BUS.emit("flow.step", f"hls:{name}", source="cache")
             _METRICS.counter("flow.steps_reused", "steps satisfied without work").inc()
-        self.cores[name] = CoreBuild(
+        build = self.cores[name] = CoreBuild(
             name=name,
             result=cached.result,
             directives_tcl=cached.directives_tcl,
             modeled_seconds=0.0,
             c_source=cached.c_source,
             reused=True,
-            key=key,
+            backend_version=self.config.backend.version,
         )
+        build.key = key
         self.timing.hls_cores[name] = 0.0
         self.timing.trace.append(CoreTrace(name, 0.0, source="cache"))
 
@@ -304,7 +323,7 @@ class FlowHooks(ActionHooks):
         result: SynthesisResult,
         source: str,
         directives_tcl: str,
-        key: str,
+        key: str | None,
     ) -> None:
         seconds = self.config.timing_model.hls_core_s(result)
         self.timing.hls_s += seconds
@@ -317,8 +336,10 @@ class FlowHooks(ActionHooks):
             directives_tcl=directives_tcl,
             modeled_seconds=seconds,
             c_source=source,
-            key=key,
+            backend_version=self.config.backend.version,
         )
+        if key is not None:
+            build.key = key
         self.cores[name] = build
         self.timing.trace.append(
             CoreTrace(name, seconds, source="synth", fn_cache_hits=result.fn_cache_hits)

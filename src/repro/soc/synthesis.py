@@ -6,12 +6,19 @@ default), models a routed clock result, and emits a deterministic
 :class:`Bitstream` artifact whose "contents" are a digest of the design
 — two identical designs produce identical bitstreams, which the tcl
 round-trip test exploits.
+
+The digest is computed on first read of :attr:`Bitstream.digest`, from
+the block design :func:`run_synthesis` checked: a caller that only ranks
+the design by its utilization (the DSE engine) never hashes it.  The
+design must therefore not change after synthesis, or the digest would
+describe a design that was never implemented.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import cached_property
 
 from repro.hls.resources import ResourceUsage
 from repro.soc.blockdesign import BlockDesign
@@ -35,16 +42,59 @@ class DeviceBudget:
 XC7Z020 = DeviceBudget("xc7z020clg484-1", lut=53_200, ff=106_400, bram18=280, dsp=220)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Bitstream:
-    """The output artifact of the implementation flow."""
+    """The output artifact of the implementation flow.
+
+    :attr:`digest` is computed on first read from the design
+    :func:`run_synthesis` checked, and then kept in place of the design;
+    that design must not change in between.  Equality, ``repr``, hashing
+    and pickles cover the five fields and the digest, as if the digest
+    were a sixth field: a pickle carries the digest, never the design.
+    """
 
     design: str
     part: str
     utilization: ResourceUsage
     budget: DeviceBudget
     achieved_clock_mhz: float
-    digest: str  # sha256 of the design description
+    #: The synthesized design until :attr:`digest` is read, then ``None``.
+    _bd: BlockDesign | None = None
+
+    @cached_property
+    def digest(self) -> str:
+        """SHA-256 of the synthesized design's canonical text."""
+        digest = _design_digest(self._bd)
+        object.__setattr__(self, "_bd", None)
+        return digest
+
+    def _fields(self) -> tuple:
+        return (
+            self.design,
+            self.part,
+            self.utilization,
+            self.budget,
+            self.achieved_clock_mhz,
+            self.digest,
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        return (
+            f"Bitstream(design={self.design!r}, part={self.part!r}, "
+            f"utilization={self.utilization!r}, budget={self.budget!r}, "
+            f"achieved_clock_mhz={self.achieved_clock_mhz!r}, digest={self.digest!r})"
+        )
+
+    def __getstate__(self) -> dict:
+        return {**vars(self), "digest": self.digest, "_bd": None}
 
     def utilization_percent(self) -> dict[str, float]:
         b = self.budget
@@ -89,7 +139,11 @@ def run_synthesis(
     *,
     target_clock_mhz: float = 100.0,
 ) -> Bitstream:
-    """Synthesize/implement *bd*; raises :class:`SocError` if it won't fit."""
+    """Synthesize/implement *bd*; raises :class:`SocError` if it won't fit.
+
+    The bitstream hashes *bd* when its :attr:`~Bitstream.digest` is first
+    read, so *bd* must not change after this call.
+    """
     usage = bd.total_resources()
     for field_name in ("lut", "ff", "bram18", "dsp"):
         used = getattr(usage, field_name)
@@ -110,5 +164,5 @@ def run_synthesis(
         utilization=usage,
         budget=budget,
         achieved_clock_mhz=round(achieved, 2),
-        digest=_design_digest(bd),
+        _bd=bd,
     )

@@ -7,7 +7,9 @@ command by command and replayed against a fresh
 the DRC and ``wait_on_run impl_1`` runs the simulated implementation,
 yielding a bitstream.  The integration tests assert the rebuilt design's
 bitstream digest equals the integrator's — the generated tcl is machine-
-checked, not just pretty-printed.
+checked, not just pretty-printed.  A bitstream otherwise hashes its
+design on first read; the runner reads the digest at ``wait_on_run``,
+because the commands after it may still edit the design.
 
 Cells are materialized through an *IP repository*: vlnv (version
 ignored) → factory(name, params).  Built-in Xilinx IP is pre-registered;
@@ -319,6 +321,9 @@ class TclRunner:
                     if design is None or not validated:
                         raise TclError("implementation launched before validation")
                     bitstream = run_synthesis(design)
+                    # The script may go on editing the design; the
+                    # bitstream describes it as implemented here.
+                    bitstream.digest
             elif cmd.startswith("set_directive_"):
                 flow_steps.append(cmd)
             else:

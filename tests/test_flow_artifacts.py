@@ -1,22 +1,31 @@
-"""The flow's tcl and software layer render on first read.
+"""The flow's tcl, software layer, bitstream digest and core keys are
+built on first read.
 
 ``FlowResult.system_tcl``, ``FlowResult.image`` and ``CoreBuild.hls_tcl``
 are not built by the flow itself: each renders the first time it is
-read, from the system and cores the flow integrated.  Two properties are
-locked in here:
+read, from the system and cores the flow integrated.  Likewise
+``Bitstream.digest`` hashes the design ``run_synthesis`` checked, and
+``CoreBuild.key`` digests the core's inputs, only when read.  Two
+properties are locked in here:
 
 * **Byte identity.**  Whatever path built the flow (fresh, with or
   without the tcl check, served from a shared build cache, killed and
   resumed, or read only after a simulation ran on the system), every
   artifact equals a direct call of its generator, and so does the
-  materialized tree.
+  materialized tree.  Every bitstream's digest is the digest of its
+  design as synthesized.
 * **The saving.**  A DSE candidate reads none of them, so it calls none
-  of the generators; the tcl check renders the system tcl once and the
-  result hands back that very script; a second read renders nothing.
+  of the generators, hashes no design and validates its graph once; the
+  tcl check renders the system tcl once and the result hands back that
+  very script, and it hashes two designs (the integrated and the
+  replayed one); a second read renders nothing.
 """
 
+import copy
+import gc
 import pickle
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -27,9 +36,12 @@ from repro.apps.filters2d import gauss2d_src, sobel2d_src
 from repro.apps.generator import random_task_graph
 from repro.apps.kernels import build_fig4_flow_inputs
 from repro.apps.otsu import build_otsu_app
-from repro.dse import evaluate_candidate, partition_candidate
-from repro.dsl import graph_from_htg
-from repro.flow import BuildCache, FlowConfig, RunJournal, materialize, resume_flow, run_flow
+from repro.dse import evaluate_candidate, otsu_space, partition_candidate
+from repro.dsl import emit_dsl, graph_from_htg
+from repro.dsl.validate import validate_graph
+from repro.flow import BuildCache, FlowConfig, RunJournal, materialize, orchestrator
+from repro.flow import resume_flow, run_flow
+from repro.flow.buildcache import cache_key
 from repro.flow.crashpoints import CrashPlan, armed
 from repro.flow.orchestrator import CoreBuild
 from repro.hls.interfaces import pipeline
@@ -37,16 +49,20 @@ from repro.htg.model import HTG, Actor, Phase, StreamChannel, Task
 from repro.htg.partition import Partition
 from repro.report import build_all_architectures
 from repro.sim import simulate_application
+from repro.soc import synthesis
+from repro.soc.synthesis import Bitstream, _design_digest, run_synthesis
 from repro.swgen.petalinux import assemble_image
 from repro.tcl.backends import Vivado2014_2, Vivado2015_3
 from repro.tcl.generate import generate_hls_tcl, generate_system_tcl
-from repro.util.errors import FlowInterrupted
+from repro.util.errors import DslValidationError, FlowError, FlowInterrupted
 
 CHECKED = FlowConfig(cache_dir=None)
 UNCHECKED = FlowConfig(cache_dir=None, check_tcl=False)
 
 
-def _filters2d(width=16, height=12):
+def _filters2d(width=16, height=12, *, linked=True):
+    """The 2-D filter pair; unless *linked*, the phase leaves out the
+    GAUSS2D -> SOBEL2D channel, so the lowered graph is invalid."""
     sources = {"GAUSS2D": gauss2d_src(width, height), "SOBEL2D": sobel2d_src(width, height)}
     phase = Phase(
         name="vision",
@@ -58,7 +74,7 @@ def _filters2d(width=16, height=12):
         ],
         channels=[
             StreamChannel(Phase.BOUNDARY, "gray", "GAUSS2D", "in"),
-            StreamChannel("GAUSS2D", "out", "SOBEL2D", "in"),
+            *([StreamChannel("GAUSS2D", "out", "SOBEL2D", "in")] if linked else []),
             StreamChannel("SOBEL2D", "out", Phase.BOUNDARY, "edges"),
         ],
         inputs=("gray",),
@@ -223,7 +239,8 @@ class TestOldCachePickles:
         # the script in the instance dict.
         old = CoreBuild(
             name=build.name, result=build.result, directives_tcl=build.directives_tcl,
-            modeled_seconds=build.modeled_seconds, c_source=build.c_source, key=build.key,
+            modeled_seconds=build.modeled_seconds, c_source=build.c_source,
+            backend_version=build.backend_version,
         )
         old.__dict__["hls_tcl"] = script
         loaded = pickle.loads(pickle.dumps(old))
@@ -238,6 +255,16 @@ class TestOldCachePickles:
             assert "hls_tcl" not in vars(cache.read(build.key))
 
 
+def _patch_everywhere(monkeypatch, fn, wrapper) -> None:
+    """Bind *wrapper* wherever a ``repro`` module binds *fn*."""
+    for name, mod in list(sys.modules.items()):
+        if mod is None or not (name == "repro" or name.startswith("repro.")):
+            continue
+        for attr, value in list(vars(mod).items()):
+            if value is fn:
+                monkeypatch.setattr(mod, attr, wrapper)
+
+
 class _Spy:
     """Counts calls of the three generators wherever ``repro`` binds them."""
 
@@ -250,16 +277,8 @@ class _Spy:
     def __init__(self, monkeypatch):
         self.calls = {name: 0 for name in self.TARGETS}
         self.returned: dict[str, list] = {name: [] for name in self.TARGETS}
-        modules = [
-            m for n, m in list(sys.modules.items())
-            if m is not None and (n == "repro" or n.startswith("repro."))
-        ]
         for name, fn in self.TARGETS.items():
-            wrapper = self._wrap(name, fn)
-            for mod in modules:
-                for attr, value in list(vars(mod).items()):
-                    if value is fn:
-                        monkeypatch.setattr(mod, attr, wrapper)
+            _patch_everywhere(monkeypatch, fn, self._wrap(name, fn))
 
     def _wrap(self, name, fn):
         def wrapper(*args, **kwargs):
@@ -307,3 +326,249 @@ class TestRenderOnDemand:
             "generate_hls_tcl": len(flow.cores),
             "assemble_image": 1,
         }
+
+
+class _DigestSpy:
+    """Counts design digests, graph validations and core cache keys, and
+    keeps, for every bitstream ``run_synthesis`` returns, the digest of
+    its design at that moment."""
+
+    def __init__(self, monkeypatch):
+        self.digests = self.validations = self.keys = 0
+        self.synthesized: list[tuple[Bitstream, str]] = []
+
+        def counting_digest(bd):
+            self.digests += 1
+            return _design_digest(bd)
+
+        def counting_validate(graph):
+            self.validations += 1
+            return validate_graph(graph)
+
+        def counting_key(*args, **kwargs):
+            self.keys += 1
+            return cache_key(*args, **kwargs)
+
+        def recording(bd, *args, **kwargs):
+            bitstream = run_synthesis(bd, *args, **kwargs)
+            self.synthesized.append((bitstream, _design_digest(bd)))
+            return bitstream
+
+        monkeypatch.setattr(synthesis, "_design_digest", counting_digest)
+        _patch_everywhere(monkeypatch, validate_graph, counting_validate)
+        _patch_everywhere(monkeypatch, cache_key, counting_key)
+        _patch_everywhere(monkeypatch, run_synthesis, recording)
+
+    def assert_digests_as_synthesized(self) -> None:
+        assert self.synthesized
+        for bitstream, expected in self.synthesized:
+            assert bitstream.digest == expected
+
+
+class TestDigestAsSynthesized:
+    """Read whenever, a bitstream's digest is its design's at synthesis."""
+
+    @pytest.mark.parametrize("config", [CHECKED, UNCHECKED], ids=["check_tcl", "no_check"])
+    @pytest.mark.parametrize("name", CORPUS)
+    def test_fresh_flow(self, name, config, monkeypatch):
+        spy = _DigestSpy(monkeypatch)
+        graph, sources, directives = _design(name)
+        flow = run_flow(graph, sources, extra_directives=directives, config=config)
+        assert flow.bitstream is spy.synthesized[0][0]
+        assert len(spy.synthesized) == (2 if config.check_tcl else 1)
+        spy.assert_digests_as_synthesized()
+
+    @pytest.mark.parametrize("config", [CHECKED, UNCHECKED], ids=["check_tcl", "no_check"])
+    def test_shared_cache_reuse(self, config, monkeypatch):
+        spy = _DigestSpy(monkeypatch)
+        builds = build_all_architectures(width=16, height=16, config=config)
+        assert any(b.reused for b in builds[1].flow.cores.values())
+        spy.assert_digests_as_synthesized()
+
+    @pytest.mark.parametrize("check_tcl", [True, False])
+    def test_killed_at_swgen_then_resumed(self, check_tcl, monkeypatch, tmp_path):
+        spy = _DigestSpy(monkeypatch)
+        graph, sources, directives = _design("otsu4")
+        config = FlowConfig(cache_dir=str(tmp_path / "cache"), check_tcl=check_tcl)
+        journal = RunJournal(tmp_path / "journal")
+        with pytest.raises(FlowInterrupted):
+            with armed(CrashPlan("swgen:start")):
+                run_flow(graph, sources, extra_directives=directives,
+                         config=config, journal=journal)
+        resumed = resume_flow(graph, sources, extra_directives=directives,
+                              config=config, journal=journal)
+        journal.close()
+        assert resumed.timing.resumed
+        spy.assert_digests_as_synthesized()
+        clean = run_flow(graph, sources, extra_directives=directives, config=UNCHECKED)
+        assert resumed.bitstream == clean.bitstream
+
+    @pytest.mark.parametrize("check_tcl", [True, False])
+    def test_every_hardware_candidate_after_its_simulation(self, check_tcl, monkeypatch):
+        spy = _DigestSpy(monkeypatch)
+        candidates = [c for c in otsu_space() if c.get("hw")]
+        assert len(candidates) == 62
+        for candidate in candidates:
+            point = evaluate_candidate(candidate, width=8, height=8, check_tcl=check_tcl)
+            assert point.correct
+        assert len(spy.synthesized) == len(candidates) * (2 if check_tcl else 1)
+        spy.assert_digests_as_synthesized()
+
+
+class TestBitstreamSemantics:
+    """The digest compares, prints and pickles like the field it was."""
+
+    @staticmethod
+    def _pair():
+        """A flow, and a bitstream whose fields equal the flow's but whose
+        design lacks one net."""
+        graph, sources, directives = _design("fig4")
+        flow = run_flow(graph, sources, extra_directives=directives, config=UNCHECKED)
+        other = copy.deepcopy(flow.design)
+        other.connections = [c for c in other.connections if c.dst_pin != "In0"]
+        return flow, run_synthesis(other)
+
+    def test_equality(self):
+        flow, other = self._pair()
+        again = run_synthesis(flow.design)
+        assert again == flow.bitstream and not (again != flow.bitstream)
+        assert hash(again) == hash(flow.bitstream)
+        assert (other.design, other.utilization) == (again.design, again.utilization)
+        assert other != flow.bitstream and not (other == flow.bitstream)
+        assert flow.bitstream != flow.bitstream.digest
+
+    def test_repr_ends_with_the_digest(self):
+        flow, _ = self._pair()
+        bit = flow.bitstream
+        assert repr(bit) == (
+            f"Bitstream(design={bit.design!r}, part={bit.part!r}, "
+            f"utilization={bit.utilization!r}, budget={bit.budget!r}, "
+            f"achieved_clock_mhz={bit.achieved_clock_mhz!r}, "
+            f"digest={_design_digest(flow.design)!r})"
+        )
+
+    def test_pickle_carries_the_digest_not_the_design(self):
+        flow, other = self._pair()
+        payload = pickle.dumps(flow.bitstream)
+        assert b"processing_system7_0" not in payload
+        loaded = pickle.loads(payload)
+        assert loaded == flow.bitstream and loaded != other
+        assert loaded.digest == _design_digest(flow.design)
+        assert pickle.loads(pickle.dumps(loaded)) == loaded
+
+    def test_old_pickle_still_loads(self):
+        flow, _ = self._pair()
+        # A pickle written when ``digest`` was a dataclass field.
+        old = object.__new__(Bitstream)
+        vars(old).update(
+            {name: getattr(flow.bitstream, name)
+             for name in ("design", "part", "utilization", "budget",
+                          "achieved_clock_mhz", "digest")}
+        )
+        loaded = pickle.loads(pickle.dumps(old))
+        assert loaded == flow.bitstream and loaded.digest == flow.bitstream.digest
+
+    def test_read_digest_lets_the_design_go(self):
+        flow, _ = self._pair()
+        bitstream, design = flow.bitstream, weakref.ref(flow.design)
+        bitstream.digest
+        del flow
+        gc.collect()
+        assert design() is None
+        assert bitstream.digest
+
+
+class TestDigestOnDemand:
+    @pytest.mark.parametrize(
+        "hw",
+        [{"grayScale", "histogram", "otsuMethod", "binarization"}, {"histogram"}],
+        ids=["all_hw", "one_actor"],
+    )
+    def test_dse_candidate_hashes_nothing_and_validates_once(self, hw, monkeypatch):
+        spy = _DigestSpy(monkeypatch)
+        point = evaluate_candidate(partition_candidate(hw), width=8, height=8)
+        assert point.correct and point.lut > 0
+        assert (spy.digests, spy.validations, spy.keys) == (0, 1, 0)
+
+    @pytest.mark.parametrize("check_tcl", [True, False])
+    def test_flow_hashes_only_what_is_read(self, check_tcl, monkeypatch, tmp_path):
+        spy = _DigestSpy(monkeypatch)
+        graph, sources, directives = _design("otsu4")
+        config = FlowConfig(cache_dir=None, check_tcl=check_tcl)
+        flow = run_flow(graph, sources, extra_directives=directives, config=config)
+        # The tcl check hashes the integrated and the replayed design.
+        assert spy.digests == (2 if check_tcl else 0)
+        assert flow.bitstream.digest == flow.bitstream.digest
+        materialize(flow, tmp_path / "out")
+        assert spy.digests == (2 if check_tcl else 1)
+
+    def test_core_key_on_first_read(self, monkeypatch):
+        spy = _DigestSpy(monkeypatch)
+        graph, sources, directives = _design("otsu4")
+        flow = run_flow(graph, sources, extra_directives=directives, config=UNCHECKED)
+        assert spy.keys == 0
+        for name, build in flow.cores.items():
+            expected = cache_key(
+                name, build.c_source, build.directives_tcl, UNCHECKED.backend.version
+            )
+            assert build.key == build.key == expected
+        assert spy.keys == len(flow.cores)
+
+    @pytest.mark.parametrize("front_end", ["text", "graph", "htg"])
+    def test_every_front_end_validates_once(self, front_end, monkeypatch):
+        if front_end == "htg":
+            htg, partition, _beh, sources, _hits = build_audio_app(n=128, frame=32)
+            spy = _DigestSpy(monkeypatch)
+            description = graph_from_htg(htg, partition)
+        else:
+            graph, sources, _ = _design("fig4")
+            spy = _DigestSpy(monkeypatch)
+            description = emit_dsl(graph) if front_end == "text" else graph
+        run_flow(description, sources, config=UNCHECKED)
+        assert spy.validations == 1
+
+    def test_invalid_lowered_graph_keeps_its_error(self):
+        graph, sources, _ = _filters2d(linked=False)
+        with pytest.raises(DslValidationError) as info:
+            run_flow(graph, sources, config=UNCHECKED)
+        assert str(info.value) == "stream port GAUSS2D.out is never linked"
+
+
+class _Mutated:
+    """A system script whose rendered text is edited by *edit*."""
+
+    def __init__(self, script, edit):
+        self.text = edit(script.render().splitlines())
+
+    def render(self) -> str:
+        return "\n".join(self.text) + "\n"
+
+
+class TestTclCheckMutants:
+    """A script that does not rebuild the integrated design still fails
+    the tcl check, however lazily the digests are computed."""
+
+    IRQ = "[get_bd_pins xlconcat_0/In0]"
+
+    @staticmethod
+    def _drop(lines):
+        return [ln for ln in lines if not ln.endswith(TestTclCheckMutants.IRQ)]
+
+    @staticmethod
+    def _after_implementation(lines):
+        """Move one interrupt net past ``wait_on_run impl_1``: the final
+        design matches, the design as implemented does not."""
+        net = [ln for ln in lines if ln.endswith(TestTclCheckMutants.IRQ)]
+        assert len(net) == 1 and lines[-1] == "wait_on_run impl_1"
+        return TestTclCheckMutants._drop(lines) + net
+
+    @pytest.mark.parametrize("edit", ["_drop", "_after_implementation"])
+    def test_mutant_script_raises(self, edit, monkeypatch):
+        mutate = getattr(self, edit)
+        monkeypatch.setattr(
+            orchestrator, "generate_system_tcl",
+            lambda system, backend: _Mutated(generate_system_tcl(system, backend), mutate),
+        )
+        graph, sources, directives = _design("fig4")
+        with pytest.raises(FlowError, match="does not reproduce the integrated design"):
+            run_flow(graph, sources, extra_directives=directives, config=CHECKED)

@@ -253,6 +253,19 @@ class TestCrashEnvironment:
         monkeypatch.delenv("REPRO_FLOW_CRASH_MODE")
         assert crashpoints._env_plan() == CrashPlan("swgen:start", 1, "raise")
 
+    def test_unarmed_visit_parses_no_variable(self, monkeypatch):
+        """Only a set ``REPRO_FLOW_CRASH_AT`` makes a visit parse the
+        variables; setting it in-process arms the very next visit."""
+        parsed = []
+        monkeypatch.setattr(crashpoints, "_env_plan", lambda: parsed.append(1))
+        monkeypatch.delenv("REPRO_FLOW_CRASH_AT", raising=False)
+        monkeypatch.setenv("REPRO_FLOW_CRASH_MODE", "kill")
+        crashpoint("hls:EDGE:start")
+        assert parsed == []
+        monkeypatch.setenv("REPRO_FLOW_CRASH_AT", "integrate:commit")
+        crashpoint("hls:EDGE:start")
+        assert parsed == [1]
+
     @pytest.mark.parametrize("mode", ["kil", "EXIT", "sigkill"])
     def test_unknown_mode_is_rejected(self, monkeypatch, mode):
         monkeypatch.setenv("REPRO_FLOW_CRASH_AT", "integrate:commit")
